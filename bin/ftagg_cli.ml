@@ -204,10 +204,6 @@ let run_scale ~topology ~n ~seed ~tol ~fmode ~budget ~max_input ~domains ~mem_li
         (gauge "scale_bytes_per_node")
         (gauge "scale_peak_live_bytes" /. (1024.0 *. 1024.0))
         (gauge "scale_peak_rss_kb" /. 1024.0);
-      Printf.printf "pool       : %d acquires, high water %d, %d in use at exit\n"
-        (Registry.counter registry ~labels:[ ("pool", "executor") ] "scale_pool_acquires_total")
-        (int_of_float (Registry.gauge registry ~labels:[ ("pool", "executor") ] "scale_pool_high_water" |> Option.value ~default:0.0))
-        (int_of_float (Registry.gauge registry ~labels:[ ("pool", "executor") ] "scale_pool_in_use" |> Option.value ~default:0.0));
       if not pin then code
       else begin
         (* Differential pin: materialise the same topology and replay the
@@ -631,9 +627,9 @@ let stats_cmd =
       & info [ "scale" ]
           ~doc:
             "Run AGG through the massive-scale executor instead and print its registry: the \
-             scale_* series (rounds, domains, frontier edges, live bytes, bytes/node, pool \
-             occupancy, minor words/round, peak RSS).  Grid/torus/regular topologies, no \
-             failures; $(b,--protocol) is ignored.")
+             scale_* series (rounds, domains, frontier edges, live bytes, bytes/node, minor \
+             words/round, peak RSS).  Grid/torus/regular topologies, no failures; \
+             $(b,--protocol) is ignored.")
   in
   let domains =
     Arg.(

@@ -104,7 +104,6 @@ module Fleet = Ftagg_fleet.Fleet
 (** {1 Massive scale (streaming CSR graphs, multi-domain executor)} *)
 
 module Bigraph = Ftagg_scale.Bigraph
-module Scale_pool = Ftagg_scale.Pool
 module Scale_mem = Ftagg_scale.Mem
 module Scale_executor = Ftagg_scale.Executor
 module Scale_run = Ftagg_scale.Scale_run
@@ -201,8 +200,4 @@ module Network = struct
     let params = params t ~inputs in
     let failures = Option.value failures ~default:(no_failures t) in
     Selection.median ~graph:t.graph ~failures ~params ~b ~f ~seed:t.seed
-
-  (* Deprecated pre-overhaul accessor (one release): [report.value] as a
-     function now that the field holds an [Agg.result]. *)
-  let value = value_exn
 end

@@ -104,7 +104,6 @@ module Fleet = Ftagg_fleet.Fleet
 (** {1 Massive scale (streaming CSR graphs, multi-domain executor)} *)
 
 module Bigraph = Ftagg_scale.Bigraph
-module Scale_pool = Ftagg_scale.Pool
 module Scale_mem = Ftagg_scale.Mem
 module Scale_executor = Ftagg_scale.Executor
 module Scale_run = Ftagg_scale.Scale_run
@@ -185,7 +184,4 @@ module Network : sig
 
   val median :
     ?failures:Failure.t -> t -> inputs:int array -> b:int -> f:int -> Selection.outcome
-
-  val value : report -> int
-  [@@ocaml.deprecated "use Network.value_exn (report.value is now report.result : Agg.result)"]
 end

@@ -8,29 +8,20 @@ type t = {
 
 let root = 0
 
-let of_iter ~n iter =
-  if n <= 0 then invalid_arg "Graph.of_iter: n must be positive";
+let build ~who ~n iter =
+  if n <= 0 then invalid_arg (who ^ ": n must be positive");
   let adj = Array.make n IS.empty in
   iter (fun u v ->
-      if u < 0 || u >= n || v < 0 || v >= n then
-        invalid_arg "Graph.of_iter: endpoint out of range";
-      if u = v then invalid_arg "Graph.of_iter: self-loop";
+      if u < 0 || u >= n || v < 0 || v >= n then invalid_arg (who ^ ": endpoint out of range");
+      if u = v then invalid_arg (who ^ ": self-loop");
       adj.(u) <- IS.add v adj.(u);
       adj.(v) <- IS.add u adj.(v));
   { n; adj; present = Array.make n true }
 
+let of_iter ~n iter = build ~who:"Graph.of_iter" ~n iter
+
 let of_edges ~n edges =
-  if n <= 0 then invalid_arg "Graph.of_edges: n must be positive";
-  let adj = Array.make n IS.empty in
-  List.iter
-    (fun (u, v) ->
-      if u < 0 || u >= n || v < 0 || v >= n then
-        invalid_arg "Graph.of_edges: endpoint out of range";
-      if u = v then invalid_arg "Graph.of_edges: self-loop";
-      adj.(u) <- IS.add v adj.(u);
-      adj.(v) <- IS.add u adj.(v))
-    edges;
-  { n; adj; present = Array.make n true }
+  build ~who:"Graph.of_edges" ~n (fun emit -> List.iter (fun (u, v) -> emit u v) edges)
 
 let n g = g.n
 
@@ -55,14 +46,6 @@ let fold_edges f g init =
   iter_edges g (fun u v -> acc := f u v !acc);
   !acc
 
-let edges g =
-  let acc = ref [] in
-  for u = g.n - 1 downto 0 do
-    if g.present.(u) then
-      IS.iter (fun v -> if v > u && g.present.(v) then acc := (u, v) :: !acc) g.adj.(u)
-  done;
-  !acc
-
 let num_edges g = fold_edges (fun _ _ acc -> acc + 1) g 0
 
 let fold_nodes f g init =
@@ -80,78 +63,26 @@ let remove_nodes g nodes =
     nodes;
   { g with present }
 
-module Csr = struct
-  type t = {
-    nodes : int;
-    offsets : int array;
-    targets : int array;
-  }
-
-  (* Rows follow [neighbors] exactly: absent nodes get empty rows, absent
-     neighbours are dropped, and each row is sorted ascending (the order
-     [IS.elements] produces).  The engine's per-round iteration order — and
-     hence its PRNG stream under lossy delivery — is therefore identical to
-     what the list-based view gives. *)
-  let of_graph g =
-    let n = g.n in
-    let offsets = Array.make (n + 1) 0 in
-    for u = 0 to n - 1 do
-      let deg =
-        if not g.present.(u) then 0
-        else IS.fold (fun v acc -> if g.present.(v) then acc + 1 else acc) g.adj.(u) 0
-      in
-      offsets.(u + 1) <- offsets.(u) + deg
-    done;
-    let targets = Array.make offsets.(n) 0 in
-    let pos = ref 0 in
-    for u = 0 to n - 1 do
-      if g.present.(u) then
-        IS.iter
-          (fun v ->
-            if g.present.(v) then begin
-              targets.(!pos) <- v;
-              incr pos
-            end)
-          g.adj.(u)
-    done;
-    { nodes = n; offsets; targets }
-
-  let nodes c = c.nodes
-  let degree c u = c.offsets.(u + 1) - c.offsets.(u)
-  let max_degree c =
-    let m = ref 0 in
-    for u = 0 to c.nodes - 1 do
-      if degree c u > !m then m := degree c u
-    done;
-    !m
-
-  let iter_neighbors c u f =
-    for i = c.offsets.(u) to c.offsets.(u + 1) - 1 do
-      f c.targets.(i)
-    done
-
-  let fold_neighbors c u f init =
-    let acc = ref init in
-    for i = c.offsets.(u) to c.offsets.(u + 1) - 1 do
-      acc := f !acc c.targets.(i)
-    done;
-    !acc
-
-  let neighbors_list c u =
-    List.init (degree c u) (fun i -> c.targets.(c.offsets.(u) + i))
-end
-
-let csr = Csr.of_graph
+(* Rows follow [neighbors] exactly: absent nodes get empty rows, absent
+   neighbours are dropped, and each row is ascending (the order [IS.iter]
+   walks), so lossy runs draw per-edge coins in the same order as the
+   list-based reference engine. *)
+let csr g =
+  let live v acc = if g.present.(v) then acc + 1 else acc in
+  Csr.of_rows ~n:g.n
+    ~degree:(fun u -> if g.present.(u) then IS.fold live g.adj.(u) 0 else 0)
+    ~iter_row:(fun u f ->
+      if g.present.(u) then IS.iter (fun v -> if g.present.(v) then f v) g.adj.(u))
 
 let pp ppf g =
   Format.fprintf ppf "@[<v>graph n=%d m=%d@," g.n (num_edges g);
-  List.iter (fun (u, v) -> Format.fprintf ppf "%d -- %d@," u v) (edges g);
+  iter_edges g (fun u v -> Format.fprintf ppf "%d -- %d@," u v);
   Format.fprintf ppf "@]"
 
 let to_dot ?(name = "g") g =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Printf.sprintf "graph %s {\n" name);
   Buffer.add_string buf "  0 [shape=doublecircle];\n";
-  List.iter (fun (u, v) -> Buffer.add_string buf (Printf.sprintf "  %d -- %d;\n" u v)) (edges g);
+  iter_edges g (fun u v -> Buffer.add_string buf (Printf.sprintf "  %d -- %d;\n" u v));
   Buffer.add_string buf "}\n";
   Buffer.contents buf

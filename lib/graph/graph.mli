@@ -33,63 +33,27 @@ val has_edge : t -> int -> int -> bool
 
 val iter_edges : t -> (int -> int -> unit) -> unit
 (** [iter_edges g f] calls [f u v] once per present edge, [u < v],
-    ascending by [u] then [v].  Allocation-free replacement for the
-    deprecated {!edges}. *)
+    ascending by [u] then [v]. *)
 
 val fold_edges : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 (** Fold over present edges in {!iter_edges} order. *)
-
-val edges : t -> (int * int) list
-[@@ocaml.deprecated "use Graph.iter_edges / Graph.fold_edges (the list path materialises every edge)"]
-(** Every edge once, as [(u, v)] with [u < v]. *)
 
 val fold_nodes : (int -> 'a -> 'a) -> t -> 'a -> 'a
 
 val remove_nodes : t -> int list -> t
 (** Graph with the given nodes (and their incident edges) deleted.  Ids
     are preserved; removed nodes become isolated and are excluded from
-    [neighbors]/[edges].  Used to model crashed nodes. *)
+    [neighbors]/[iter_edges].  Used to model crashed nodes. *)
 
 val mem : t -> int -> bool
 (** Whether the node is present (not removed). *)
 
-(** {2 Flat adjacency (CSR) view}
-
-    The simulation hot path iterates adjacency once per node per round;
-    the set-backed {!neighbors} allocates a filtered set plus a list on
-    every call.  {!Csr} is a compressed-sparse-row snapshot — two flat
-    [int array]s — taken once per run and read with zero allocation. *)
-
-module Csr : sig
-  type graph := t
-
-  type t = {
-    nodes : int;
-    offsets : int array;
-        (** [nodes + 1] entries; node [u]'s neighbours live at indices
-            [offsets.(u) .. offsets.(u+1) - 1] of [targets]. *)
-    targets : int array;
-  }
-  (** The arrays are exposed so hot loops can index them directly; treat
-      them as read-only. *)
-
-  val of_graph : graph -> t
-  (** Snapshot the present subgraph.  Row [u] lists exactly
-      [neighbors g u] in the same (ascending) order; removed nodes get
-      empty rows. *)
-
-  val nodes : t -> int
-  val degree : t -> int -> int
-  val max_degree : t -> int
-  val iter_neighbors : t -> int -> (int -> unit) -> unit
-  val fold_neighbors : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
-
-  val neighbors_list : t -> int -> int list
-  (** Same list [neighbors] returns; for tests and slow paths. *)
-end
-
 val csr : t -> Csr.t
-(** Alias for {!Csr.of_graph}. *)
+(** Snapshot the present subgraph as the engine's flat adjacency, taken
+    once per run and read with zero allocation (the set-backed
+    {!neighbors} allocates a filtered set plus a list on every call).
+    Row [u] lists exactly [neighbors g u] in the same (ascending) order;
+    removed nodes get empty rows. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -42,13 +42,6 @@ let push_sum_protocol ~graph ~inputs =
     root_done = (fun _ -> false);
   }
 
-(* The one engine run both entry points share: [run_legacy] must stay
-   byte-identical to the pre-backend behaviour, so the unified [run] is
-   packaging only. *)
-let core ?loss ?obs ~graph ~failures ~inputs ~rounds ~seed () =
-  Engine.run ?obs ?loss ~graph ~failures ~max_rounds:rounds ~seed
-    (push_sum_protocol ~graph ~inputs)
-
 let estimate_of_root (root : state) = if root.w > 0.0 then root.s /. root.w else Float.nan
 
 let rel_error ~truth estimate =
@@ -77,28 +70,10 @@ let package ~graph ~failures ~params ~states ~metrics =
 
 let run ?loss ?obs ~graph ~failures ~params ~rounds ~seed () =
   let states, metrics =
-    core ?loss ?obs ~graph ~failures ~inputs:params.Params.inputs ~rounds ~seed ()
+    Engine.run ?obs ?loss ~graph ~failures ~max_rounds:rounds ~seed
+      (push_sum_protocol ~graph ~inputs:params.Params.inputs)
   in
   package ~graph ~failures ~params ~states ~metrics
-
-type legacy = {
-  estimate : float;
-  relative_error : float;
-  cc : int;
-  rounds : int;
-}
-
-let run_legacy ~graph ~failures ~inputs ~rounds ~seed =
-  let states, metrics = core ~graph ~failures ~inputs ~rounds ~seed () in
-  let root = states.(Graph.root) in
-  let estimate = estimate_of_root root in
-  let truth = float_of_int (Array.fold_left ( + ) 0 inputs) in
-  {
-    estimate;
-    relative_error = rel_error ~truth estimate;
-    cc = Metrics.cc metrics;
-    rounds = Metrics.rounds metrics;
-  }
 
 let backend : Backend.t =
   (module struct

@@ -37,32 +37,7 @@ val run :
     [Estimate].  [common.correct] checks the rounded estimate against
     the {!Checker} correctness interval (an untouched-root run that has
     not mixed yet is simply incorrect, not an error).  Evidence:
-    [estimate_root], [w_root].
-
-    Same engine run as {!run_legacy} — identical states, metrics and
-    PRNG streams on equal seeds (pinned in [test/test_backend.ml]). *)
-
-(** {2 Deprecated pre-backend entry point}
-
-    The bespoke outcome record, kept one release.  Migrate
-    [Gossip.run_legacy ~inputs …] → [Gossip.run ~params …] and read the
-    estimate from the outcome's [Backend.Estimate]. *)
-
-type legacy = {
-  estimate : float;  (** the root's [s/w] (NaN if the root's [w] is 0) *)
-  relative_error : float;  (** |estimate − true sum| / true sum *)
-  cc : int;  (** max bits broadcast by a single node *)
-  rounds : int;
-}
-
-val run_legacy :
-  graph:Ftagg_graph.Graph.t ->
-  failures:Ftagg_sim.Failure.t ->
-  inputs:int array ->
-  rounds:int ->
-  seed:int ->
-  legacy
-[@@ocaml.deprecated "use Gossip.run (unified Backend.outcome)"]
+    [estimate_root], [w_root]. *)
 
 val backend : Backend.t
 (** Push-sum as a backend ([Backend.name] = ["pushsum"]): round budget

@@ -1,43 +1,27 @@
-(** Streaming million-node graphs: a packed CSR over Bigarray-backed int
-    arrays, built from a single pass over an edge emission.
+(** Streaming million-node graphs: scale topologies emitted straight
+    into a {!Ftagg_graph.Csr}, plus the validation and structure queries
+    a scale run needs without ever materialising a {!Ftagg_graph.Graph}.
 
-    The materialised {!Ftagg_graph.Graph} costs one [Set.Make(Int)] node
-    per edge endpoint (~hundreds of bytes/edge with boxing) — fine at
-    10^3 nodes, hopeless at 10^6.  A [Bigraph.t] stores the same
-    adjacency as two flat off-heap int arrays (~16 bytes/directed edge),
-    so a 1M-node, 4M-edge topology is ~130 MB instead of many GB, and
-    the GC never scans it.
+    {!of_iter} consumes the same [emit u v] emission that
+    [Gen.iter_edges] produces (one edge source for both the small-graph
+    and the scale path).  Its rows follow the CSR row discipline, so a
+    [Bigraph] of an emission equals [Graph.csr (Graph.of_iter ...)] of
+    the same emission under [=], and the executor walking it sees the
+    same neighbour order (hence the same inboxes and PRNG streams) as
+    [Engine.run] on the materialised graph. *)
 
-    Construction streams: {!of_iter} consumes the same [emit u v]
-    emission that [Gen.iter_edges] produces (one edge source for both
-    the small-graph and the scale path), buffering endpoints in fixed
-    8 MB chunks, then counting, prefix-summing, filling, sorting and
-    deduplicating each row in place.  Rows end up sorted ascending with
-    self-loops and duplicates dropped — exactly the
-    {!Ftagg_graph.Graph.Csr} row discipline, so an executor walking a
-    [Bigraph] sees the same neighbour order (and hence produces the same
-    PRNG streams and inboxes) as [Engine.run] walking
-    [Graph.csr (Graph.of_iter ...)] of the same emission; {!equal_csr}
-    checks that equivalence and the differential tests pin it. *)
+type ints = Ftagg_graph.Csr.ints
 
-type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type t = private {
+type t = Ftagg_graph.Csr.t = private {
   n : int;  (** node count *)
   m : int;  (** undirected edge count after dedup *)
   offsets : ints;  (** [n + 1] entries *)
   targets : ints;  (** [2m] entries; row [u] sorted ascending *)
 }
-(** Exposed for hot loops; treat the arrays as read-only. *)
+(** The engine's CSR, re-exported.  Treat the arrays as read-only. *)
 
 val of_iter : n:int -> ((int -> int -> unit) -> unit) -> t
-(** [of_iter ~n iter] builds the CSR from [iter emit].  Duplicate edges
-    collapse; self-loops and out-of-range endpoints raise
-    [Invalid_argument] (matching [Graph.of_iter]). *)
-
-val of_graph : Ftagg_graph.Graph.t -> t
-(** Snapshot a materialised graph (its present subgraph, like
-    [Graph.csr]).  For differential tests and small-graph interop. *)
+(** {!Ftagg_graph.Csr.of_iter}. *)
 
 val to_graph : t -> Ftagg_graph.Graph.t
 (** Materialise (small graphs only — costs what [Graph.t] costs). *)
@@ -46,9 +30,6 @@ val n : t -> int
 val num_edges : t -> int
 val degree : t -> int -> int
 val iter_neighbors : t -> int -> (int -> unit) -> unit
-
-val equal_csr : t -> Ftagg_graph.Graph.Csr.t -> bool
-(** Row-exact equality with a materialised CSR snapshot. *)
 
 (** {2 Scale topologies} *)
 

@@ -10,20 +10,19 @@
 
     {b Differential pin}: with the same [seed], [failures] and topology,
     [run] produces byte-identical states and metrics to [Engine.run] on
-    the materialised graph, for every domain count — the per-node PRNG
-    streams are split in the same order, inboxes are assembled by the
-    same [Engine.deliver] walk over the same (ascending) CSR rows, and
-    bits are charged by the same [Engine.sum_bits].  Message loss is the
-    one [Engine.run] feature {e not} offered: per-edge loss draws consume
-    a shared PRNG stream in global node order, which no partitioning can
-    reproduce; the paper's model is lossless anyway.
+    the materialised graph, for every domain count — it {e is} the
+    engine's round loop ({!Ftagg_sim.Engine.run_ranges}): the executor
+    only dispatches each round's node ranges to the domains and waits at
+    the barrier.  Message loss is the one [Engine.run] feature {e not}
+    offered: per-edge loss draws consume a shared PRNG stream in global
+    node order, which no partitioning can reproduce; the paper's model is
+    lossless anyway.
 
     Failure schedules apply as in [Engine.run] (crash = stop, not message
     loss).  Torn barriers abort cleanly: an exception in any partition is
     captured, every other partition finishes its round, workers are
-    stopped and joined, pool slots are released, and
-    {!Partition_failed} is raised on the caller — no deadlock, no leaked
-    domain. *)
+    stopped and joined, and {!Partition_failed} is raised on the caller —
+    no deadlock, no leaked domain. *)
 
 exception
   Partition_failed of {
@@ -43,7 +42,6 @@ val frontier_edges : Bigraph.t -> domains:int -> int
 val run :
   ?domains:int ->
   ?meter:Mem.t ->
-  ?pool:Pool.t ->
   ?registry:Ftagg_obs.Registry.t ->
   graph:Bigraph.t ->
   failures:Ftagg_sim.Failure.t ->
@@ -51,12 +49,8 @@ val run :
   seed:int ->
   ('state, 'msg) Ftagg_sim.Engine.protocol ->
   'state array * Ftagg_sim.Metrics.t
-(** Execute.  [domains] defaults to 1 (still the scale data path: CSR
-    walk, pooled traffic bitmaps).  [meter] is checked at the round
-    barrier; its ceiling aborts via {!Mem.Ceiling_exceeded}.  [pool]
-    (default: a private 2-slot pool) must offer slots of at least
-    [Bigraph.n graph] bytes; the two traffic bitmaps are acquired from it
-    at start and always released.  [registry] receives
-    [scale_rounds_total], [scale_domains], [scale_frontier_edges] and
+(** Execute.  [domains] defaults to 1.  [meter] is checked at the round
+    barrier; its ceiling aborts via {!Mem.Ceiling_exceeded}.  [registry]
+    receives [scale_rounds_total], [scale_domains], [scale_frontier_edges] and
     [scale_minor_words_per_round] (coordinator-domain minor allocation
     per executed round — the allocation-regression canary). *)

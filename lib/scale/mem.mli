@@ -5,8 +5,8 @@
     the peak, publishes gauges through [lib/obs], and — when a ceiling is
     configured — raises {!Ceiling_exceeded} instead of letting the
     process OOM.  The exception propagates through the executor's normal
-    abort path (workers stopped and joined, pool slots released), so a
-    run that hits the ceiling fails cleanly.
+    abort path (workers stopped and joined), so a run that hits the
+    ceiling fails cleanly.
 
     Gauges (published when a registry is attached and telemetry is
     enabled): [scale_live_bytes], [scale_bytes_per_node],

@@ -29,9 +29,9 @@ let protocol p =
     root_done = (fun _ -> false);
   }
 
-let agg ?domains ?meter ?pool ?registry ~graph ~failures ~params ~seed () =
+let agg ?domains ?meter ?registry ~graph ~failures ~params ~seed () =
   let states, metrics =
-    Executor.run ?domains ?meter ?pool ?registry ~graph ~failures
+    Executor.run ?domains ?meter ?registry ~graph ~failures
       ~max_rounds:(Agg.duration params) ~seed (protocol params)
   in
   {

@@ -32,7 +32,6 @@ val protocol :
 val agg :
   ?domains:int ->
   ?meter:Mem.t ->
-  ?pool:Pool.t ->
   ?registry:Ftagg_obs.Registry.t ->
   graph:Bigraph.t ->
   failures:Ftagg_sim.Failure.t ->

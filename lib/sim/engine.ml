@@ -1,22 +1,8 @@
 module Graph = Ftagg_graph.Graph
-module Csr = Ftagg_graph.Graph.Csr
+module Csr = Ftagg_graph.Csr
 module Prng = Ftagg_util.Prng
 module Obs = Ftagg_obs.Obs
 module Span = Ftagg_obs.Span
-
-(* Run [body] with [obs]'s span collector ambient (so protocol [step]
-   functions can open phase spans) and close all spans on the way out.
-   [obs = None] must add nothing to the hot path: the caller's loop only
-   touches obs behind a [match] that the branch predictor eats. *)
-let with_obs obs body =
-  match obs with
-  | None -> body ()
-  | Some o ->
-    Span.with_ambient (Obs.spans o)
-      (fun () ->
-        let result = body () in
-        Obs.finish o;
-        result)
 
 type node_id = int
 
@@ -125,126 +111,20 @@ type 'state chaos_result = {
   c_violation : violation option;
 }
 
-(* The instrumented engine.  Structured like [run_reference] (lists, no
-   CSR tricks) because clarity beats speed off the hot path, with three
-   additions: per-edge duplication/one-round-delay faults, an online
-   adversary consulted after every round, and a watchdog that can stop
-   the run at the first violated invariant.
+(* ------------------------------------------------------------------ *)
+(* The round kernel                                                    *)
+(* ------------------------------------------------------------------ *)
 
-   With [faults = no_faults], no [online] and no [watch], the PRNG setup
-   and draw order are exactly [run_reference]'s — the dup/delay draws are
-   guarded by their probabilities being positive — so a chaos-off run is
-   observably identical to [run]/[run_reference] (states, metrics, PRNG
-   streams); test/test_chaos.ml checks this differentially. *)
-let run_chaos ?observer ?obs ?(faults = no_faults) ?online ?watch ?(halt_on_violation = true)
-    ~graph ~failures ~max_rounds ~seed proto =
-  let { loss; dup; delay } = faults in
-  if loss < 0.0 || loss > 1.0 then invalid_arg "Engine.run_chaos: loss must be in [0, 1]";
-  if dup < 0.0 || dup > 1.0 then invalid_arg "Engine.run_chaos: dup must be in [0, 1]";
-  if delay < 0.0 || delay > 1.0 then invalid_arg "Engine.run_chaos: delay must be in [0, 1]";
-  let n = Graph.n graph in
-  let rng = Prng.create seed in
-  let loss_rng = Prng.split rng in
-  let states = Array.init n (fun u -> proto.init u ~rng:(Prng.split rng)) in
-  let metrics = Metrics.create n in
-  (* A private copy: online crash decisions must not mutate the caller's
-     oblivious schedule. *)
-  let crash = Array.copy (Failure.crash_rounds failures) in
-  let in_flight : 'msg list array = Array.make n [] in
-  let next_flight : 'msg list array = Array.make n [] in
-  (* [delayed.(u)] holds (sender, payload) pairs whose delivery to [u]
-     was pushed one round; they arrive ahead of this round's traffic and
-     survive the sender's crash (in flight = in flight). *)
-  let delayed : (node_id * 'msg) list array = Array.make n [] in
-  let next_delayed : (node_id * 'msg) list array = Array.make n [] in
-  let draw p = p > 0.0 && Prng.float loss_rng 1.0 < p in
-  let violation = ref None in
-  let round = ref 1 in
-  let halted = ref false in
-  with_obs obs @@ fun () ->
-  while (not !halted) && !round <= max_rounds do
-    let r = !round in
-    Metrics.note_round metrics r;
-    (match obs with Some o -> Obs.on_round o r | None -> ());
-    let rev_broadcasters = ref [] in
-    for u = 0 to n - 1 do
-      if crash.(u) > r then begin
-        let held = delayed.(u) in
-        delayed.(u) <- [];
-        let fresh =
-          List.concat_map
-            (fun v ->
-              if in_flight.(v) = [] then []
-              else if loss = 0.0 || Prng.float loss_rng 1.0 >= loss then begin
-                let msgs = List.map (fun m -> (v, m)) in_flight.(v) in
-                let msgs = if draw dup then msgs @ msgs else msgs in
-                if draw delay then begin
-                  next_delayed.(u) <- next_delayed.(u) @ msgs;
-                  []
-                end
-                else msgs
-              end
-              else [])
-            (Graph.neighbors graph u)
-        in
-        let inbox = held @ fresh in
-        let state', out = proto.step ~round:r ~me:u ~state:states.(u) ~inbox in
-        states.(u) <- state';
-        next_flight.(u) <- out;
-        (match observer with Some f -> f ~round:r ~node:u out | None -> ());
-        if out <> [] then rev_broadcasters := u :: !rev_broadcasters;
-        let bits = List.fold_left (fun acc m -> acc + proto.msg_bits m) 0 out in
-        Metrics.charge metrics ~node:u ~bits;
-        (match (obs, out) with
-        | Some o, _ :: _ -> Obs.on_broadcast o ~round:r ~node:u ~msgs:(List.length out) ~bits
-        | _ -> ())
-      end
-      else begin
-        next_flight.(u) <- [];
-        delayed.(u) <- [];
-        next_delayed.(u) <- []
-      end
-    done;
-    Array.blit next_flight 0 in_flight 0 n;
-    Array.fill next_flight 0 n [];
-    Array.blit next_delayed 0 delayed 0 n;
-    Array.fill next_delayed 0 n [];
-    (match watch with
-    | Some w when !violation = None -> (
-      match
-        w { v_round = r; v_states = states; v_metrics = metrics; v_crash_rounds = crash }
-      with
-      | Some (invariant, detail) ->
-        violation := Some { at_round = r; invariant; detail };
-        (match obs with
-        | Some o -> Obs.on_violation o ~round:r ~invariant ~detail
-        | None -> ());
-        if halt_on_violation then halted := true
-      | None -> ())
-    | _ -> ());
-    (match online with
-    | Some adversary when not !halted ->
-      let report =
-        {
-          rr_round = r;
-          rr_broadcasters = List.rev !rev_broadcasters;
-          rr_metrics = metrics;
-          rr_crash_rounds = crash;
-        }
-      in
-      List.iter
-        (fun u -> if u > 0 && u < n && crash.(u) > r + 1 then crash.(u) <- r + 1)
-        (adversary report)
-    | _ -> ());
-    if proto.root_done states.(Graph.root) then halted := true;
-    incr round
-  done;
-  {
-    c_states = states;
-    c_metrics = metrics;
-    c_schedule = Failure.of_crash_rounds crash;
-    c_violation = !violation;
-  }
+(* Chaos as per-round hooks on the one loop: [faults] changes how
+   inboxes are built; [online] and [watch] run after each round. *)
+type 'state chaos = {
+  faults : faults;
+  online : online option;
+  watch : 'state watch option;
+  halt_on_violation : bool;
+}
+
+let no_chaos = { faults = no_faults; online = None; watch = None; halt_on_violation = true }
 
 (* Prepend [(v, m)] for every [m] of [msgs] onto [acc], preserving the
    order of [msgs].  Messages per broadcast are few, so the non-tail
@@ -252,93 +132,124 @@ let run_chaos ?observer ?obs ?(faults = no_faults) ?online ?watch ?(halt_on_viol
 let rec deliver v msgs acc =
   match msgs with [] -> acc | m :: tl -> (v, m) :: deliver v tl acc
 
+(* Typed, so the Bigarray read compiles to an inline load. *)
+let get (a : Csr.ints) i = Bigarray.Array1.unsafe_get a i
+
 let rec sum_bits msg_bits acc = function
   | [] -> acc
   | m :: tl -> sum_bits msg_bits (acc + msg_bits m) tl
 
-(* Fast path: identical observable behaviour to [run_reference], but the
-   delivery loop walks a CSR snapshot of the adjacency with no per-round
-   set filtering, no [List.concat_map] churn and no closure allocation —
-   the only allocations left are the inbox cells the protocol API
-   requires.  The per-edge loss draws happen in the same (ascending
-   neighbour) order as the reference, so the loss PRNG stream matches. *)
-let run ?observer ?obs ?(loss = 0.0) ~graph ~failures ~max_rounds ~seed proto =
-  if loss < 0.0 || loss >= 1.0 then invalid_arg "Engine.run: loss must be in [0, 1)";
-  let n = Graph.n graph in
-  let csr = Graph.csr graph in
+(* The one round loop.  Observationally identical to [run_reference]
+   (same final states, metrics and PRNG streams), but the delivery walks
+   a CSR snapshot with no per-round set filtering and no closure
+   allocation — the only allocations left are the inbox cells the
+   protocol API requires.
+
+   Each round, [dispatch r step] must call [step lo hi] once for every
+   range of a partition of the nodes; the ranges touch disjoint per-node
+   slots, so [Executor] runs them on different domains.  Per-edge fault
+   coins come from one shared stream in global node order, so callers
+   that split the range pass no faults, [observer] or [obs]. *)
+let loop ~dispatch ?observer ?obs ~chaos ~csr ~failures ~max_rounds ~seed proto =
+  let n = Csr.n csr in
   let offsets = csr.Csr.offsets and targets = csr.Csr.targets in
   let crash = Failure.crash_rounds failures in
+  if Array.length crash <> n then invalid_arg "Engine: failure schedule size mismatch";
+  let { loss; dup; delay } = chaos.faults in
+  let lossy = loss > 0.0 || dup > 0.0 || delay > 0.0 and delays = delay > 0.0 in
+  (* A private copy: online crash decisions must not mutate the caller's
+     oblivious schedule. *)
+  let crash = if Option.is_none chaos.online then crash else Array.copy crash in
   let rng = Prng.create seed in
   let loss_rng = Prng.split rng in
   let states = Array.init n (fun u -> proto.init u ~rng:(Prng.split rng)) in
   let metrics = Metrics.create n in
   let in_flight : 'msg list array ref = ref (Array.make n []) in
   let next_flight : 'msg list array ref = ref (Array.make n []) in
-  (* Reusable per-node delivery flags for the lossy path (one slot per
-     incident edge of the busiest node). *)
-  let flags = Array.make (max 1 (Csr.max_degree csr)) false in
-  (* [traffic] = did anyone broadcast last round?  When false, every
-     inbox is empty and no loss draw would happen (the reference only
-     draws for neighbours with a non-empty in-flight slot), so the whole
+  (* [held.(u)] holds (sender, payload) pairs whose delivery to [u] was
+     pushed one round; they arrive ahead of this round's traffic and
+     survive the sender's crash (in flight = in flight).  Every slot of
+     [held] is emptied as its node is stepped, so after the swap
+     [next_held] starts each round empty. *)
+  let held = ref (if delays then Array.make n [] else [||]) in
+  let next_held = ref (if delays then Array.make n [] else [||]) in
+  (* Per-edge coin outcomes of the node being stepped: 0 = nothing
+     delivered, else the copy count (1, or 2 when duplicated), plus 4
+     when delayed. *)
+  let flags = if lossy then Array.make (max 1 (Csr.max_degree csr)) 0 else [||] in
+  let draw p = p > 0.0 && Prng.float loss_rng 1.0 < p in
+  (* One forward walk draws every coin in ascending neighbour order —
+     loss, then dup, then delay, each only when its probability is
+     positive, and only for neighbours that broadcast — then a backward
+     walk assembles the inbox and the delayed batch front to back. *)
+  let lossy_inbox u inflight =
+    let lo = get offsets u and hi = get offsets (u + 1) in
+    for i = lo to hi - 1 do
+      flags.(i - lo) <-
+        (match Array.unsafe_get inflight (get targets i) with
+        | [] -> 0
+        | _ ->
+          if draw loss then 0
+          else
+            let copies = if draw dup then 2 else 1 in
+            if draw delay then copies lor 4 else copies)
+    done;
+    let fresh = ref [] and late = ref [] in
+    for i = hi - 1 downto lo do
+      let f = flags.(i - lo) in
+      if f <> 0 then begin
+        let v = get targets i in
+        let msgs = Array.unsafe_get inflight v in
+        let dst = if f land 4 = 0 then fresh else late in
+        dst := deliver v msgs !dst;
+        if f land 3 = 2 then dst := deliver v msgs !dst
+      end
+    done;
+    (match !late with [] -> () | l -> !next_held.(u) <- l);
+    !fresh
+  in
+  (* [had_traffic] = did anyone broadcast last round?  When false, every
+     fresh inbox is empty and no coin would be drawn (coins are only
+     drawn for neighbours with a non-empty in-flight slot), so the whole
      neighbour scan is skipped — most rounds of a typical protocol are
      globally silent. *)
-  let traffic = ref false in
-  let round = ref 1 in
-  let halted = ref false in
-  with_obs obs @@ fun () ->
-  while (not !halted) && !round <= max_rounds do
-    let r = !round in
-    Metrics.note_round metrics r;
-    (match obs with Some o -> Obs.on_round o r | None -> ());
+  let step_range r had_traffic lo hi =
+    if lo < 0 || hi > n then invalid_arg "Engine: dispatched range outside the nodes";
     let inflight = !in_flight and nextflight = !next_flight in
-    let had_traffic = !traffic in
-    traffic := false;
-    for u = 0 to n - 1 do
+    let traffic = ref false in
+    for u = lo to hi - 1 do
       if Array.unsafe_get crash u > r then begin
-        let inbox =
+        let fresh =
           if not had_traffic then []
+          else if lossy then lossy_inbox u inflight
           else begin
-            let lo = Array.unsafe_get offsets u in
-            let hi = Array.unsafe_get offsets (u + 1) in
-            if loss = 0.0 then begin
-              (* Build front-to-back order by walking neighbours
-                 backwards. *)
-              let acc = ref [] in
-              for i = hi - 1 downto lo do
-                let v = Array.unsafe_get targets i in
-                match Array.unsafe_get inflight v with
-                | [] -> ()
-                | msgs -> acc := deliver v msgs !acc
-              done;
-              !acc
-            end
-            else begin
-              (* Loss draws must happen in ascending neighbour order (the
-                 reference order), so flag deliveries forwards first. *)
-              for i = lo to hi - 1 do
-                let v = Array.unsafe_get targets i in
-                flags.(i - lo) <-
-                  (match Array.unsafe_get inflight v with
-                  | [] -> false
-                  | _ -> Prng.float loss_rng 1.0 >= loss)
-              done;
-              let acc = ref [] in
-              for i = hi - 1 downto lo do
-                if flags.(i - lo) then
-                  acc :=
-                    deliver (Array.unsafe_get targets i) inflight.(Array.unsafe_get targets i) !acc
-              done;
-              !acc
-            end
+            (* Build front-to-back order by walking neighbours
+               backwards. *)
+            let acc = ref [] in
+            for i = get offsets (u + 1) - 1 downto get offsets u do
+              let v = get targets i in
+              match Array.unsafe_get inflight v with
+              | [] -> ()
+              | msgs -> acc := deliver v msgs !acc
+            done;
+            !acc
+          end
+        in
+        let inbox =
+          if not delays then fresh
+          else begin
+            let late = !held.(u) in
+            !held.(u) <- [];
+            match late with [] -> fresh | _ -> late @ fresh
           end
         in
         let state', out = proto.step ~round:r ~me:u ~state:states.(u) ~inbox in
         states.(u) <- state';
-        nextflight.(u) <- out;
+        Array.unsafe_set nextflight u out;
         (match observer with Some f -> f ~round:r ~node:u out | None -> ());
         (* An empty broadcast charges 0 bits and no message — skip the
            fold and the metrics write entirely. *)
-        (match out with
+        match out with
         | [] -> ()
         | _ ->
           traffic := true;
@@ -346,15 +257,106 @@ let run ?observer ?obs ?(loss = 0.0) ~graph ~failures ~max_rounds ~seed proto =
           Metrics.charge metrics ~node:u ~bits;
           (match obs with
           | Some o -> Obs.on_broadcast o ~round:r ~node:u ~msgs:(List.length out) ~bits
-          | None -> ()))
+          | None -> ())
       end
-      else nextflight.(u) <- []
+      else begin
+        Array.unsafe_set nextflight u [];
+        if delays then !held.(u) <- []
+      end
     done;
-    (* Every slot of [nextflight] was written above, so swapping the two
-       arrays replaces the reference's blit + fill without copying. *)
-    in_flight := nextflight;
-    next_flight := inflight;
-    if proto.root_done states.(Graph.root) then halted := true;
-    incr round
-  done;
+    !traffic
+  in
+  let violation = ref None in
+  let round = ref 1 in
+  let halted = ref false in
+  let after_round r =
+    (match chaos.watch with
+    | Some w when !violation = None -> (
+      match w { v_round = r; v_states = states; v_metrics = metrics; v_crash_rounds = crash } with
+      | Some (invariant, detail) ->
+        violation := Some { at_round = r; invariant; detail };
+        (match obs with Some o -> Obs.on_violation o ~round:r ~invariant ~detail | None -> ());
+        if chaos.halt_on_violation then halted := true
+      | None -> ())
+    | _ -> ());
+    match chaos.online with
+    | Some adversary when not !halted ->
+      let sent = !in_flight in
+      let rec broadcasters u acc =
+        if u < 0 then acc
+        else broadcasters (u - 1) (match sent.(u) with [] -> acc | _ -> u :: acc)
+      in
+      let report =
+        { rr_round = r; rr_broadcasters = broadcasters (n - 1) []; rr_metrics = metrics;
+          rr_crash_rounds = crash }
+      in
+      List.iter
+        (fun u -> if u > 0 && u < n && crash.(u) > r + 1 then crash.(u) <- r + 1)
+        (adversary report)
+    | _ -> ()
+  in
+  let traffic = ref false in
+  let rounds () =
+    while (not !halted) && !round <= max_rounds do
+      let r = !round in
+      Metrics.note_round metrics r;
+      (match obs with Some o -> Obs.on_round o r | None -> ());
+      traffic := dispatch r (step_range r !traffic);
+      (* Every slot of the [next_*] buffers was written this round, so
+         swapping replaces a blit + fill without copying. *)
+      let fl = !in_flight in
+      in_flight := !next_flight;
+      next_flight := fl;
+      let hl = !held in
+      held := !next_held;
+      next_held := hl;
+      after_round r;
+      if proto.root_done states.(Graph.root) then halted := true;
+      incr round
+    done
+  in
+  (* With [obs], its span collector is ambient for the run (so protocol
+     [step] functions can open phase spans) and every span is closed on
+     the way out. *)
+  (match obs with
+  | None -> rounds ()
+  | Some o ->
+    Span.with_ambient (Obs.spans o) (fun () ->
+        rounds ();
+        Obs.finish o));
+  (states, metrics, crash, !violation)
+
+let whole_range n _round step = step 0 n
+
+let run ?observer ?obs ?(loss = 0.0) ~graph ~failures ~max_rounds ~seed proto =
+  if loss < 0.0 || loss >= 1.0 then invalid_arg "Engine.run: loss must be in [0, 1)";
+  let states, metrics, _, _ =
+    loop ~dispatch:(whole_range (Graph.n graph)) ?observer ?obs
+      ~chaos:{ no_chaos with faults = { no_faults with loss } }
+      ~csr:(Graph.csr graph) ~failures ~max_rounds ~seed proto
+  in
+  (states, metrics)
+
+let run_chaos ?observer ?obs ?(faults = no_faults) ?online ?watch ?(halt_on_violation = true)
+    ~graph ~failures ~max_rounds ~seed proto =
+  let { loss; dup; delay } = faults in
+  if loss < 0.0 || loss > 1.0 then invalid_arg "Engine.run_chaos: loss must be in [0, 1]";
+  if dup < 0.0 || dup > 1.0 then invalid_arg "Engine.run_chaos: dup must be in [0, 1]";
+  if delay < 0.0 || delay > 1.0 then invalid_arg "Engine.run_chaos: delay must be in [0, 1]";
+  let states, metrics, crash, violation =
+    loop ~dispatch:(whole_range (Graph.n graph)) ?observer ?obs
+      ~chaos:{ faults; online; watch; halt_on_violation }
+      ~csr:(Graph.csr graph) ~failures ~max_rounds ~seed proto
+  in
+  {
+    c_states = states;
+    c_metrics = metrics;
+    c_schedule = Failure.of_crash_rounds crash;
+    c_violation = violation;
+  }
+
+let run_ranges ~dispatch ~graph ~failures ~max_rounds ~seed proto =
+  let states, metrics, _, _ =
+    loop ~dispatch ~chaos:no_chaos ~csr:graph ~failures ~max_rounds ~seed proto
+  in
   (states, metrics)

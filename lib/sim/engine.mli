@@ -66,16 +66,17 @@ val run :
     the bench harness can demonstrate (E16) that the crash-only guarantees
     do not survive lossy links.
 
-    The delivery loop iterates a {!Ftagg_graph.Graph.Csr} snapshot of the
+    The delivery loop iterates a {!Ftagg_graph.Csr} snapshot of the
     adjacency taken once at run start, allocating nothing per round beyond
-    the inbox cells the [step] API requires. *)
+    the inbox cells the [step] API requires.  Raises [Invalid_argument]
+    when [failures] does not cover exactly [Graph.n graph] nodes. *)
 
 (** {2 Chaos instrumentation}
 
-    A second engine entry point for resilience experiments: message-level
-    fault injection beyond the paper's model, {e online} (adaptive)
-    adversaries that watch the traffic before deciding whom to crash, and
-    per-round invariant watchdogs.  All three features are opt-in; with
+    Hooks on {!run}'s round loop for resilience experiments:
+    message-level fault injection beyond the paper's model, {e online}
+    (adaptive) adversaries that watch the traffic before deciding whom to
+    crash, and per-round invariant watchdogs.  All three are opt-in; with
     every knob at its default, {!run_chaos} is observationally identical
     to {!run} (same states, metrics, and PRNG streams — checked
     differentially in [test/test_chaos.ml]). *)
@@ -163,21 +164,27 @@ val run_chaos :
     [halt_on_violation] is [false], default [true]) and the violation is
     reported in the result.  [obs] is as in {!run}; watchdog violations
     are additionally forwarded to it, so chaos incidents carry a
-    telemetry tail.  Off the hot path: list-based like {!run_reference},
-    roughly engine-reference speed. *)
+    telemetry tail.  Faults change how {!run}'s loop builds inboxes;
+    [online] and [watch] run after each round. *)
 
-(** {2 Hot-path building blocks}
+(** {2 Partitioned rounds} *)
 
-    Exposed so [Scale.Executor] — the multi-domain partitioned executor —
-    assembles inboxes and charges bits with {e exactly} the same code as
-    {!run}, keeping the two byte-identical on identical inputs. *)
-
-val deliver : int -> 'm list -> (int * 'm) list -> (int * 'm) list
-(** [deliver v msgs acc] prepends [(v, m)] for every [m] of [msgs] onto
-    [acc], preserving the order of [msgs]. *)
-
-val sum_bits : ('m -> int) -> int -> 'm list -> int
-(** [sum_bits msg_bits acc msgs] folds the per-payload bit widths. *)
+val run_ranges :
+  dispatch:(int -> (int -> int -> bool) -> bool) ->
+  graph:Ftagg_graph.Csr.t ->
+  failures:Failure.t ->
+  max_rounds:int ->
+  seed:int ->
+  ('state, 'msg) protocol ->
+  'state array * Metrics.t
+(** {!run}'s round loop on a CSR, with the stepping of each round handed
+    to [dispatch]: [dispatch r step] must call [step lo hi] once for each
+    range of a partition of [\[0, n)] and return whether any call
+    returned [true] (someone broadcast).  Calls for different ranges
+    touch disjoint per-node slots, so they may run on different domains
+    — this is how [Scale.Executor] parallelises a round.  No loss, no
+    observer and no telemetry: those share one PRNG stream or sink in
+    global node order.  With one range per round it is exactly {!run}. *)
 
 val run_reference :
   ?observer:(round:int -> node:int -> 'msg list -> unit) ->

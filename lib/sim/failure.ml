@@ -66,17 +66,16 @@ let edge_failures_in_window g t ~first ~last =
 let marginal_cost g crashed u =
   List.length (List.filter (fun v -> not (Hashtbl.mem crashed v)) (Graph.neighbors g u))
 
-let budgeted_crashes g ~rng ~budget ~pick_round =
-  let n = Graph.n g in
-  let t = Array.make n never in
+(* Walk [candidates] in order, crashing each one whose marginal edge cost
+   is positive and still fits the budget, at round [pick_round ()]. *)
+let budgeted_crashes g ~budget ~pick_round candidates =
+  let t = Array.make (Graph.n g) never in
   let crashed = Hashtbl.create 16 in
-  let candidates = Array.init (n - 1) (fun i -> i + 1) in
-  Prng.shuffle rng candidates;
   let spent = ref 0 in
-  Array.iter
+  List.iter
     (fun u ->
       let cost = marginal_cost g crashed u in
-      if !spent + cost <= budget && cost > 0 then begin
+      if cost > 0 && !spent + cost <= budget then begin
         spent := !spent + cost;
         Hashtbl.replace crashed u ();
         t.(u) <- pick_round ()
@@ -84,10 +83,18 @@ let budgeted_crashes g ~rng ~budget ~pick_round =
     candidates;
   t
 
-let random g ~rng ~budget ~max_round =
-  budgeted_crashes g ~rng ~budget ~pick_round:(fun () -> Prng.in_range rng 1 (max max_round 1))
+(* Every non-root node, in a random order. *)
+let shuffled g rng =
+  let candidates = Array.init (Graph.n g - 1) (fun i -> i + 1) in
+  Prng.shuffle rng candidates;
+  Array.to_list candidates
 
-let burst g ~rng ~budget ~round = budgeted_crashes g ~rng ~budget ~pick_round:(fun () -> round)
+let random g ~rng ~budget ~max_round =
+  budgeted_crashes g ~budget (shuffled g rng) ~pick_round:(fun () ->
+      Prng.in_range rng 1 (max max_round 1))
+
+let burst g ~rng ~budget ~round =
+  budgeted_crashes g ~budget (shuffled g rng) ~pick_round:(fun () -> round)
 
 let kill_nodes ~n ~nodes ~round = of_list ~n (List.map (fun u -> (u, round)) nodes)
 
@@ -97,48 +104,20 @@ let chain ~n ~first ~len ~round =
   kill_nodes ~n ~nodes ~round
 
 let high_degree g ~budget ~round =
-  let n = Graph.n g in
-  let t = Array.make n never in
-  let crashed = Hashtbl.create 8 in
-  let by_degree =
-    List.init (n - 1) (fun i -> i + 1)
-    |> List.sort (fun u v -> compare (Graph.degree g v) (Graph.degree g u))
-  in
-  let spent = ref 0 in
-  List.iter
-    (fun u ->
-      let cost = marginal_cost g crashed u in
-      if !spent + cost <= budget && cost > 0 then begin
-        spent := !spent + cost;
-        Hashtbl.replace crashed u ();
-        t.(u) <- round
-      end)
-    by_degree;
-  t
+  List.init (Graph.n g - 1) (fun i -> i + 1)
+  |> List.sort (fun u v -> compare (Graph.degree g v) (Graph.degree g u))
+  |> budgeted_crashes g ~budget ~pick_round:(fun () -> round)
 
 let per_interval g ~rng ~budget ~interval_len ~intervals =
   if intervals < 1 || interval_len < 1 then
     invalid_arg "Failure.per_interval: need positive interval geometry";
-  let n = Graph.n g in
-  let t = Array.make n never in
-  let crashed = Hashtbl.create 8 in
-  let candidates = Array.init (n - 1) (fun i -> i + 1) in
-  Prng.shuffle rng candidates;
   (* Round-robin crashes over the interval windows so every window gets
      hit before any gets a second crash, within the edge budget. *)
-  let spent = ref 0 in
   let slot = ref 0 in
-  Array.iter
-    (fun u ->
-      let cost = marginal_cost g crashed u in
-      if cost > 0 && !spent + cost <= budget then begin
-        spent := !spent + cost;
-        Hashtbl.replace crashed u ();
-        t.(u) <- (!slot * interval_len) + 1 + Prng.int rng interval_len;
-        slot := (!slot + 1) mod intervals
-      end)
-    candidates;
-  t
+  budgeted_crashes g ~budget (shuffled g rng) ~pick_round:(fun () ->
+      let r = (!slot * interval_len) + 1 + Prng.int rng interval_len in
+      slot := (!slot + 1) mod intervals;
+      r)
 
 let neighborhood g ~center ~round =
   let nodes =

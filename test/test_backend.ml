@@ -1,6 +1,5 @@
 (* The backend interface (lib/proto/backend.ml): registry dispatch,
-   differential pins of Run.exec against hand-driven runs, the unified
-   Gossip.run against its deprecated legacy entry point, flow-updating's
+   differential pins of Run.exec against hand-driven runs, flow-updating's
    convergence and crash recovery, and the chaos harness (exec_chaos,
    campaigns over non-default backends, Backend_run incidents). *)
 
@@ -96,26 +95,6 @@ let test_exec_chaos_bit_cap_fires () =
         check_true (bk ^ ": not completed") (not c.Backend.c_completed)
       | None -> Alcotest.failf "%s: a 3-bit cap did not fire" bk)
     Run.backends
-
-(* --- the unified Gossip.run against the deprecated legacy record --- *)
-
-let test_gossip_legacy_pin () =
-  let n = 25 in
-  let g = Gen.grid n in
-  let inputs = default_inputs n in
-  let params = Params.make ~graph:g ~inputs () in
-  let failures = Failure.kill_nodes ~n ~nodes:[ 6; 12 ] ~round:20 in
-  let o = Gossip.run ~graph:g ~failures ~params ~rounds:150 ~seed:4 () in
-  let l =
-    (Gossip.run_legacy [@alert "-deprecated"]) ~graph:g ~failures ~inputs ~rounds:150 ~seed:4
-  in
-  (match o.Backend.result with
-  | Backend.Estimate { value; relative_error } ->
-    check_true "same estimate" (value = l.Gossip.estimate);
-    check_true "same relative error" (relative_error = l.Gossip.relative_error)
-  | Backend.Exact _ -> Alcotest.fail "push-sum answered Exact");
-  check_int "same CC" l.Gossip.cc (Metrics.cc o.Backend.common.Backend.metrics);
-  check_int "same rounds" l.Gossip.rounds o.Backend.common.Backend.rounds
 
 (* --- flow updating --- *)
 
@@ -283,7 +262,6 @@ let suite =
     Alcotest.test_case "exec_chaos defaults == exec, every backend" `Quick
       test_exec_chaos_defaults_match_exec;
     Alcotest.test_case "planted bit cap fires, every backend" `Quick test_exec_chaos_bit_cap_fires;
-    Alcotest.test_case "gossip unified run == legacy record" `Quick test_gossip_legacy_pin;
     Alcotest.test_case "flow updating converges failure-free" `Quick test_flow_updating_converges;
     Alcotest.test_case "flow updating conserves mass at the fixed point" `Quick
       test_flow_updating_mass_conservation;

@@ -1,5 +1,5 @@
-(* lib/scale: streaming CSR graphs, the partitioned executor, pooling and
-   memory metering.
+(* lib/scale: streaming CSR graphs, the partitioned executor and memory
+   metering.
 
    The load-bearing suite is the differential pin: the executor must be
    byte-identical to Engine.run — same results, same per-node bit/msg
@@ -24,39 +24,40 @@ let test_bigraph_matches_csr () =
           let bg = Bigraph.of_iter ~n (Topo.iter_edges fam ~n ~seed) in
           check_true
             (Printf.sprintf "%s n=%d: streamed CSR = materialised CSR" name n)
-            (Bigraph.equal_csr bg (Graph.csr g));
+            (bg = Graph.csr g);
           check_int (Printf.sprintf "%s n=%d: edge count" name n) (Graph.num_edges g)
             (Bigraph.num_edges bg))
         [ 12; 40 ])
     (Topo.all_families ~seed)
 
-let test_bigraph_of_graph () =
-  let g = Topo.build Topo.Grid ~n:30 ~seed in
-  let bg = Bigraph.of_graph g in
-  check_true "of_graph = csr" (Bigraph.equal_csr bg (Graph.csr g));
-  (* removed nodes get empty rows, like Graph.csr *)
-  let g' = Graph.remove_nodes g [ 7 ] in
-  let bg' = Bigraph.of_graph g' in
-  check_int "removed node row empty" 0 (Bigraph.degree bg' 7);
-  check_true "of_graph respects removal" (Bigraph.equal_csr bg' (Graph.csr g'))
+let test_graph_csr_removal () =
+  (* removed nodes get empty rows and vanish from their neighbours' rows *)
+  let g = Graph.remove_nodes (Topo.build Topo.Grid ~n:30 ~seed) [ 7 ] in
+  let c = Graph.csr g in
+  check_int "removed node row empty" 0 (Bigraph.degree c 7);
+  for u = 0 to 29 do
+    let row = ref [] in
+    Bigraph.iter_neighbors c u (fun v -> row := v :: !row);
+    check_true (Printf.sprintf "row %d = neighbors" u) (List.rev !row = Graph.neighbors g u)
+  done
 
 let test_bigraph_roundtrip () =
   let g = Topo.build Topo.Torus ~n:25 ~seed in
-  let back = Bigraph.to_graph (Bigraph.of_graph g) in
+  let back = Bigraph.to_graph (Graph.csr g) in
   let edges gr = List.rev (Graph.fold_edges (fun u v acc -> (u, v) :: acc) gr []) in
   check_true "to_graph round-trips edges" (edges g = edges back)
 
 let test_bigraph_dedup_and_rejects () =
   let bg = Bigraph.of_iter ~n:3 (fun emit -> emit 0 1; emit 1 0; emit 0 1; emit 1 2) in
   check_int "duplicates collapse" 2 (Bigraph.num_edges bg);
-  Alcotest.check_raises "self-loop" (Invalid_argument "Bigraph.of_iter: self-loop") (fun () ->
+  Alcotest.check_raises "self-loop" (Invalid_argument "Csr.of_iter: self-loop") (fun () ->
       ignore (Bigraph.of_iter ~n:3 (fun emit -> emit 1 1)));
   Alcotest.check_raises "out of range"
-    (Invalid_argument "Bigraph.of_iter: endpoint out of range") (fun () ->
+    (Invalid_argument "Csr.of_iter: endpoint out of range") (fun () ->
       ignore (Bigraph.of_iter ~n:3 (fun emit -> emit 0 3)))
 
 let test_degree_histogram () =
-  let bg = Bigraph.of_graph (Topo.star 10) in
+  let bg = Graph.csr (Topo.star 10) in
   check_true "star histogram" (Bigraph.degree_histogram bg = [ (1, 9); (9, 1) ])
 
 let test_validate_specs () =
@@ -87,44 +88,20 @@ let test_pref_attach_shape () =
   check_true "min degree >= 1" (!min_deg >= 1);
   (* determinism *)
   let bg' = Bigraph.build (Bigraph.Pref_attach m) ~n:500 ~seed in
-  check_true "same seed, same graph" (Bigraph.equal_csr bg (Graph.csr (Bigraph.to_graph bg')))
+  check_true "same seed, same graph" (bg = Graph.csr (Bigraph.to_graph bg'))
 
 let test_pseudo_diameter () =
   List.iter
     (fun (name, g) ->
       let exact = match Path.diameter g with Some d -> d | None -> assert false in
       check_int (name ^ " pseudo-diameter exact") exact
-        (Bigraph.pseudo_diameter (Bigraph.of_graph g)))
+        (Bigraph.pseudo_diameter (Graph.csr g)))
     [ ("path", Topo.path 50); ("grid", Topo.grid 49); ("star", Topo.star 20);
       ("binary_tree", Topo.binary_tree 31) ]
 
 (* ---------------------------------------------------------------- *)
-(* Pool and Mem                                                      *)
+(* Mem                                                               *)
 (* ---------------------------------------------------------------- *)
-
-let test_pool_cycle () =
-  let reg = Registry.create () in
-  let p = Scale_pool.create ~registry:reg ~name:"t" ~slot_bytes:64 ~slots:2 () in
-  let a = Scale_pool.acquire p in
-  let b = Scale_pool.acquire p in
-  check_int "in_use" 2 (Scale_pool.in_use p);
-  check_int "high water" 2 (Scale_pool.high_water p);
-  (try
-     ignore (Scale_pool.acquire p);
-     Alcotest.fail "exhausted pool acquired"
-   with Scale_pool.Exhausted _ -> ());
-  Scale_pool.release p a;
-  Scale_pool.release p b;
-  check_int "in_use back to 0" 0 (Scale_pool.in_use p);
-  check_int "acquires" 2 (Scale_pool.acquires p);
-  check_int "releases" 2 (Scale_pool.releases p);
-  check_int "acquire counter" 2
-    (Registry.counter reg ~labels:[ ("pool", "t") ] "scale_pool_acquires_total");
-  check_true "in_use gauge 0"
-    (Registry.gauge reg ~labels:[ ("pool", "t") ] "scale_pool_in_use" = Some 0.0);
-  Alcotest.check_raises "foreign buffer"
-    (Invalid_argument "Pool.release: buffer not from this pool") (fun () ->
-      Scale_pool.release p (Bytes.create 7))
 
 let test_mem_meter () =
   check_true "live bytes positive" (Scale_mem.live_bytes () > 0);
@@ -150,7 +127,7 @@ let test_mem_meter () =
 
 let check_pin name ~graph ~failures ~params ~domains =
   let out = Run.agg ~graph ~failures ~params ~seed () in
-  let bg = Bigraph.of_graph graph in
+  let bg = Graph.csr graph in
   let scale = Scale_run.agg ~domains ~graph:bg ~failures ~params ~seed () in
   check_true (name ^ ": result") (out.Run.result = scale.Scale_run.result);
   check_int (name ^ ": rounds") out.Run.common.Run.rounds scale.Scale_run.rounds;
@@ -191,7 +168,7 @@ let test_pin_across_seeds () =
     (fun s ->
       let out = Run.agg ~graph ~failures:(Failure.none ~n) ~params ~seed:s () in
       let scale =
-        Scale_run.agg ~domains:3 ~graph:(Bigraph.of_graph graph) ~failures:(Failure.none ~n)
+        Scale_run.agg ~domains:3 ~graph:(Graph.csr graph) ~failures:(Failure.none ~n)
           ~params ~seed:s ()
       in
       check_true (Printf.sprintf "seed %d result" s) (out.Run.result = scale.Scale_run.result);
@@ -224,7 +201,7 @@ let test_partitions_cover () =
   Array.iteri (fun u c -> check_int (Printf.sprintf "node %d owned once" u) 1 c) covered
 
 let test_frontier_edges () =
-  let bg = Bigraph.of_graph (Topo.path 10) in
+  let bg = Graph.csr (Topo.path 10) in
   check_int "path split in two" 1 (Scale_executor.frontier_edges bg ~domains:2);
   check_int "one partition, no frontier" 0 (Scale_executor.frontier_edges bg ~domains:1)
 
@@ -243,8 +220,6 @@ let test_executor_counters () =
   check_true "domains gauge" (Registry.gauge reg "scale_domains" = Some 2.0);
   check_true "live bytes gauge"
     (match Registry.gauge reg "scale_live_bytes" with Some b -> b > 0.0 | None -> false);
-  check_true "pool returned"
-    (Registry.gauge reg ~labels:[ ("pool", "executor") ] "scale_pool_in_use" = Some 0.0);
   check_true "minor words gauge present"
     (Registry.gauge reg "scale_minor_words_per_round" <> None)
 
@@ -264,11 +239,10 @@ let chatty_protocol ?(raise_at = -1) ?(raise_me = -1) () =
 
 let test_torn_barrier () =
   let n = 40 in
-  let bg = Bigraph.of_graph (Topo.ring n) in
-  let pool = Scale_pool.create ~slot_bytes:n ~slots:2 () in
+  let bg = Graph.csr (Topo.ring n) in
   (try
      ignore
-       (Scale_executor.run ~domains:2 ~pool ~graph:bg ~failures:(Failure.none ~n) ~max_rounds:10
+       (Scale_executor.run ~domains:2 ~graph:bg ~failures:(Failure.none ~n) ~max_rounds:10
           ~seed
           (chatty_protocol ~raise_at:3 ~raise_me:(n - 1) ()));
      Alcotest.fail "partition failure not propagated"
@@ -276,28 +250,24 @@ let test_torn_barrier () =
      check_int "failed at round" 3 round;
      check_int "failing partition" 1 partition;
      check_true "original exn" (exn = Failure "boom"));
-  (* clean abort: pool slots came back, and the executor is reusable *)
-  check_int "pool released after abort" 0 (Scale_pool.in_use pool);
+  (* clean abort: the executor is reusable *)
   let states, metrics =
-    Scale_executor.run ~domains:2 ~pool ~graph:bg ~failures:(Failure.none ~n) ~max_rounds:5 ~seed
+    Scale_executor.run ~domains:2 ~graph:bg ~failures:(Failure.none ~n) ~max_rounds:5 ~seed
       (chatty_protocol ())
   in
-  check_int "reusable pool" 0 (Scale_pool.in_use pool);
   check_int "rounds" 5 (Metrics.rounds metrics);
   check_int "states intact" n (Array.length states)
 
 let test_ceiling_aborts_run () =
   let n = 40 in
-  let bg = Bigraph.of_graph (Topo.ring n) in
-  let pool = Scale_pool.create ~slot_bytes:n ~slots:2 () in
+  let bg = Graph.csr (Topo.ring n) in
   let meter = Scale_mem.create ~limit_bytes:1 ~check_every:2 ~n () in
   (try
      ignore
-       (Scale_executor.run ~domains:2 ~pool ~meter ~graph:bg ~failures:(Failure.none ~n)
+       (Scale_executor.run ~domains:2 ~meter ~graph:bg ~failures:(Failure.none ~n)
           ~max_rounds:10 ~seed (chatty_protocol ()));
      Alcotest.fail "ceiling not enforced"
-   with Scale_mem.Ceiling_exceeded { round; _ } -> check_int "tripped at first sample" 2 round);
-  check_int "pool released after ceiling abort" 0 (Scale_pool.in_use pool)
+   with Scale_mem.Ceiling_exceeded { round; _ } -> check_int "tripped at first sample" 2 round)
 
 let qcheck_tests =
   let open QCheck in
@@ -307,7 +277,7 @@ let qcheck_tests =
       (fun (n, s, domains) ->
         let graph = Topo.build (Topo.Random 0.1) ~n ~seed:s in
         let params = Params.make ~c:2 ~t:1 ~graph ~inputs:(Array.make n 1) () in
-        let bg = Bigraph.of_graph graph in
+        let bg = Graph.csr graph in
         let failures = Failure.none ~n in
         let base = Scale_run.agg ~domains:1 ~graph:bg ~failures ~params ~seed:s () in
         let split = Scale_run.agg ~domains ~graph:bg ~failures ~params ~seed:s () in
@@ -320,9 +290,7 @@ let qcheck_tests =
       (pair (int_range 5 80) (int_range 0 1000))
       (fun (n, s) ->
         let fam = Topo.Random 0.1 in
-        Bigraph.equal_csr
-          (Bigraph.of_iter ~n (Topo.iter_edges fam ~n ~seed:s))
-          (Graph.csr (Topo.build fam ~n ~seed:s)));
+        Bigraph.of_iter ~n (Topo.iter_edges fam ~n ~seed:s) = Graph.csr (Topo.build fam ~n ~seed:s));
   ]
 
 let suite =
@@ -330,7 +298,7 @@ let suite =
     (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
       ("bigraph: streamed = materialised CSR", test_bigraph_matches_csr);
-      ("bigraph: of_graph", test_bigraph_of_graph);
+      ("graph: csr drops removed nodes", test_graph_csr_removal);
       ("bigraph: to_graph round-trip", test_bigraph_roundtrip);
       ("bigraph: dedup and rejects", test_bigraph_dedup_and_rejects);
       ("bigraph: degree histogram", test_degree_histogram);
@@ -338,7 +306,6 @@ let suite =
       ("bigraph: validate disconnected", test_validate_disconnected);
       ("bigraph: pref_attach shape", test_pref_attach_shape);
       ("bigraph: pseudo-diameter", test_pseudo_diameter);
-      ("pool: acquire/release cycle", test_pool_cycle);
       ("mem: meter and ceiling", test_mem_meter);
       ("executor: differential pin vs Engine.run", test_differential_pin);
       ("executor: pin across seeds", test_pin_across_seeds);

@@ -210,6 +210,15 @@ let test_engine_crashed_receive_nothing () =
   in
   check_true "crashed node never stepped" (states.(2).heard = [])
 
+(* A schedule for fewer nodes than the graph has is rejected up front,
+   as run_reference's bounds-checked lookups do, not read past its end. *)
+let test_engine_short_schedule_rejected () =
+  Alcotest.check_raises "n-1 schedule" (Invalid_argument "Engine: failure schedule size mismatch")
+    (fun () ->
+      ignore
+        (Engine.run ~graph:(Gen.path 3) ~failures:(Failure.none ~n:2) ~max_rounds:3 ~seed:0
+           (probe_protocol ~n:3 ~bits:1)))
+
 let test_engine_bit_metering () =
   let g = Gen.ring 4 in
   let _, m =
@@ -296,6 +305,7 @@ let suite =
       ("engine: delivery next round", test_engine_delivery_next_round);
       ("engine: crash stops sending", test_engine_crash_stops_sending);
       ("engine: crashed nodes inert", test_engine_crashed_receive_nothing);
+      ("engine: short crash schedule rejected", test_engine_short_schedule_rejected);
       ("engine: bit metering", test_engine_bit_metering);
       ("engine: root_done halts", test_engine_root_done_halts);
       ("engine: per-node rng", test_engine_per_node_rng_deterministic);
