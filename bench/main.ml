@@ -900,6 +900,7 @@ let e16 () =
             (state, List.map (fun body -> Message.{ exec = 0; body }) out));
         msg_bits = Message.msg_bits params;
         root_done = (fun _ -> false);
+        wake = Engine.every_round;
       }
     in
     let states, _ =
@@ -1189,16 +1190,7 @@ let perf_seed_proto params =
         (state, List.map (fun body -> Message.{ exec = 0; body }) out));
     msg_bits = Message.msg_bits params;
     root_done = (fun _ -> false);
-  }
-
-(* What Run.agg now feeds the engine: raw bodies, no boxing. *)
-let perf_fast_proto params =
-  {
-    Engine.name = "agg-fast-pipeline";
-    init = (fun u ~rng:_ -> Agg.create params ~me:u);
-    step = (fun ~round ~me:_ ~state ~inbox -> (state, Agg.step state ~rr:round ~inbox));
-    msg_bits = Message.bits params;
-    root_done = (fun _ -> false);
+    wake = Engine.every_round;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1284,80 +1276,122 @@ let bench_engine_others keys =
   | Ok (Bench_io.Obj old) -> List.filter (fun (k, _) -> not (List.mem k keys)) old
   | _ -> []
 
-let perf () =
-  header
-    "PERF | engine hot path — reference (seed) pipeline vs CSR engine\n\
-     256-node grid, AGG, identical metrics required; JSON to BENCH_engine.json";
+(* [perf]'s workload, which [guard] re-runs: AGG on a failure-free
+   256-node grid, 424 rounds per run. *)
+let perf_workload () =
   let n = 256 in
   let g = Gen.grid n in
-  let inputs = Array.make n 3 in
-  let params = Params.make ~c:2 ~graph:g ~inputs () in
-  let failures = Failure.none ~n in
-  let dur = Agg.duration params in
-  let run_seed s =
-    Engine.run_reference ~graph:g ~failures ~max_rounds:dur ~seed:s (perf_seed_proto params)
+  let params = Params.make ~c:2 ~graph:g ~inputs:(Array.make n 3) () in
+  (g, params, Failure.none ~n, Agg.duration params)
+
+let perf_reps = List.concat_map (fun s -> [ s; s + 100; s + 200 ]) seeds
+
+(* [perf]'s timed sweep ([run] on each of [perf_reps]), after one warm-up
+   run: the fastest of five sweeps, as (wall, rounds/sec).  Host-noise
+   episodes only ever slow a sweep down, so the fastest is the steadiest
+   estimate of the code's speed, for the baseline and for [guard]. *)
+let perf_sweep ~dur run =
+  ignore (run 0);
+  let best = ref infinity in
+  for _ = 1 to 5 do
+    let (), wall = Bench_io.timed (fun () -> List.iter (fun s -> ignore (run s)) perf_reps) in
+    best := Float.min !best wall
+  done;
+  (!best, float_of_int (List.length perf_reps * dur) /. !best)
+
+(* How many times one run calls [step]: the kernel's work as a count
+   that does not depend on the host. *)
+let node_steps run proto =
+  let steps = ref 0 in
+  let step ~round ~me ~state ~inbox =
+    incr steps;
+    proto.Engine.step ~round ~me ~state ~inbox
   in
-  let run_fast s =
-    Engine.run ~graph:g ~failures ~max_rounds:dur ~seed:s (perf_fast_proto params)
-  in
+  ignore (run { proto with Engine.step });
+  !steps
+
+let perf () =
+  header
+    "PERF | engine hot path — reference (seed) pipeline vs CSR engine, every round vs frontier\n\
+     256-node grid, AGG, identical metrics required; JSON to BENCH_engine.json";
+  let g, params, failures, dur = perf_workload () in
+  let every = { (Agg.protocol params) with Engine.wake = Engine.every_round } in
+  let reference seed proto = Engine.run_reference ~graph:g ~failures ~max_rounds:dur ~seed proto in
+  let csr seed proto = Engine.run ~graph:g ~failures ~max_rounds:dur ~seed proto in
+  let run_seed s = reference s (perf_seed_proto params)
+  and run_every s = csr s every
+  and run_fast s = csr s (Agg.protocol params) in
   (* Equivalence gate: identical CC and rounds on every seed before any
      timing is reported (test_engine_perf.ml checks states too). *)
   let identical =
     List.for_all
       (fun s ->
-        let _, m_ref = run_seed s and _, m_new = run_fast s in
-        Metrics.cc m_ref = Metrics.cc m_new && Metrics.rounds m_ref = Metrics.rounds m_new)
+        let _, m_ref = run_seed s and _, m_every = run_every s and _, m_new = run_fast s in
+        List.for_all
+          (fun m -> Metrics.cc m_ref = Metrics.cc m && Metrics.rounds m_ref = Metrics.rounds m)
+          [ m_every; m_new ])
       seeds
   in
   if not identical then failwith "perf: CSR engine diverged from the reference pipeline";
-  let reps = List.concat_map (fun s -> [ s; s + 100; s + 200 ]) seeds in
-  let total_rounds = float_of_int (List.length reps * dur) in
-  ignore (run_seed 0);
-  ignore (run_fast 0);
-  let (), seed_wall = Bench_io.timed (fun () -> List.iter (fun s -> ignore (run_seed s)) reps) in
-  let (), fast_wall = Bench_io.timed (fun () -> List.iter (fun s -> ignore (run_fast s)) reps) in
-  let seed_rps = total_rounds /. seed_wall in
-  let fast_rps = total_rounds /. fast_wall in
-  let speedup = fast_rps /. seed_rps in
+  let seed_wall, seed_rps = perf_sweep ~dur run_seed in
+  let every_wall, every_rps = perf_sweep ~dur run_every in
+  let fast_wall, fast_rps = perf_sweep ~dur run_fast in
+  let seed_steps = node_steps (reference 1) (perf_seed_proto params)
+  and every_steps = node_steps (csr 1) every
+  and fast_steps = node_steps (csr 1) (Agg.protocol params) in
+  let speedup = fast_rps /. seed_rps and frontier_speedup = fast_rps /. every_rps in
   (* Multicore scaling: the same fast-engine sweep fanned over domains. *)
   let domains = Sweep.default_domains () in
   let (), sweep_wall =
-    Bench_io.timed (fun () -> ignore (Sweep.map ~domains (fun s -> run_fast s) reps))
+    Bench_io.timed (fun () -> ignore (Sweep.map ~domains (fun s -> run_fast s) perf_reps))
   in
-  Printf.printf "%-34s %8.3f s  %9.0f rounds/sec\n" "seed pipeline (reference engine)" seed_wall
-    seed_rps;
-  Printf.printf "%-34s %8.3f s  %9.0f rounds/sec\n" "overhauled pipeline (CSR engine)" fast_wall
-    fast_rps;
-  Printf.printf "%-34s %8.2fx\n" "speedup" speedup;
-  Printf.printf "%-34s %8.3f s  (%d domains, %.2fx vs serial)\n" "fast pipeline via Sweep"
-    sweep_wall domains (fast_wall /. sweep_wall);
+  let cores = Domain.recommended_domain_count () in
+  List.iter
+    (fun (name, wall, rps, steps) ->
+      Printf.printf "%-34s %8.3f s  %9.0f rounds/sec  %7d node steps/run\n" name wall rps steps)
+    [
+      ("seed pipeline (reference engine)", seed_wall, seed_rps, seed_steps);
+      ("CSR engine, every round", every_wall, every_rps, every_steps);
+      ("CSR engine, frontier rounds", fast_wall, fast_rps, fast_steps);
+    ];
+  Printf.printf "%-34s %8.2fx\n" "speedup (frontier vs seed)" speedup;
+  Printf.printf "%-34s %8.2fx\n" "speedup (frontier vs every round)" frontier_speedup;
+  Printf.printf "%-34s %8.3f s  (%d domains, %.2fx vs serial; %d core(s))\n"
+    "fast pipeline via Sweep" sweep_wall domains (fast_wall /. sweep_wall) cores;
   Printf.printf "metrics identical across %d seeds: %b\n" (List.length seeds) identical;
+  let row engine wall rps steps =
+    Bench_io.(
+      Obj
+        [
+          ("engine", String engine);
+          ("wall_s", Float (q4 wall));
+          ("rounds_per_sec", Int (int_of_float (Float.round rps)));
+          ("node_steps_per_run", Int steps);
+        ])
+  in
   let json =
     Bench_io.(
       Obj
         [
           ("benchmark", String "engine-hot-path");
           ("graph", String "grid");
-          ("n", Int n);
+          ("n", Int (Graph.n g));
           ("protocol", String "AGG");
           ("rounds_per_run", Int dur);
-          ("runs_timed", Int (List.length reps));
+          ("runs_timed", Int (List.length perf_reps));
+          ("timing", String "fastest of 5 sweeps after a warm-up run");
+          ("cores", Int cores);
           ("metrics_identical", Bool identical);
           ( "seed_pipeline",
-            Obj
-              [
-                ("engine", String "reference (list-based), exec-tagged messages");
-                ("wall_s", Float (q4 seed_wall));
-                ("rounds_per_sec", Int (int_of_float (Float.round seed_rps)));
-              ] );
+            row "reference (list-based), exec-tagged messages" seed_wall seed_rps seed_steps );
+          ( "every_round_pipeline",
+            row "CSR delivery loop, raw message bodies, wake = every_round" every_wall every_rps
+              every_steps );
           ( "overhauled_pipeline",
-            Obj
-              [
-                ("engine", String "CSR delivery loop, raw message bodies");
-                ("wall_s", Float (q4 fast_wall));
-                ("rounds_per_sec", Int (int_of_float (Float.round fast_rps)));
-              ] );
+            row "CSR delivery loop, raw message bodies, AGG's wake (frontier rounds)" fast_wall
+              fast_rps fast_steps );
           ("speedup", Float (q2 speedup));
+          ("frontier_speedup", Float (q2 frontier_speedup));
           ( "sweep",
             Obj
               [
@@ -1930,7 +1964,7 @@ let e22 () =
 (* AGG on streamed random-regular(4) CSR graphs at N = 1k..1M through
    lib/scale: rounds/sec, live bytes/node and peak RSS per size, a
    domain sweep at the largest mid-size N, and a differential pin at
-   N = 1k (byte-identical to Engine.run).  FTAGG_E23_MAX_N caps the
+   N = 1k (byte-identical to Engine.run_reference).  FTAGG_E23_MAX_N caps the
    sweep for constrained environments (CI smoke).  JSON under the
    "scale" key of BENCH_engine.json; [guard_scale] re-checks it. *)
 let e23 () =
@@ -2023,24 +2057,20 @@ let e23 () =
       [ 1; 2; 4 ]
   in
   (* Differential pin at N = 1k: materialise the same topology and compare
-     against the reference engine, bit for bit. *)
+     against the every-node reference engine, bit for bit. *)
   let pin_n = 1_000 in
   let pin_bg = Bigraph.build spec ~n:pin_n ~seed in
   let pin_params = Scale_run.params ~graph:pin_bg ~inputs:(Array.make pin_n 1) () in
   let pin_o, _, _ = exec pin_bg pin_params in
   let ref_o =
-    Run.agg ~graph:(Bigraph.to_graph pin_bg) ~failures:(Failure.none ~n:pin_n) ~params:pin_params
-      ~seed ()
+    Scale_run.reference ~graph:(Bigraph.to_graph pin_bg) ~failures:(Failure.none ~n:pin_n)
+      ~params:pin_params ~seed
   in
-  let pin_ok =
-    ref_o.Run.result = pin_o.Scale_run.result
-    && ref_o.Run.common.Run.rounds = pin_o.Scale_run.rounds
-    && Metrics.cc ref_o.Run.common.Run.metrics = Metrics.cc pin_o.Scale_run.metrics
-    && Metrics.total_bits ref_o.Run.common.Run.metrics = Metrics.total_bits pin_o.Scale_run.metrics
-  in
-  if not pin_ok then failwith "e23: executor diverged from Engine.run at N=1000";
+  let pin_ok = Scale_run.agrees ref_o pin_o in
+  if not pin_ok then failwith "e23: executor diverged from Engine.run_reference at N=1000";
   let cores = Domain.recommended_domain_count () in
-  Printf.printf "pin at N=%d: OK (byte-identical to Engine.run); %d core(s) available\n" pin_n cores;
+  Printf.printf "pin at N=%d: OK (byte-identical to Engine.run_reference); %d core(s) available\n"
+    pin_n cores;
   let payload =
     Bench_io.(
       Obj
@@ -2108,6 +2138,34 @@ let e24 () =
 (* ------------------------------------------------------------------ *)
 (* guard — CI regression gate on the engine hot path                   *)
 (* ------------------------------------------------------------------ *)
+
+(* The frontier's work as a count, independent of host speed: [perf]'s
+   AGG run must step no more nodes than the committed
+   [overhauled_pipeline.node_steps_per_run]. *)
+let guard_frontier_steps () =
+  let fail msg =
+    Printf.eprintf "guard: frontier_steps — %s\n" msg;
+    exit 1
+  in
+  let committed =
+    match Bench_io.read_file ~path:"BENCH_engine.json" with
+    | exception Sys_error e -> fail e
+    | Error e -> fail e
+    | Ok json -> (
+      match
+        Option.bind (Bench_io.member "overhauled_pipeline" json) (fun sub ->
+            Option.bind (Bench_io.member "node_steps_per_run" sub) Bench_io.to_int)
+      with
+      | Some k -> k
+      | None -> fail "overhauled_pipeline.node_steps_per_run missing (run bench perf)")
+  in
+  let g, params, failures, dur = perf_workload () in
+  let steps =
+    node_steps (Engine.run ~graph:g ~failures ~max_rounds:dur ~seed:1) (Agg.protocol params)
+  in
+  if steps > committed then
+    fail (Printf.sprintf "AGG steps %d nodes per run, more than the committed %d" steps committed);
+  Printf.printf "frontier     %d node steps per run <= committed %d  OK\n" steps committed
 
 (* The committed E20 matrix must exist, cover the registry, and keep the
    mass-conservation contrast: on every crash row set, flow-updating's
@@ -2323,7 +2381,7 @@ let guard_scale () =
       in
       (match Bench_io.member "pin_ok" sub with
       | Some (Bench_io.Bool true) -> ()
-      | _ -> fail "pin_ok is not true (executor diverged from Engine.run)");
+      | _ -> fail "pin_ok is not true (executor diverged from Engine.run_reference)");
       match Bench_io.member "rows" sub with
       | Some (Bench_io.List rows) ->
         let row_for n =
@@ -2457,14 +2515,16 @@ let guard_scenarios () =
 (* Re-times the fast engine on [perf]'s exact config and compares
    rounds/sec against the committed BENCH_engine.json.  More than a 30%
    drop fails the process (exit 1) — the CI gate for accidental
-   de-optimisation of the CSR delivery loop.  Also re-validates the
-   committed E20 cross-protocol matrix ([guard_cross_protocol]).  Unlike
+   de-optimisation of the CSR delivery loop.  Also re-counts the
+   frontier's node steps ([guard_frontier_steps]) and re-validates the
+   committed E20-E24 tables ([guard_cross_protocol] and the rest).  Unlike
    [perf]/[e20] it never rewrites the baseline, and it is not part of the
    default experiment list: run it explicitly as `bench/main.exe -- guard`. *)
 let guard () =
   header
     "GUARD | bench regression gate — fast engine vs committed BENCH_engine.json\n\
-     fails (exit 1) if rounds/sec drops more than 30% below the baseline";
+     fails (exit 1) if rounds/sec drops more than 30% below the baseline or\n\
+     the frontier steps more nodes than the committed count";
   let baseline =
     match Bench_io.read_file ~path:"BENCH_engine.json" with
     | exception Sys_error e -> Error e
@@ -2483,22 +2543,14 @@ let guard () =
     Printf.eprintf "guard: cannot read the committed baseline: %s\n" e;
     exit 3
   | Ok baseline_rps ->
-    let n = 256 in
-    let g = Gen.grid n in
-    let params = Params.make ~c:2 ~graph:g ~inputs:(Array.make n 3) () in
-    let failures = Failure.none ~n in
-    let dur = Agg.duration params in
+    let g, params, failures, dur = perf_workload () in
     let run_fast s =
-      Engine.run ~graph:g ~failures ~max_rounds:dur ~seed:s (perf_fast_proto params)
+      Engine.run ~graph:g ~failures ~max_rounds:dur ~seed:s (Agg.protocol params)
     in
-    let reps = List.concat_map (fun s -> [ s; s + 100; s + 200 ]) seeds in
-    ignore (run_fast 0);
-    (* warm-up *)
-    let (), wall = Bench_io.timed (fun () -> List.iter (fun s -> ignore (run_fast s)) reps) in
-    let rps = float_of_int (List.length reps * dur) /. wall in
+    let wall, rps = perf_sweep ~dur run_fast in
     let ratio = rps /. baseline_rps in
     Printf.printf "baseline  %9.0f rounds/sec (BENCH_engine.json)\n" baseline_rps;
-    Printf.printf "measured  %9.0f rounds/sec (%.3f s, %d runs)\n" rps wall (List.length reps);
+    Printf.printf "measured  %9.0f rounds/sec (%.3f s, fastest of 5 sweeps)\n" rps wall;
     Printf.printf "ratio     %9.2fx (gate: >= 0.70)\n" ratio;
     if ratio < 0.7 then begin
       Printf.printf "guard: FAIL — hot path regressed more than 30%% vs the committed baseline\n";
@@ -2518,6 +2570,7 @@ let guard () =
             name (Printexc.to_string e);
           exit 1
       in
+      subguard "frontier_steps" guard_frontier_steps;
       subguard "cross_protocol" guard_cross_protocol;
       subguard "update_lag" guard_update_lag;
       subguard "fleet" guard_fleet;

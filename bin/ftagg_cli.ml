@@ -207,18 +207,13 @@ let run_scale ~topology ~n ~seed ~tol ~fmode ~budget ~max_input ~domains ~mem_li
       if not pin then code
       else begin
         (* Differential pin: materialise the same topology and replay the
-           identical run through Engine.run.  Meant for small n (the
-           reference engine allocates adjacency sets). *)
-        let g = Bigraph.to_graph bg in
-        let r = Run.agg ~graph:g ~failures ~params ~seed () in
-        let ok =
-          r.Run.result = o.Scale_run.result
-          && r.Run.common.Run.rounds = o.Scale_run.rounds
-          && Metrics.cc r.Run.common.Run.metrics = Metrics.cc o.Scale_run.metrics
-          && Metrics.total_bits r.Run.common.Run.metrics = Metrics.total_bits o.Scale_run.metrics
-        in
+           identical run through the every-node spec.  Meant for small n
+           (the reference engine allocates adjacency sets). *)
+        let r = Scale_run.reference ~graph:(Bigraph.to_graph bg) ~failures ~params ~seed in
+        let ok = Scale_run.agrees r o in
         Printf.printf "pin        : %s\n"
-          (if ok then "OK (byte-identical to Engine.run)" else "MISMATCH vs Engine.run");
+          (if ok then "OK (byte-identical to Engine.run_reference)"
+           else "MISMATCH vs Engine.run_reference");
         if ok then code else 1
       end)
 
@@ -274,8 +269,10 @@ let run_cmd =
       & info [ "pin" ]
           ~doc:
             "After the scale run, materialise the same topology, replay through the reference \
-             Engine.run and compare results, rounds, CC and total bits; exit 1 on mismatch.  \
-             Small n only — the reference engine allocates the full adjacency structure.")
+             engine (Engine.run_reference, which steps every node every round) and compare \
+             results, rounds, CC, total bits and every node's bits and messages; exit 1 on \
+             mismatch.  Small n only — the reference engine allocates the full adjacency \
+             structure.")
   in
   let run protocol topology n seed caaf b f tol fmode budget max_input backend_opt scale domains
       mem_limit pin =

@@ -51,6 +51,7 @@ let pair_proto params =
     step = (fun ~round ~me:_ ~state ~inbox -> (state, Pair.step state ~rr:round ~inbox));
     msg_bits = Message.bits params;
     root_done = (fun _ -> false);
+    wake = Engine.every_round;
   }
 
 let run_pair ?online ?obs (sc : Incident.scenario) =

@@ -34,9 +34,9 @@ type node = {
   mutable output : result option;
   (* Cached action rounds, fixed once the node's level is known (at
      creation for the root, at activation otherwise); -1 = not scheduled.
-     [step] runs for every node every round, so these turn the phase
-     arithmetic into plain comparisons and let quiescent rounds return
-     immediately. *)
+     They turn the phase arithmetic into plain comparisons, let
+     quiescent rounds return immediately, and are the schedule [wake]
+     declares to the engine. *)
   mutable agg_action : int;  (* execution round of our aggregation send *)
   mutable spec_action : int;  (* execution round of our speculative flood *)
   sel_round : int;  (* 6cd + 4: witnesses flood determinations *)
@@ -208,10 +208,9 @@ let compute_output node =
     Value !acc
   end
 
-(* Hot-path helpers: [step] runs for every node every round, so the
+(* Hot-path helpers: [step] runs for every node with mail, so the
    per-round intake loops and bit folds are top-level recursive functions
-   rather than closures (a closure here is one allocation per node per
-   round). *)
+   rather than closures (a closure here is one allocation per step). *)
 let rec flood_intake node = function
   | [] -> ()
   | (_, body) :: tl ->
@@ -357,6 +356,28 @@ let step node ~rr ~inbox =
     if rr = node.final_round then node.output <- Some (compute_output node);
     outgoing
   end
+
+(* The next round whose empty-inbox step is not the quiescent return
+   above: a pending flood, or the earliest of the five action rounds
+   still ahead.  In the aborted branch an empty-inbox step only drains
+   floods and sets the output at [final_round], both covered here. *)
+let wake node ~round =
+  if Flood.pending node.flood then round + 1
+  else
+    let next a acc = if a > round && a < acc then a else acc in
+    next node.tc_send_round
+      (next node.agg_action
+         (next node.spec_action (next node.sel_round (next node.final_round max_int))))
+
+let protocol ?ablation p =
+  {
+    Ftagg_sim.Engine.name = "agg";
+    init = (fun u ~rng:_ -> create ?ablation p ~me:u);
+    step = (fun ~round ~me:_ ~state ~inbox -> (state, step state ~rr:round ~inbox));
+    msg_bits = Message.bits p;
+    root_done = (fun _ -> false);
+    wake;
+  }
 
 let root_result node =
   match node.output with

@@ -49,6 +49,22 @@ val step : node -> rr:int -> inbox:(int * Message.body) list -> Message.body lis
 (** Advance one round.  [inbox] carries (physical sender, body) pairs
     delivered this round; the return value is this node's broadcast. *)
 
+val wake : node -> round:int -> int
+(** The node's next action round after [round], in the sense of
+    {!Ftagg_sim.Engine.protocol}'s [wake]: [round + 1] while a flood is
+    queued, else the smallest of the node's scheduled rounds (sending its
+    tree_construct, aggregating, speculative flooding, selection, and the
+    root's output) above [round], or [max_int].  An empty-inbox {!step}
+    in any other round returns [[]] and changes nothing. *)
+
+val protocol :
+  ?ablation:ablation ->
+  Params.t ->
+  (node, Message.body) Ftagg_sim.Engine.protocol
+(** One AGG execution as an engine protocol: execution round = engine
+    round, raw bodies charged by [Message.bits], no early halt (run it
+    for {!duration} rounds), and {!wake} as its schedule. *)
+
 val root_result : node -> result
 (** The root's output; meaningful once [rr = duration] has executed. *)
 

@@ -62,6 +62,7 @@ let sum_transcript ~graph ~failures ~params ~b ~f ~seed ~cut =
           (state, out));
       msg_bits = Message.msg_bits params;
       root_done = Tradeoff.root_done;
+      wake = Engine.every_round;
     }
   in
   let _, metrics =

@@ -113,6 +113,7 @@ let protocol ?(mode = Sum) ~graph ~params () =
         end);
     msg_bits = (fun (Flow _) -> msg_cost);
     root_done = (fun _ -> false);
+    wake = Engine.every_round;
   }
 
 let run_states ?mode ~graph ~failures ~params ~rounds ~seed () =

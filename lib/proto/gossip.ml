@@ -40,6 +40,7 @@ let push_sum_protocol ~graph ~inputs =
         (state, [ Share { s = share_s; w = share_w } ]));
     msg_bits = (fun (Share _) -> 5 + (2 * value_bits));
     root_done = (fun _ -> false);
+    wake = Engine.every_round;
   }
 
 let estimate_of_root (root : state) = if root.w > 0.0 then root.s /. root.w else Float.nan

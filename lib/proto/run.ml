@@ -35,6 +35,7 @@ let single_exec_protocol ~name ~params ~create ~step ~is_done =
     step = (fun ~round ~me:_ ~state ~inbox -> (state, step state ~rr:round ~inbox));
     msg_bits = Message.bits params;
     root_done = is_done;
+    wake = Engine.every_round;
   }
 
 type pair_outcome = {
@@ -92,13 +93,10 @@ type agg_outcome = {
 
 let agg ?ablation ?loss ?obs ~graph ~failures ~params ~seed () =
   let duration = Agg.duration params in
-  let proto =
-    single_exec_protocol ~name:"agg" ~params
-      ~create:(fun u -> Agg.create ?ablation params ~me:u)
-      ~step:Agg.step
-      ~is_done:(fun _ -> false)
+  let states, metrics =
+    Engine.run ?obs ?loss ~graph ~failures ~max_rounds:duration ~seed
+      (Agg.protocol ?ablation params)
   in
-  let states, metrics = Engine.run ?obs ?loss ~graph ~failures ~max_rounds:duration ~seed proto in
   let result = Agg.root_result states.(Graph.root) in
   let trace = { Checker.agg_nodes = states; agg_start = 1; failures; params; graph } in
   let correct =
@@ -145,6 +143,7 @@ let folklore ?loss ?obs ~graph ~failures ~params ~mode ~seed () =
           (state, out));
       msg_bits = Message.msg_bits params;
       root_done = Folklore.root_done;
+      wake = Engine.every_round;
     }
   in
   let states, metrics = Engine.run ?obs ?loss ~graph ~failures ~max_rounds:duration ~seed proto in
@@ -184,6 +183,7 @@ let tradeoff_with ?loss ?obs ~strategy ~graph ~failures ~params ~b ~f ~seed () =
           (state, out));
       msg_bits = Message.msg_bits params;
       root_done = Tradeoff.root_done;
+      wake = Engine.every_round;
     }
   in
   let max_rounds = Tradeoff.max_rounds params ~b in
@@ -217,6 +217,7 @@ let unknown_f ?loss ?obs ~graph ~failures ~params ~seed () =
           (state, out));
       msg_bits = Message.msg_bits params;
       root_done = Unknown_f.root_done;
+      wake = Engine.every_round;
     }
   in
   let max_rounds = Unknown_f.max_rounds params in
@@ -368,6 +369,7 @@ let folklore_backend : backend =
             (state, out));
         msg_bits = Message.msg_bits params;
         root_done = Folklore.root_done;
+        wake = Engine.every_round;
       }
 
     let max_rounds ~params ~b:_ ~f = Folklore.duration params (Folklore.Retry (f + 1))

@@ -63,6 +63,7 @@ let run_generic ~graph ~failures ~k ~rounds ~seed ~contribution ~truth =
           (state, [ Synopsis state.syn ]));
       msg_bits = (fun (Synopsis _) -> 5 + (k * bitmap_bits));
       root_done = (fun _ -> false);
+      wake = Engine.every_round;
     }
   in
   let states, metrics = Engine.run ~graph ~failures ~max_rounds:rounds ~seed proto in

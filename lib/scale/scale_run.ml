@@ -3,7 +3,6 @@ module Metrics = Ftagg_sim.Metrics
 module Graph = Ftagg_graph.Graph
 module Params = Ftagg_proto.Params
 module Agg = Ftagg_proto.Agg
-module Message = Ftagg_proto.Message
 
 type outcome = {
   result : Agg.result;
@@ -20,25 +19,34 @@ let params ?(c = 2) ?(t = 1) ~graph ~inputs () =
   let max_input = Array.fold_left max 1 inputs in
   { Params.n; d; c; t; max_input; caaf = Ftagg_caaf.Instances.sum; inputs }
 
-let protocol p =
-  {
-    Engine.name = "agg";
-    init = (fun u ~rng:_ -> Agg.create p ~me:u);
-    step = (fun ~round ~me:_ ~state ~inbox -> (state, Agg.step state ~rr:round ~inbox));
-    msg_bits = Message.bits p;
-    root_done = (fun _ -> false);
-  }
+let protocol p = Agg.protocol p
+
+let outcome (states, metrics) =
+  { result = Agg.root_result states.(Graph.root); metrics; rounds = Metrics.rounds metrics; states }
 
 let agg ?domains ?meter ?registry ~graph ~failures ~params ~seed () =
-  let states, metrics =
-    Executor.run ?domains ?meter ?registry ~graph ~failures
-      ~max_rounds:(Agg.duration params) ~seed (protocol params)
+  outcome
+    (Executor.run ?domains ?meter ?registry ~graph ~failures ~max_rounds:(Agg.duration params)
+       ~seed (protocol params))
+
+let reference ~graph ~failures ~params ~seed =
+  outcome
+    (Engine.run_reference ~graph ~failures ~max_rounds:(Agg.duration params) ~seed
+       (protocol params))
+
+let agrees a b =
+  let n = Array.length a.states in
+  let rec per_node u =
+    u >= n
+    || Metrics.bits_sent a.metrics u = Metrics.bits_sent b.metrics u
+       && Metrics.msgs_sent a.metrics u = Metrics.msgs_sent b.metrics u
+       && per_node (u + 1)
   in
-  {
-    result = Agg.root_result states.(Graph.root);
-    metrics;
-    rounds = Metrics.rounds metrics;
-    states;
-  }
+  a.result = b.result
+  && a.rounds = b.rounds
+  && Metrics.cc a.metrics = Metrics.cc b.metrics
+  && Metrics.total_bits a.metrics = Metrics.total_bits b.metrics
+  && Array.length b.states = n
+  && per_node 0
 
 let expected_sum p = Array.fold_left ( + ) 0 p.Params.inputs

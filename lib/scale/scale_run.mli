@@ -5,8 +5,8 @@
     [Params] are constructed without ever materialising the graph:
     {!params} derives the diameter from {!Bigraph.pseudo_diameter}
     (exact all-pairs BFS being infeasible at 10^6 nodes).  For
-    differential pins, pass the {e same} [Params.t] to [Run.agg] and to
-    {!agg} — the executor is then byte-identical to [Engine.run]. *)
+    differential pins, pass the {e same} [Params.t] to {!reference} and
+    to {!agg} — the executor then {!agrees} with the spec. *)
 
 type outcome = {
   result : Ftagg_proto.Agg.result;
@@ -25,9 +25,8 @@ val params :
 val protocol :
   Ftagg_proto.Params.t ->
   (Ftagg_proto.Agg.node, Ftagg_proto.Message.body) Ftagg_sim.Engine.protocol
-(** The same AGG automaton wrapping [Run.agg] uses ([Run]'s
-    single-execution protocol: raw bodies, [Message.bits] accounting,
-    fixed [Agg.duration] rounds). *)
+(** [Agg.protocol]: the AGG automaton [Run.agg] runs too, with its
+    [wake] schedule. *)
 
 val agg :
   ?domains:int ->
@@ -40,6 +39,20 @@ val agg :
   unit ->
   outcome
 (** One AGG execution of [Agg.duration params] rounds on the executor. *)
+
+val reference :
+  graph:Ftagg_graph.Graph.t ->
+  failures:Ftagg_sim.Failure.t ->
+  params:Ftagg_proto.Params.t ->
+  seed:int ->
+  outcome
+(** The same execution through [Engine.run_reference], the every-node
+    spec that ignores [wake]: the other side of a differential pin.
+    Small graphs only — the spec walks adjacency lists. *)
+
+val agrees : outcome -> outcome -> bool
+(** Same result, rounds, CC and total bits, and the same bits and
+    messages sent by every node. *)
 
 val expected_sum : Ftagg_proto.Params.t -> int
 (** The failure-free ground truth ([SUM] of the inputs) — the scale

@@ -17,13 +17,17 @@ type ('state, 'msg) protocol = {
     'state * 'msg list;
   msg_bits : 'msg -> int;
   root_done : 'state -> bool;
+  wake : 'state -> round:int -> int;
 }
+
+let every_round _ ~round = round + 1
 
 (* The original list-based engine, kept verbatim as the executable
    specification: [run] must be observationally identical to it (same
    final states, same metrics, same PRNG stream), which
    test_engine_perf.ml checks differentially and bench `perf` uses as
-   the speedup baseline. *)
+   the speedup baseline.  It steps every live node every round and never
+   consults [wake]. *)
 let run_reference ?observer ?(loss = 0.0) ~graph ~failures ~max_rounds ~seed proto =
   if loss < 0.0 || loss >= 1.0 then invalid_arg "Engine.run: loss must be in [0, 1)";
   let n = Graph.n graph in
@@ -145,6 +149,14 @@ let rec sum_bits msg_bits acc = function
    allocation — the only allocations left are the inbox cells the
    protocol API requires.
 
+   Frontier rounds: [wake.(u)] is the next round in which [u] must be
+   stepped even with an empty inbox, as its protocol's [wake] declared
+   after [u]'s last step.  A live node with no mail before that round
+   is not stepped at all: its next in-flight slot is cleared and its
+   state, [observer] and [obs] are left untouched.  "Has mail" comes
+   from the neighbour walk every live node still takes, so the fault
+   coins are drawn exactly as before.
+
    Each round, [dispatch r step] must call [step lo hi] once for every
    range of a partition of the nodes; the ranges touch disjoint per-node
    slots, so [Executor] runs them on different domains.  Per-edge fault
@@ -163,17 +175,18 @@ let loop ~dispatch ?observer ?obs ~chaos ~csr ~failures ~max_rounds ~seed proto 
   let rng = Prng.create seed in
   let loss_rng = Prng.split rng in
   let states = Array.init n (fun u -> proto.init u ~rng:(Prng.split rng)) in
+  let wake = Array.map (fun st -> proto.wake st ~round:0) states in
   let metrics = Metrics.create n in
   let in_flight : 'msg list array ref = ref (Array.make n []) in
   let next_flight : 'msg list array ref = ref (Array.make n []) in
   (* [held.(u)] holds (sender, payload) pairs whose delivery to [u] was
      pushed one round; they arrive ahead of this round's traffic and
      survive the sender's crash (in flight = in flight).  Every slot of
-     [held] is emptied as its node is stepped, so after the swap
-     [next_held] starts each round empty. *)
+     [held] is emptied as the loop reaches its node, stepped or not, so
+     after the swap [next_held] starts each round empty. *)
   let held = ref (if delays then Array.make n [] else [||]) in
   let next_held = ref (if delays then Array.make n [] else [||]) in
-  (* Per-edge coin outcomes of the node being stepped: 0 = nothing
+  (* Per-edge coin outcomes of the node being visited: 0 = nothing
      delivered, else the copy count (1, or 2 when duplicated), plus 4
      when delayed. *)
   let flags = if lossy then Array.make (max 1 (Csr.max_degree csr)) 0 else [||] in
@@ -243,21 +256,25 @@ let loop ~dispatch ?observer ?obs ~chaos ~csr ~failures ~max_rounds ~seed proto 
             match late with [] -> fresh | _ -> late @ fresh
           end
         in
-        let state', out = proto.step ~round:r ~me:u ~state:states.(u) ~inbox in
-        states.(u) <- state';
-        Array.unsafe_set nextflight u out;
-        (match observer with Some f -> f ~round:r ~node:u out | None -> ());
-        (* An empty broadcast charges 0 bits and no message — skip the
-           fold and the metrics write entirely. *)
-        match out with
-        | [] -> ()
-        | _ ->
-          traffic := true;
-          let bits = sum_bits proto.msg_bits 0 out in
-          Metrics.charge metrics ~node:u ~bits;
-          (match obs with
-          | Some o -> Obs.on_broadcast o ~round:r ~node:u ~msgs:(List.length out) ~bits
-          | None -> ())
+        if inbox == [] && Array.unsafe_get wake u > r then Array.unsafe_set nextflight u []
+        else begin
+          let state', out = proto.step ~round:r ~me:u ~state:states.(u) ~inbox in
+          states.(u) <- state';
+          Array.unsafe_set wake u (proto.wake state' ~round:r);
+          Array.unsafe_set nextflight u out;
+          (match observer with Some f -> f ~round:r ~node:u out | None -> ());
+          (* An empty broadcast charges 0 bits and no message — skip the
+             fold and the metrics write entirely. *)
+          match out with
+          | [] -> ()
+          | _ ->
+            traffic := true;
+            let bits = sum_bits proto.msg_bits 0 out in
+            Metrics.charge metrics ~node:u ~bits;
+            (match obs with
+            | Some o -> Obs.on_broadcast o ~round:r ~node:u ~msgs:(List.length out) ~bits
+            | None -> ())
+        end
       end
       else begin
         Array.unsafe_set nextflight u [];

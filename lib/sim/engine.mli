@@ -33,7 +33,26 @@ type ('state, 'msg) protocol = {
   root_done : 'state -> bool;
       (** Checked on the root after every round; a [true] halts the run
           (the paper's executions end when the root outputs). *)
+  wake : 'state -> round:int -> int;
+      (** The node's schedule, which lets the round loop skip quiescent
+          nodes.  The loop calls [wake st ~round:0] on every initial
+          state and [wake st ~round:r] on the state a step in round [r]
+          returned.  It returns the smallest later round in which stepping
+          the node with an empty inbox could change its state or make it
+          broadcast, or [max_int] if there is none.
+
+          In round [r] the loop steps a live node only if its inbox
+          (fresh plus delayed messages) is non-empty or its wake round is
+          [<= r].  Otherwise it only clears the node's broadcast slot: it
+          does not read the state, call [step], [observer] or [obs], or
+          allocate.  A round earlier than that smallest one costs time
+          only; a later one changes the run.  {!every_round} is always
+          sound. *)
 }
+
+val every_round : 'state -> round:int -> int
+(** [round + 1]: step the node every round.  The [wake] of every
+    protocol that does not declare a schedule. *)
 
 val run :
   ?observer:(round:int -> node:int -> 'msg list -> unit) ->
@@ -49,8 +68,10 @@ val run :
     nodes keep the state they had when they crashed) and the metrics.
     Halts after [max_rounds] rounds or as soon as [root_done] holds.
 
-    [observer] is invoked once per live node per round with the node's
-    outgoing broadcast (possibly empty) — the hook behind {!Trace}.
+    [observer] is invoked once per stepped node with the node's outgoing
+    broadcast (possibly empty) — the hook behind {!Trace}.  Under
+    {!every_round} that is every live node every round; a node that a
+    protocol's [wake] lets the loop skip is not observed that round.
 
     [obs] is the telemetry sink ({!Ftagg_obs.Obs}): the engine feeds it
     one event per round plus one per non-empty broadcast, and installs
@@ -68,8 +89,9 @@ val run :
 
     The delivery loop iterates a {!Ftagg_graph.Csr} snapshot of the
     adjacency taken once at run start, allocating nothing per round beyond
-    the inbox cells the [step] API requires.  Raises [Invalid_argument]
-    when [failures] does not cover exactly [Graph.n graph] nodes. *)
+    the inbox cells the [step] API requires, and steps only the nodes
+    with mail or a due [wake] round.  Raises [Invalid_argument] when
+    [failures] does not cover exactly [Graph.n graph] nodes. *)
 
 (** {2 Chaos instrumentation}
 
@@ -197,5 +219,7 @@ val run_reference :
   'state array * Metrics.t
 (** The original list-based engine, kept as the executable specification
     of {!run}: same final states, same metrics, same per-node and loss
-    PRNG streams.  Used by the differential equivalence tests and as the
-    baseline of the [perf] benchmark; {b not} a hot path. *)
+    PRNG streams.  It ignores [wake] and steps every live node every
+    round, so comparing it with {!run} checks a protocol's [wake] too.
+    Used by the differential equivalence tests and as the baseline of the
+    [perf] benchmark; {b not} a hot path. *)

@@ -15,7 +15,9 @@ type 'msg t
 
 val create : ?keep_silent:bool -> unit -> 'msg t
 (** A fresh recorder.  By default silent rounds (empty broadcasts) are
-    dropped; [keep_silent:true] records them too. *)
+    dropped; [keep_silent:true] records them too, for every node the
+    engine stepped.  A node the protocol's [wake] let the engine skip
+    leaves no event for that round (see {!Engine.protocol}). *)
 
 val observer : 'msg t -> round:int -> node:int -> 'msg list -> unit
 (** Pass as [Engine.run ~observer:(Trace.observer tr)]. *)

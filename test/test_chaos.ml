@@ -17,6 +17,7 @@ let pair_proto params =
     step = (fun ~round ~me:_ ~state ~inbox -> (state, Pair.step state ~rr:round ~inbox));
     msg_bits = Message.bits params;
     root_done = (fun _ -> false);
+    wake = Engine.every_round;
   }
 
 let agg_project st = (Agg.level st, Agg.parent st, Agg.psum st, Agg.max_level st, Agg.aborted st)
@@ -89,6 +90,7 @@ let beacon_proto b =
         if me = b then (state, [ () ]) else (state + List.length inbox, []));
     msg_bits = (fun () -> 1);
     root_done = (fun _ -> false);
+    wake = Engine.every_round;
   }
 
 let beacon ?faults ?online ~n ~b ~failures ~rounds () =
@@ -341,6 +343,56 @@ let test_fault_golden_vectors () =
         (List.map (fault_fingerprint ~family ~seed) combos))
     golden_faults
 
+(* ---------- frontier rounds under faults ---------- *)
+
+(* AGG's wake schedule must not change a chaos run: every live node still
+   walks its neighbours, so the fault coins fall exactly as when every
+   node steps every round.  Compared over every loss/dup/delay
+   combination of {0.1, 0.3}, under an adaptive adversary and a planted
+   bit cap, on the whole outcome: per-node state projection, bits and
+   messages, the materialised schedule and the violation. *)
+let test_frontier_under_faults () =
+  let n = 20 in
+  let ps = [ 0.1; 0.3 ] in
+  List.iter
+    (fun (family, seed) ->
+      let graph = Gen.build family ~n ~seed in
+      let params = params_of ~t:2 graph ~inputs:(default_inputs n) in
+      let window = Agg.duration params in
+      let outcome faults wake =
+        let _, online =
+          Adversary.instantiate (Adversary.Adaptive Adversary.Top_talkers) graph
+            ~rng:(Prng.create seed) ~budget:4 ~window
+        in
+        let r =
+          Engine.run_chaos ~faults ?online ~watch:(Watchdog.backend_bit_watch ~bit_cap:120)
+            ~halt_on_violation:false ~graph ~failures:(Failure.none ~n) ~max_rounds:window ~seed
+            { (Agg.protocol params) with Engine.wake }
+        in
+        let m = r.Engine.c_metrics in
+        ( Array.mapi
+            (fun u st -> (agg_project st, Metrics.bits_sent m u, Metrics.msgs_sent m u))
+            r.Engine.c_states,
+          Failure.to_list r.Engine.c_schedule,
+          r.Engine.c_violation )
+      in
+      List.iter
+        (fun loss ->
+          List.iter
+            (fun dup ->
+              List.iter
+                (fun delay ->
+                  let faults = { Engine.loss; dup; delay } in
+                  let frontier = outcome faults Agg.wake in
+                  check_true
+                    (Printf.sprintf "%s seed %d loss %g dup %g delay %g"
+                       (Incident.family_to_string family) seed loss dup delay)
+                    (frontier = outcome faults Engine.every_round))
+                ps)
+            ps)
+        ps)
+    [ (Gen.Grid, 1); (Gen.Random_regular 4, 2) ]
+
 (* ---------- watchdog ---------- *)
 
 (* Clean and dirty-but-within-the-model runs must stay silent: the
@@ -507,6 +559,8 @@ let suite =
       test_delay_survives_sender_crash;
     Alcotest.test_case "fault golden vectors (loss/dup/delay x adaptive)" `Quick
       test_fault_golden_vectors;
+    Alcotest.test_case "AGG wake ≡ every round under faults x adaptive" `Quick
+      test_frontier_under_faults;
     Alcotest.test_case "short crash schedule rejected" `Quick test_short_schedule_rejected;
     Alcotest.test_case "online: crash lands at round r+1" `Quick test_online_crash_timing;
     Alcotest.test_case "online: root is untouchable" `Quick test_online_cannot_crash_root;

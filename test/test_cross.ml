@@ -58,6 +58,7 @@ let test_engine_loss_validation () =
       step = (fun ~round:_ ~me:_ ~state:() ~inbox:_ -> ((), ([] : int list)));
       msg_bits = (fun _ -> 0);
       root_done = (fun _ -> false);
+      wake = Engine.every_round;
     }
   in
   Alcotest.check_raises "loss >= 1 rejected"
@@ -84,6 +85,7 @@ let test_engine_loss_zero_identical () =
           (state, List.map (fun body -> Message.{ exec = 0; body }) out));
       msg_bits = Message.msg_bits params;
       root_done = (fun _ -> false);
+      wake = Engine.every_round;
     }
   in
   let dur = Pair.duration params in

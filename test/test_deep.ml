@@ -40,6 +40,7 @@ let test_spec_flood_receipt_invariant () =
               (state, List.map (fun body -> Message.{ exec = 0; body }) out));
           msg_bits = Message.msg_bits params;
           root_done = (fun _ -> false);
+          wake = Engine.every_round;
         }
       in
       let states, _ =

@@ -24,15 +24,6 @@ let both ?loss ~graph ~failures ~max_rounds ~seed ~project proto =
     (fun u st -> check_true (Printf.sprintf "state@%d" u) (project st = project s_new.(u)))
     s_ref
 
-let agg_proto params =
-  {
-    Engine.name = "agg";
-    init = (fun u ~rng:_ -> Agg.create params ~me:u);
-    step = (fun ~round ~me:_ ~state ~inbox -> (state, Agg.step state ~rr:round ~inbox));
-    msg_bits = Message.bits params;
-    root_done = (fun _ -> false);
-  }
-
 let agg_project st = (Agg.level st, Agg.parent st, Agg.psum st, Agg.max_level st, Agg.aborted st)
 
 let families =
@@ -55,7 +46,7 @@ let test_agg_equivalence () =
             (Printf.sprintf "agg %s seed %d" name seed)
             ()
             (both ~graph:g ~failures ~max_rounds:(Agg.duration params) ~seed
-               ~project:agg_project (agg_proto params)))
+               ~project:agg_project (Agg.protocol params)))
         seeds)
     families
 
@@ -74,6 +65,7 @@ let test_tradeoff_equivalence () =
             (fun ~round ~me:_ ~state ~inbox -> (state, Tradeoff.step state ~round ~inbox));
           msg_bits = Message.msg_bits params;
           root_done = Tradeoff.root_done;
+          wake = Engine.every_round;
         }
       in
       List.iter
@@ -102,6 +94,7 @@ let test_pair_equivalence () =
       step = (fun ~round ~me:_ ~state ~inbox -> (state, Pair.step state ~rr:round ~inbox));
       msg_bits = Message.bits params;
       root_done = (fun _ -> false);
+      wake = Engine.every_round;
     }
   in
   List.iter
@@ -123,7 +116,7 @@ let test_lossy_equivalence () =
         (fun seed ->
           let failures = Failure.random g ~rng:(Prng.create seed) ~budget:4 ~max_round:200 in
           both ~loss ~graph:g ~failures ~max_rounds:(Agg.duration params) ~seed
-            ~project:agg_project (agg_proto params))
+            ~project:agg_project (Agg.protocol params))
         seeds)
     [ 0.05; 0.3 ]
 
@@ -135,8 +128,71 @@ let test_crash_equivalence () =
   List.iter
     (fun seed ->
       both ~graph:g ~failures ~max_rounds:(Agg.duration params) ~seed ~project:agg_project
-        (agg_proto params))
+        (Agg.protocol params))
     seeds
+
+(* ---------- frontier rounds: AGG's wake schedule ---------- *)
+
+(* Everything of an AGG node's state that an empty-inbox step could
+   change, short of its flood table. *)
+let agg_fingerprint st =
+  ( agg_project st,
+    Agg.activated st,
+    Agg.children st,
+    List.sort compare (Agg.crit_seen st),
+    Agg.selected_sources st )
+
+(* The declaration itself, not only the end results: drive AGG through
+   every round with a wrapper that remembers each node's last
+   [Agg.wake].  Every step before that round with an empty inbox must be
+   silent and leave the state as it was. *)
+let wake_soundness =
+  QCheck.Test.make ~name:"agg: wake is sound on random graphs and crashes" ~count:40
+    QCheck.(quad (int_range 6 40) (int_range 0 1000) (int_range 0 2) (int_range 0 8))
+    (fun (n, s, t, budget) ->
+      let g = Topo.build (Topo.Random 0.15) ~n ~seed:s in
+      let params = params_of ~t g ~inputs:(default_inputs n) in
+      let duration = Agg.duration params in
+      let failures = Failure.random g ~rng:(Prng.create (s + 7)) ~budget ~max_round:duration in
+      let p = Agg.protocol params in
+      let due = Array.make n 0 and sound = ref true in
+      let init u ~rng =
+        let st = p.Engine.init u ~rng in
+        due.(u) <- Agg.wake st ~round:0;
+        st
+      in
+      let step ~round ~me ~state ~inbox =
+        let before = agg_fingerprint state in
+        let ((st, out) as stepped) = p.Engine.step ~round ~me ~state ~inbox in
+        if inbox = [] && round < due.(me) && (out <> [] || agg_fingerprint st <> before) then
+          sound := false;
+        due.(me) <- Agg.wake st ~round;
+        stepped
+      in
+      ignore
+        (Engine.run ~graph:g ~failures ~max_rounds:duration ~seed:s
+           { p with Engine.init; step; wake = Engine.every_round });
+      !sound)
+
+(* The frontier's saving, as an exact count: AGG on a failure-free
+   100-node grid steps 1,191 of its 25,600 node-rounds (256 rounds), under
+   5% of them. *)
+let test_frontier_step_count () =
+  let n = 100 in
+  let g = Gen.grid n in
+  let params = params_of g ~inputs:(default_inputs n) in
+  let p = Agg.protocol params and steps = ref 0 in
+  let step ~round ~me ~state ~inbox =
+    incr steps;
+    p.Engine.step ~round ~me ~state ~inbox
+  in
+  let _, m =
+    Engine.run ~graph:g ~failures:(Failure.none ~n) ~max_rounds:(Agg.duration params) ~seed:1
+      { p with Engine.step }
+  in
+  check_int "rounds" 256 (Metrics.rounds m);
+  check_int "node steps" 1191 !steps;
+  check_true "under 20% of node-rounds" (5 * !steps < n * Metrics.rounds m)
 
 let test_sweep_matches_list_map () =
   let xs = List.init 37 (fun i -> i) in
@@ -217,6 +273,8 @@ let suite =
     Alcotest.test_case "engine: pair equivalence" `Quick test_pair_equivalence;
     Alcotest.test_case "engine: lossy equivalence" `Quick test_lossy_equivalence;
     Alcotest.test_case "engine: crash-schedule equivalence" `Quick test_crash_equivalence;
+    Alcotest.test_case "engine: AGG frontier step count" `Quick test_frontier_step_count;
+    QCheck_alcotest.to_alcotest wake_soundness;
     Alcotest.test_case "sweep: matches List.map" `Quick test_sweep_matches_list_map;
     Alcotest.test_case "sweep: deterministic across pool sizes" `Quick test_sweep_determinism;
     Alcotest.test_case "sweep: error reporting" `Quick test_sweep_errors;

@@ -19,6 +19,7 @@ let test_trace_records_broadcasts () =
           ((), if me = 0 && round <= 2 then [ round ] else []));
       msg_bits = (fun _ -> 1);
       root_done = (fun _ -> false);
+      wake = Engine.every_round;
     }
   in
   let _ =
@@ -39,6 +40,7 @@ let test_trace_keep_silent () =
       step = (fun ~round:_ ~me:_ ~state:() ~inbox:_ -> ((), ([] : int list)));
       msg_bits = (fun _ -> 1);
       root_done = (fun _ -> false);
+      wake = Engine.every_round;
     }
   in
   let _ =

@@ -126,6 +126,7 @@ let test_flood_propagation_bound () =
               (state, Flood.drain f));
           msg_bits = (fun _ -> 1);
           root_done = (fun _ -> false);
+          wake = Engine.every_round;
         }
       in
       let states, _ =

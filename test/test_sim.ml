@@ -176,6 +176,7 @@ let probe_protocol ~n:_ ~bits =
         (state, [ me ]));
     msg_bits = (fun _ -> bits);
     root_done = (fun _ -> false);
+    wake = Engine.every_round;
   }
 
 let test_engine_delivery_next_round () =
@@ -239,6 +240,7 @@ let test_engine_root_done_halts () =
       step = (fun ~round ~me:_ ~state ~inbox:_ -> state := round; (state, []));
       msg_bits = (fun _ -> 0);
       root_done = (fun s -> !s >= 3);
+      wake = Engine.every_round;
     }
   in
   let _, m = Engine.run ~graph:g ~failures:(Failure.none ~n:4) ~max_rounds:100 ~seed:0 proto in
@@ -253,6 +255,7 @@ let test_engine_per_node_rng_deterministic () =
       step = (fun ~round:_ ~me:_ ~state ~inbox:_ -> (state, []));
       msg_bits = (fun _ -> 0);
       root_done = (fun _ -> false);
+      wake = Engine.every_round;
     }
   in
   let a = Array.make 3 0 and b = Array.make 3 0 and c = Array.make 3 0 in
