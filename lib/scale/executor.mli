@@ -4,7 +4,7 @@
     node range split into [domains] contiguous partitions, one OCaml
     domain each.  The synchronous model's round boundary is the one true
     barrier: within a round each partition writes only its own slots of
-    the states / next-broadcast arrays and reads anything from the
+    the states / next-broadcast / wake-round arrays and reads anything from the
     previous round's (immutable-for-the-round) double buffers, so the
     only synchronisation is a generation-counted barrier per round.
 
