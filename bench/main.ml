@@ -850,7 +850,7 @@ let e15 () =
           (List.init dirty (fun j -> j + 1))
       in
       let failures = Failure.of_list ~n chain_kills in
-      let run strategy s = Run.tradeoff_with ~strategy ~graph:g ~failures ~params ~b ~f ~seed:s () in
+      let run strategy s = Run.tradeoff ~strategy ~graph:g ~failures ~params ~b ~f ~seed:s () in
       let sampled = Sweep.map (run Tradeoff.Sampled) seeds in
       let sequential = [ run Tradeoff.Sequential 1 ] in
       let cc runs = mean (List.map (fun (o : Run.tradeoff_outcome) -> float_of_int (Metrics.cc o.Run.common.Run.metrics)) runs) in
@@ -885,27 +885,9 @@ let e16 () =
   let params = Params.make ~c:2 ~t:3 ~graph:g ~inputs:(Array.init n (fun i -> i + 1)) () in
   let truth = n * (n + 1) / 2 in
   let run_pair ~loss ~seed =
-    let proto =
-      {
-        Engine.name = "pair-lossy";
-        init = (fun u ~rng:_ -> Pair.create params ~me:u);
-        step =
-          (fun ~round ~me:_ ~state ~inbox ->
-            let inbox =
-              List.filter_map
-                (fun (s, m) -> if m.Message.exec = 0 then Some (s, m.Message.body) else None)
-                inbox
-            in
-            let out = Pair.step state ~rr:round ~inbox in
-            (state, List.map (fun body -> Message.{ exec = 0; body }) out));
-        msg_bits = Message.msg_bits params;
-        root_done = (fun _ -> false);
-        wake = Engine.every_round;
-      }
-    in
     let states, _ =
       Engine.run ~loss ~graph:g ~failures:(Failure.none ~n)
-        ~max_rounds:(Pair.duration params) ~seed proto
+        ~max_rounds:(Pair.duration params) ~seed (Pair.protocol params)
     in
     Pair.root_verdict states.(Graph.root)
   in
@@ -1177,8 +1159,7 @@ let timing () =
    bit accounting). *)
 let perf_seed_proto params =
   {
-    Engine.name = "agg-seed-pipeline";
-    init = (fun u ~rng:_ -> Agg.create params ~me:u);
+    Engine.init = (fun u ~rng:_ -> Agg.create params ~me:u);
     step =
       (fun ~round ~me:_ ~state ~inbox ->
         let inbox =
@@ -2139,95 +2120,92 @@ let e24 () =
 (* guard — CI regression gate on the engine hot path                   *)
 (* ------------------------------------------------------------------ *)
 
+(* Re-checking the committed baseline.  Every sub-guard reads its own
+   key of BENCH_engine.json through [committed] and the typed getters
+   below; any shape mismatch raises [Guard_failed], which [guard] reports
+   under the sub-guard's name. *)
+exception Guard_failed of string
+
+let fail fmt = Printf.ksprintf (fun msg -> raise (Guard_failed msg)) fmt
+
+(* The experiment that writes each committed key. *)
+let baseline_writers =
+  [
+    ("overhauled_pipeline", "perf"); ("cross_protocol", "e20"); ("update_lag", "e21");
+    ("fleet", "e22"); ("scale", "e23"); ("scenarios", "e24");
+  ]
+
+let committed key =
+  match Bench_io.read_file ~path:"BENCH_engine.json" with
+  | exception Sys_error e -> fail "%s" e
+  | Error e -> fail "%s" e
+  | Ok json -> (
+    match Bench_io.member key json with
+    | Some sub -> sub
+    | None ->
+      fail "no %s object in BENCH_engine.json (run bench %s)" key
+        (List.assoc key baseline_writers))
+
+let field conv what k j =
+  match Option.bind (Bench_io.member k j) conv with
+  | Some v -> v
+  | None -> fail "missing %s %s" what k
+
+let get_int = field Bench_io.to_int "integer"
+let get_float = field Bench_io.to_float "number"
+let get_str = field Bench_io.to_string_v "string"
+let get_bool = field Bench_io.to_bool "boolean"
+let get_list = field Bench_io.to_list "list"
+
 (* The frontier's work as a count, independent of host speed: [perf]'s
    AGG run must step no more nodes than the committed
    [overhauled_pipeline.node_steps_per_run]. *)
 let guard_frontier_steps () =
-  let fail msg =
-    Printf.eprintf "guard: frontier_steps — %s\n" msg;
-    exit 1
-  in
-  let committed =
-    match Bench_io.read_file ~path:"BENCH_engine.json" with
-    | exception Sys_error e -> fail e
-    | Error e -> fail e
-    | Ok json -> (
-      match
-        Option.bind (Bench_io.member "overhauled_pipeline" json) (fun sub ->
-            Option.bind (Bench_io.member "node_steps_per_run" sub) Bench_io.to_int)
-      with
-      | Some k -> k
-      | None -> fail "overhauled_pipeline.node_steps_per_run missing (run bench perf)")
-  in
+  let committed = get_int "node_steps_per_run" (committed "overhauled_pipeline") in
   let g, params, failures, dur = perf_workload () in
   let steps =
     node_steps (Engine.run ~graph:g ~failures ~max_rounds:dur ~seed:1) (Agg.protocol params)
   in
   if steps > committed then
-    fail (Printf.sprintf "AGG steps %d nodes per run, more than the committed %d" steps committed);
+    fail "AGG steps %d nodes per run, more than the committed %d" steps committed;
   Printf.printf "frontier     %d node steps per run <= committed %d  OK\n" steps committed
 
 (* The committed E20 matrix must exist, cover the registry, and keep the
    mass-conservation contrast: on every crash row set, flow-updating's
    relative error strictly below push-sum's. *)
 let guard_cross_protocol () =
-  let fail msg =
-    Printf.eprintf "guard: cross_protocol — %s\n" msg;
-    exit 1
+  let rows = get_list "rows" (committed "cross_protocol") in
+  List.iter
+    (fun bk ->
+      if not (List.exists (fun r -> get_str "backend" r = bk) rows) then
+        fail "backend %S missing from the matrix" bk)
+    [ "agg"; "flood"; "folklore"; "pushsum"; "flowupdating" ];
+  let crash_scenarios =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun r ->
+           match Bench_io.member "crash" r with
+           | Some (Bench_io.Bool true) -> Some (get_str "scenario" r)
+           | _ -> None)
+         rows)
   in
-  match Bench_io.read_file ~path:"BENCH_engine.json" with
-  | exception Sys_error e -> fail e
-  | Error e -> fail e
-  | Ok json -> (
-    match Bench_io.member "cross_protocol" json with
-    | None -> fail "no cross_protocol object in BENCH_engine.json (run bench e20)"
-    | Some sub -> (
-      match Bench_io.member "rows" sub with
-      | Some (Bench_io.List rows) ->
-        let get_str k j =
-          match Bench_io.member k j with Some (Bench_io.String s) -> s | _ -> fail ("row without " ^ k)
-        in
-        let get_err j =
-          match Bench_io.member "relative_error" j with
-          | Some (Bench_io.Float x) -> Some x
-          | Some (Bench_io.Int x) -> Some (float_of_int x)
-          | _ -> None
-        in
-        let expected = [ "agg"; "flood"; "folklore"; "pushsum"; "flowupdating" ] in
-        List.iter
-          (fun bk ->
-            if not (List.exists (fun r -> get_str "backend" r = bk) rows) then
-              fail (Printf.sprintf "backend %S missing from the matrix" bk))
-          expected;
-        let crash_scenarios =
-          List.sort_uniq compare
-            (List.filter_map
-               (fun r ->
-                 match Bench_io.member "crash" r with
-                 | Some (Bench_io.Bool true) -> Some (get_str "scenario" r)
-                 | _ -> None)
-               rows)
-        in
-        if crash_scenarios = [] then fail "no crash scenarios in the matrix";
-        List.iter
-          (fun sname ->
-            let err bk =
-              match
-                List.find_opt (fun r -> get_str "scenario" r = sname && get_str "backend" r = bk) rows
-              with
-              | Some r -> get_err r
-              | None -> fail (Printf.sprintf "%s: no %s row" sname bk)
-            in
-            match (err "flowupdating", err "pushsum") with
-            | Some fu, Some ps when fu < ps ->
-              Printf.printf "cross_protocol %-12s flowupdating %.3g < pushsum %.3g  OK\n" sname fu ps
-            | Some fu, Some ps ->
-              fail
-                (Printf.sprintf "%s: flow-updating (%.3g) no longer beats push-sum (%.3g)" sname fu
-                   ps)
-            | _ -> fail (Printf.sprintf "%s: missing relative_error" sname))
-          crash_scenarios
-      | _ -> fail "cross_protocol.rows missing"))
+  if crash_scenarios = [] then fail "no crash scenarios in the matrix";
+  List.iter
+    (fun sname ->
+      let err bk =
+        match
+          List.find_opt (fun r -> get_str "scenario" r = sname && get_str "backend" r = bk) rows
+        with
+        | Some r -> Option.bind (Bench_io.member "relative_error" r) Bench_io.to_float
+        | None -> fail "%s: no %s row" sname bk
+      in
+      match (err "flowupdating", err "pushsum") with
+      | Some fu, Some ps when fu < ps ->
+        Printf.printf "cross_protocol %-12s flowupdating %.3g < pushsum %.3g  OK\n" sname fu ps
+      | Some fu, Some ps ->
+        fail "%s: flow-updating (%.3g) no longer beats push-sum (%.3g)" sname fu ps
+      | _ -> fail "%s: missing relative_error" sname)
+    crash_scenarios
 
 (* The committed E21 update-lag table must exist, cover both handoff
    legs, and keep the zero-downtime contract: no failed requests, sane
@@ -2235,120 +2213,63 @@ let guard_cross_protocol () =
    proof a handoff actually happened mid-stream.  Machine-dependent
    absolute timings are deliberately not gated. *)
 let guard_update_lag () =
-  let fail msg =
-    Printf.eprintf "guard: update_lag — %s\n" msg;
-    exit 1
-  in
-  match Bench_io.read_file ~path:"BENCH_engine.json" with
-  | exception Sys_error e -> fail e
-  | Error e -> fail e
-  | Ok json -> (
-    match Bench_io.member "update_lag" json with
-    | None -> fail "no update_lag object in BENCH_engine.json (run bench e21)"
-    | Some sub -> (
-      match Bench_io.member "legs" sub with
-      | Some (Bench_io.List legs) ->
-        let get_int k j =
-          match Option.bind (Bench_io.member k j) Bench_io.to_int with
-          | Some i -> i
-          | None -> fail ("leg without integer " ^ k)
-        in
-        let get_float k j =
-          match Bench_io.member k j with
-          | Some (Bench_io.Float x) -> x
-          | Some (Bench_io.Int x) -> float_of_int x
-          | _ -> fail ("leg without number " ^ k)
-        in
-        let get_leg name =
-          match
-            List.find_opt (fun l -> Bench_io.member "leg" l = Some (Bench_io.String name)) legs
-          with
-          | Some l -> l
-          | None -> fail (Printf.sprintf "leg %S missing (run bench e21)" name)
-        in
-        List.iter
-          (fun name ->
-            let l = get_leg name in
-            if get_int "requests" l < 100 then fail (name ^ ": too few requests to mean anything");
-            if get_int "failed_requests" l <> 0 then
-              fail (name ^ ": failed requests through the handoff — downtime is visible");
-            if get_int "reconnects" l < 1 then
-              fail (name ^ ": no reconnect recorded — did the handoff happen?");
-            let p50 = get_float "p50_ms" l
-            and p95 = get_float "p95_ms" l
-            and p99 = get_float "p99_ms" l
-            and mx = get_float "max_ms" l in
-            if not (p50 <= p95 && p95 <= p99 && p99 <= mx) then
-              fail (name ^ ": percentiles out of order");
-            if get_float "handoff_ms" l <= 0. then fail (name ^ ": non-positive handoff wall time");
-            Printf.printf
-              "update_lag %-12s 0 failed, p50 %.3f <= p95 %.3f <= p99 %.3f <= max %.3f ms  OK\n"
-              name p50 p95 p99 mx)
-          [ "unix_fd_pass"; "tcp_rebind" ]
-      | _ -> fail "update_lag.legs missing"))
+  let legs = get_list "legs" (committed "update_lag") in
+  List.iter
+    (fun name ->
+      let l =
+        match
+          List.find_opt (fun l -> Bench_io.member "leg" l = Some (Bench_io.String name)) legs
+        with
+        | Some l -> l
+        | None -> fail "leg %S missing (run bench e21)" name
+      in
+      if get_int "requests" l < 100 then fail "%s: too few requests to mean anything" name;
+      if get_int "failed_requests" l <> 0 then
+        fail "%s: failed requests through the handoff — downtime is visible" name;
+      if get_int "reconnects" l < 1 then
+        fail "%s: no reconnect recorded — did the handoff happen?" name;
+      let p50 = get_float "p50_ms" l
+      and p95 = get_float "p95_ms" l
+      and p99 = get_float "p99_ms" l
+      and mx = get_float "max_ms" l in
+      if not (p50 <= p95 && p95 <= p99 && p99 <= mx) then fail "%s: percentiles out of order" name;
+      if get_float "handoff_ms" l <= 0. then fail "%s: non-positive handoff wall time" name;
+      Printf.printf
+        "update_lag %-12s 0 failed, p50 %.3f <= p95 %.3f <= p99 %.3f <= max %.3f ms  OK\n" name
+        p50 p95 p99 mx)
+    [ "unix_fd_pass"; "tcp_rebind" ]
 
 let guard_fleet () =
-  let fail msg =
-    Printf.eprintf "guard: fleet — %s\n" msg;
-    exit 1
+  let sub = committed "fleet" in
+  let jobs = get_int "jobs" sub in
+  let rows = get_list "rows" sub in
+  let get_row p =
+    match List.find_opt (fun r -> get_int "processes" r = p) rows with
+    | Some r -> r
+    | None -> fail "no row for %d process(es) (run bench e22)" p
   in
-  match Bench_io.read_file ~path:"BENCH_engine.json" with
-  | exception Sys_error e -> fail e
-  | Error e -> fail e
-  | Ok json -> (
-    match Bench_io.member "fleet" json with
-    | None -> fail "no fleet object in BENCH_engine.json (run bench e22)"
-    | Some sub -> (
-      let jobs =
-        match Option.bind (Bench_io.member "jobs" sub) Bench_io.to_int with
-        | Some j -> j
-        | None -> fail "fleet.jobs missing"
-      in
-      match Bench_io.member "rows" sub with
-      | Some (Bench_io.List rows) ->
-        let get_int k j =
-          match Option.bind (Bench_io.member k j) Bench_io.to_int with
-          | Some i -> i
-          | None -> fail ("row without integer " ^ k)
-        in
-        let get_float k j =
-          match Bench_io.member k j with
-          | Some (Bench_io.Float x) -> x
-          | Some (Bench_io.Int x) -> float_of_int x
-          | _ -> fail ("row without number " ^ k)
-        in
-        let get_row p =
-          match List.find_opt (fun r -> get_int "processes" r = p) rows with
-          | Some r -> r
-          | None -> fail (Printf.sprintf "no row for %d process(es) (run bench e22)" p)
-        in
-        let prev_cold = ref 0. in
-        List.iter
-          (fun p ->
-            let r = get_row p in
-            if get_int "cold_failed" r <> 0 || get_int "warm_failed" r <> 0 then
-              fail (Printf.sprintf "%d process(es): failed jobs recorded" p);
-            if get_int "warm_cached" r <> jobs then
-              fail (Printf.sprintf "%d process(es): warm pass was not fully cache-served" p);
-            let cold = get_float "cold_jobs_per_sec" r in
-            if cold <= !prev_cold then
-              fail
-                (Printf.sprintf
-                   "cold jobs/sec does not increase with process count (%d procs: %.2f <= %.2f)" p
-                   cold !prev_cold);
-            prev_cold := cold)
-          [ 1; 2; 4 ];
-        let warm1 = get_float "warm_jobs_per_sec" (get_row 1) in
-        let warm4 = get_float "warm_jobs_per_sec" (get_row 4) in
-        if warm4 < 1.5 *. warm1 then
-          fail
-            (Printf.sprintf "warm fleet %.2f jobs/s is not >= 1.5x warm single-process %.2f" warm4
-               warm1);
-        Printf.printf
-          "fleet        cold scales with process count, warm 4-proc %.0f >= 1.5x single %.0f \
-           jobs/s  OK\n"
-          warm4 warm1
-      | _ -> fail "fleet.rows missing"))
+  let prev_cold = ref 0. in
+  List.iter
+    (fun p ->
+      let r = get_row p in
+      if get_int "cold_failed" r <> 0 || get_int "warm_failed" r <> 0 then
+        fail "%d process(es): failed jobs recorded" p;
+      if get_int "warm_cached" r <> jobs then
+        fail "%d process(es): warm pass was not fully cache-served" p;
+      let cold = get_float "cold_jobs_per_sec" r in
+      if cold <= !prev_cold then
+        fail "cold jobs/sec does not increase with process count (%d procs: %.2f <= %.2f)" p cold
+          !prev_cold;
+      prev_cold := cold)
+    [ 1; 2; 4 ];
+  let warm1 = get_float "warm_jobs_per_sec" (get_row 1) in
+  let warm4 = get_float "warm_jobs_per_sec" (get_row 4) in
+  if warm4 < 1.5 *. warm1 then
+    fail "warm fleet %.2f jobs/s is not >= 1.5x warm single-process %.2f" warm4 warm1;
+  Printf.printf
+    "fleet        cold scales with process count, warm 4-proc %.0f >= 1.5x single %.0f jobs/s  \
+     OK\n"
+    warm4 warm1
 
 (* Re-checks the committed E23 scale matrix: every size present and
    correct, rounds/sec strictly decreasing with N (bigger graphs must
@@ -2357,160 +2278,91 @@ let guard_fleet () =
    1k differential pin green, and — only when the committed run had >= 4
    cores — the 4-domain sweep at least 2x the single-domain rate. *)
 let guard_scale () =
-  let fail msg =
-    Printf.eprintf "guard: scale — %s\n" msg;
-    exit 1
+  let sub = committed "scale" in
+  if not (get_bool "pin_ok" sub) then
+    fail "pin_ok is not true (executor diverged from Engine.run_reference)";
+  let rows = get_list "rows" sub in
+  let row_for n =
+    match List.find_opt (fun r -> get_int "n" r = n) rows with
+    | Some r -> r
+    | None -> fail "no row for N=%d (run bench e23 uncapped)" n
   in
-  match Bench_io.read_file ~path:"BENCH_engine.json" with
-  | exception Sys_error e -> fail e
-  | Error e -> fail e
-  | Ok json -> (
-    match Bench_io.member "scale" json with
-    | None -> fail "no scale object in BENCH_engine.json (run bench e23)"
-    | Some sub -> (
-      let get_int k j =
-        match Option.bind (Bench_io.member k j) Bench_io.to_int with
-        | Some i -> i
-        | None -> fail ("missing integer " ^ k)
-      in
-      let get_float k j =
-        match Bench_io.member k j with
-        | Some (Bench_io.Float x) -> x
-        | Some (Bench_io.Int x) -> float_of_int x
-        | _ -> fail ("missing number " ^ k)
-      in
-      (match Bench_io.member "pin_ok" sub with
-      | Some (Bench_io.Bool true) -> ()
-      | _ -> fail "pin_ok is not true (executor diverged from Engine.run_reference)");
-      match Bench_io.member "rows" sub with
-      | Some (Bench_io.List rows) ->
-        let row_for n =
-          match List.find_opt (fun r -> get_int "n" r = n) rows with
-          | Some r -> r
-          | None -> fail (Printf.sprintf "no row for N=%d (run bench e23 uncapped)" n)
-        in
-        let prev_rps = ref infinity in
-        List.iter
-          (fun n ->
-            let r = row_for n in
-            (match Bench_io.member "correct" r with
-            | Some (Bench_io.Bool true) -> ()
-            | _ -> fail (Printf.sprintf "N=%d: AGG result not correct" n));
-            let rps = get_float "rounds_per_sec" r in
-            if rps >= !prev_rps then
-              fail
-                (Printf.sprintf "rounds/sec does not decrease with N (N=%d: %.1f >= %.1f)" n rps
-                   !prev_rps);
-            prev_rps := rps)
-          [ 1_000; 10_000; 100_000; 1_000_000 ];
-        let m = row_for 1_000_000 in
-        let footprint_mib =
-          Float.max
-            (get_float "bytes_per_node" m *. 1e6 /. (1024.0 *. 1024.0))
-            (float_of_int (get_int "peak_rss_kb" m) /. 1024.0)
-        in
-        if footprint_mib >= 4096.0 then
-          fail (Printf.sprintf "1M-node footprint %.0f MiB breaches the 4 GiB ceiling" footprint_mib);
-        let cores = get_int "cores" sub in
-        (match Bench_io.member "domain_sweep" sub with
-        | Some (Bench_io.List sweep) when cores >= 4 ->
-          let rps_at d =
-            match List.find_opt (fun r -> get_int "domains" r = d) sweep with
-            | Some r -> get_float "rounds_per_sec" r
-            | None -> fail (Printf.sprintf "domain sweep has no row for %d domains" d)
-          in
-          let r1 = rps_at 1 and r4 = rps_at 4 in
-          if r4 < 2.0 *. r1 then
-            fail
-              (Printf.sprintf "4 domains %.1f rounds/s is not >= 2x single-domain %.1f (%d cores)"
-                 r4 r1 cores)
-        | Some (Bench_io.List _) ->
-          Printf.printf
-            "scale        domain-speedup gate skipped (baseline committed with %d core(s))\n" cores
-        | _ -> fail "scale.domain_sweep missing");
-        Printf.printf
-          "scale        rounds/sec monotone over 1k..1M, 1M footprint %.0f MiB < 4 GiB, pin OK\n"
-          footprint_mib
-      | _ -> fail "scale.rows missing"))
+  let prev_rps = ref infinity in
+  List.iter
+    (fun n ->
+      let r = row_for n in
+      if not (get_bool "correct" r) then fail "N=%d: AGG result not correct" n;
+      let rps = get_float "rounds_per_sec" r in
+      if rps >= !prev_rps then
+        fail "rounds/sec does not decrease with N (N=%d: %.1f >= %.1f)" n rps !prev_rps;
+      prev_rps := rps)
+    [ 1_000; 10_000; 100_000; 1_000_000 ];
+  let m = row_for 1_000_000 in
+  let footprint_mib =
+    Float.max
+      (get_float "bytes_per_node" m *. 1e6 /. (1024.0 *. 1024.0))
+      (float_of_int (get_int "peak_rss_kb" m) /. 1024.0)
+  in
+  if footprint_mib >= 4096.0 then
+    fail "1M-node footprint %.0f MiB breaches the 4 GiB ceiling" footprint_mib;
+  let cores = get_int "cores" sub in
+  let sweep = get_list "domain_sweep" sub in
+  if cores >= 4 then begin
+    let rps_at d =
+      match List.find_opt (fun r -> get_int "domains" r = d) sweep with
+      | Some r -> get_float "rounds_per_sec" r
+      | None -> fail "domain sweep has no row for %d domains" d
+    in
+    let r1 = rps_at 1 and r4 = rps_at 4 in
+    if r4 < 2.0 *. r1 then
+      fail "4 domains %.1f rounds/s is not >= 2x single-domain %.1f (%d cores)" r4 r1 cores
+  end
+  else
+    Printf.printf
+      "scale        domain-speedup gate skipped (baseline committed with %d core(s))\n" cores;
+  Printf.printf
+    "scale        rounds/sec monotone over 1k..1M, 1M footprint %.0f MiB < 4 GiB, pin OK\n"
+    footprint_mib
 
 (* The committed E24 scenario matrix must exist, cover every
    schedule x backend cell, keep clear skies at 100% completion with
    ordered latency percentiles everywhere, and keep flow-updating's
    worst relative error under churn bounded. *)
 let guard_scenarios () =
-  let fail msg =
-    Printf.eprintf "guard: scenarios — %s\n" msg;
-    exit 1
+  let rows = get_list "rows" (committed "scenarios") in
+  let row s bk =
+    match List.find_opt (fun r -> get_str "schedule" r = s && get_str "backend" r = bk) rows with
+    | Some r -> r
+    | None -> fail "no row for %s/%s (run bench e24)" s bk
   in
-  match Bench_io.read_file ~path:"BENCH_engine.json" with
-  | exception Sys_error e -> fail e
-  | Error e -> fail e
-  | Ok json -> (
-    match Bench_io.member "scenarios" json with
-    | None -> fail "no scenarios object in BENCH_engine.json (run bench e24)"
-    | Some sub -> (
-      match Bench_io.member "rows" sub with
-      | Some (Bench_io.List rows) ->
-        let get_str k j =
-          match Bench_io.member k j with
-          | Some (Bench_io.String s) -> s
-          | _ -> fail ("row without " ^ k)
-        in
-        let get_int k j =
-          match Option.bind (Bench_io.member k j) Bench_io.to_int with
-          | Some i -> i
-          | None -> fail ("row without integer " ^ k)
-        in
-        let get_float k j =
-          match Bench_io.member k j with
-          | Some (Bench_io.Float x) -> x
-          | Some (Bench_io.Int x) -> float_of_int x
-          | _ -> fail (Printf.sprintf "row without number %s (no completed run?)" k)
-        in
-        let schedules = [ "clear_skies"; "steady_churn"; "burst_failure"; "adversarial" ] in
-        let backends = [ "agg"; "flowupdating" ] in
-        let row s bk =
-          match
-            List.find_opt
-              (fun r -> get_str "schedule" r = s && get_str "backend" r = bk)
-              rows
-          with
-          | Some r -> r
-          | None -> fail (Printf.sprintf "no row for %s/%s (run bench e24)" s bk)
-        in
-        List.iter
-          (fun s ->
-            List.iter
-              (fun bk ->
-                let r = row s bk in
-                let runs = get_int "runs" r and completed = get_int "completed" r in
-                if runs <= 0 then fail (Printf.sprintf "%s/%s: empty cell" s bk);
-                if s = "clear_skies" && completed <> runs then
-                  fail
-                    (Printf.sprintf "%s/%s: clear skies completed only %d/%d" s bk completed runs);
-                if completed > 0 then begin
-                  let p90 = get_float "latency_p90" r
-                  and p95 = get_float "latency_p95" r
-                  and p99 = get_float "latency_p99" r
-                  and p100 = get_float "latency_p100" r in
-                  if not (p90 <= p95 && p95 <= p99 && p99 <= p100) then
-                    fail (Printf.sprintf "%s/%s: latency percentiles out of order" s bk);
-                  let rel = get_float "max_rel_err" r in
-                  if bk = "agg" && s = "clear_skies" && rel <> 0.0 then
-                    fail (Printf.sprintf "%s/%s: exact backend with rel err %.3g" s bk rel);
-                  if bk = "flowupdating" && rel > 0.25 then
-                    fail
-                      (Printf.sprintf
-                         "%s/%s: flow-updating rel err %.3g under churn exceeds the 0.25 bound" s
-                         bk rel)
-                end)
-              backends)
-          schedules;
-        Printf.printf
-          "scenarios    %d cells: clear skies 100%%, percentiles ordered, flow-updating rel err \
-           bounded  OK\n"
-          (List.length rows)
-      | _ -> fail "scenarios.rows missing"))
+  List.iter
+    (fun s ->
+      List.iter
+        (fun bk ->
+          let r = row s bk in
+          let runs = get_int "runs" r and completed = get_int "completed" r in
+          if runs <= 0 then fail "%s/%s: empty cell" s bk;
+          if s = "clear_skies" && completed <> runs then
+            fail "%s/%s: clear skies completed only %d/%d" s bk completed runs;
+          if completed > 0 then begin
+            let p90 = get_float "latency_p90" r
+            and p95 = get_float "latency_p95" r
+            and p99 = get_float "latency_p99" r
+            and p100 = get_float "latency_p100" r in
+            if not (p90 <= p95 && p95 <= p99 && p99 <= p100) then
+              fail "%s/%s: latency percentiles out of order" s bk;
+            let rel = get_float "max_rel_err" r in
+            if bk = "agg" && s = "clear_skies" && rel <> 0.0 then
+              fail "%s/%s: exact backend with rel err %.3g" s bk rel;
+            if bk = "flowupdating" && rel > 0.25 then
+              fail "%s/%s: flow-updating rel err %.3g under churn exceeds the 0.25 bound" s bk rel
+          end)
+        [ "agg"; "flowupdating" ])
+    [ "clear_skies"; "steady_churn"; "burst_failure"; "adversarial" ];
+  Printf.printf
+    "scenarios    %d cells: clear skies 100%%, percentiles ordered, flow-updating rel err \
+     bounded  OK\n"
+    (List.length rows)
 
 (* Re-times the fast engine on [perf]'s exact config and compares
    rounds/sec against the committed BENCH_engine.json.  More than a 30%
@@ -2525,24 +2377,11 @@ let guard () =
     "GUARD | bench regression gate — fast engine vs committed BENCH_engine.json\n\
      fails (exit 1) if rounds/sec drops more than 30% below the baseline or\n\
      the frontier steps more nodes than the committed count";
-  let baseline =
-    match Bench_io.read_file ~path:"BENCH_engine.json" with
-    | exception Sys_error e -> Error e
-    | Error e -> Error e
-    | Ok json -> (
-      match Bench_io.member "overhauled_pipeline" json with
-      | None -> Error "no overhauled_pipeline object in baseline"
-      | Some sub -> (
-        match Bench_io.member "rounds_per_sec" sub with
-        | Some (Bench_io.Int r) -> Ok (float_of_int r)
-        | Some (Bench_io.Float r) -> Ok r
-        | _ -> Error "overhauled_pipeline.rounds_per_sec missing from baseline"))
-  in
-  match baseline with
-  | Error e ->
+  match get_float "rounds_per_sec" (committed "overhauled_pipeline") with
+  | exception Guard_failed e ->
     Printf.eprintf "guard: cannot read the committed baseline: %s\n" e;
     exit 3
-  | Ok baseline_rps ->
+  | baseline_rps ->
     let g, params, failures, dur = perf_workload () in
     let run_fast s =
       Engine.run ~graph:g ~failures ~max_rounds:dur ~seed:s (Agg.protocol params)
@@ -2557,13 +2396,17 @@ let guard () =
       exit 1
     end
     else begin
-      (* Sub-guards fail with a printed reason and exit 1 on every
-         expected shape mismatch; this wrapper turns anything they did
-         not anticipate (a malformed or pre-upgrade committed baseline)
-         into the same clear failure instead of a raw backtrace. *)
+      (* Sub-guards raise [Guard_failed] with a reason on every expected
+         shape mismatch or failed check; this wrapper reports it, and
+         turns anything they did not anticipate (a malformed or
+         pre-upgrade committed baseline) into the same clear failure
+         instead of a raw backtrace. *)
       let subguard name f =
-        try f ()
-        with e ->
+        try f () with
+        | Guard_failed msg ->
+          Printf.eprintf "guard: %s — %s\n" name msg;
+          exit 1
+        | e ->
           Printf.eprintf
             "guard: %s — unexpected error re-checking the committed baseline: %s\n\
              (BENCH_engine.json stale or malformed? regenerate it with bench/main.exe)\n"

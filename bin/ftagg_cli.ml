@@ -90,41 +90,79 @@ let protocol_arg =
     & info [ "p"; "protocol" ]
         ~doc:"One of: tradeoff, brute, folklore, naive, unknown-f, pair, agg.")
 
-(* Run one protocol by name with a telemetry sink attached.  Returns the
-   rendered root value, the exit code (0 ok, 2 protocol abort) and the
-   run's common outcome. *)
-let exec_traced ~protocol ~obs ~graph ~failures ~params ~b ~f ~seed =
+let b_arg = Arg.(value & opt int 63 & info [ "b" ] ~doc:"Time budget in flooding rounds.")
+let f_arg = Arg.(value & opt int 8 & info [ "f" ] ~doc:"Edge-failure budget.")
+let tolerance_arg = Arg.(value & opt (some int) None & info [ "tolerance" ] ~doc:"t for pair/agg.")
+
+let failures_arg =
+  Arg.(
+    value
+    & opt string "random"
+    & info [ "failures" ] ~doc:"Adversary: none, random, burst, chain, neighborhood.")
+
+let budget_arg =
+  Arg.(value & opt (some int) None & info [ "budget" ] ~doc:"Edge failures to inject (default f).")
+
+(* Run one protocol by name, with a telemetry sink when [obs] is given.
+   Returns the label [run] prints, the rendered root value, the exit code
+   (0 ok, 2 protocol abort), the run's common outcome and the protocol's
+   evidence as (key, value) lines. *)
+let exec_protocol ?obs ~protocol ~graph ~failures ~params ~b ~f ~seed () =
+  let value = function
+    | Agg.Value v -> (string_of_int v, 0)
+    | Agg.Aborted -> ("<aborted>", 2)
+  in
   match String.lowercase_ascii protocol with
   | "tradeoff" ->
-    let o = Run.tradeoff ~obs ~graph ~failures ~params ~b ~f ~seed () in
-    (string_of_int (Run.value_exn o.Run.result), 0, o.Run.common)
-  | "brute" ->
-    let o = Run.brute_force ~obs ~graph ~failures ~params ~seed () in
-    (string_of_int (Run.value_exn o.Run.result), 0, o.Run.common)
-  | "unknown-f" | "unknown_f" ->
-    let o = Run.unknown_f ~obs ~graph ~failures ~params ~seed () in
-    (string_of_int (Run.value_exn o.Run.result), 0, o.Run.common)
-  | "folklore" | "naive" ->
-    let mode =
-      if String.lowercase_ascii protocol = "naive" then Folklore.Naive else Folklore.Retry (f + 1)
+    let o = Run.tradeoff ?obs ~graph ~failures ~params ~b ~f ~seed () in
+    let v, code = value o.Run.result in
+    let via =
+      match o.Run.how with
+      | Tradeoff.Via_pair y -> Printf.sprintf "AGG+VERI pair in interval %d" y
+      | Tradeoff.Via_brute_force -> "brute-force fallback"
     in
-    let o = Run.folklore ~obs ~graph ~failures ~params ~mode ~seed () in
-    (match o.Run.f_result with
-    | Folklore.Value v -> (string_of_int v, 0, o.Run.common)
-    | Folklore.No_clean_epoch -> ("<no clean epoch>", 2, o.Run.common))
+    ("tradeoff", v, code, o.Run.common, [ ("via", via) ])
+  | "brute" ->
+    let o = Run.brute_force ?obs ~graph ~failures ~params ~seed () in
+    let v, code = value o.Run.result in
+    ("brute", v, code, o.Run.common, [])
+  | ("folklore" | "naive") as name ->
+    let naive = name = "naive" in
+    let mode = if naive then Folklore.Naive else Folklore.Retry (f + 1) in
+    let o = Run.folklore ?obs ~graph ~failures ~params ~mode ~seed () in
+    let v, code =
+      match o.Run.f_result with
+      | Folklore.Value v -> (string_of_int v, 0)
+      | Folklore.No_clean_epoch -> ("<no clean epoch>", 2)
+    in
+    if naive then ("naive-TAG", v, code, o.Run.common, [])
+    else ("folklore", v, code, o.Run.common, [ ("epochs", string_of_int o.Run.epochs) ])
+  | "unknown-f" | "unknown_f" ->
+    let o = Run.unknown_f ?obs ~graph ~failures ~params ~seed () in
+    let v, code = value o.Run.result in
+    let via =
+      match o.Run.how with
+      | Unknown_f.Via_slot g -> Printf.sprintf "slot %d (t = %d)" g (1 lsl g)
+      | Unknown_f.Via_brute_force -> "brute-force fallback"
+    in
+    ("unknown-f", v, code, o.Run.common, [ ("via", via) ])
   | "pair" ->
-    let o = Run.pair ~obs ~graph ~failures ~params ~seed () in
-    (match o.Run.result with
-    | Agg.Value v -> (string_of_int v, 0, o.Run.common)
-    | Agg.Aborted -> ("<aborted>", 2, o.Run.common))
+    let o = Run.pair ?obs ~graph ~failures ~params ~seed () in
+    let v, code = value o.Run.result in
+    let veri =
+      Printf.sprintf "%b   (ground truth: LFC = %b, %d edge failures in window)"
+        o.Run.verdict.Pair.veri_ok o.Run.lfc o.Run.edge_failures
+    in
+    ("AGG+VERI", v, code, o.Run.common, [ ("VERI says", veri) ])
   | "agg" ->
-    let o = Run.agg ~obs ~graph ~failures ~params ~seed () in
-    (match o.Run.result with
-    | Agg.Value v -> (string_of_int v, 0, o.Run.common)
-    | Agg.Aborted -> ("<aborted>", 2, o.Run.common))
+    let o = Run.agg ?obs ~graph ~failures ~params ~seed () in
+    let v, code = value o.Run.result in
+    ("AGG", v, code, o.Run.common, [])
   | other ->
     Printf.eprintf "ftagg: unknown protocol %S\n" other;
     exit 3
+
+let print_evidence = List.iter (fun (k, v) -> Printf.printf "%-11s: %s\n" k v)
 
 (* The massive-scale data path: a streamed Bigraph CSR through the
    partitioned executor (lib/scale), never materialising the adjacency
@@ -220,16 +258,6 @@ let run_scale ~topology ~n ~seed ~tol ~fmode ~budget ~max_input ~domains ~mem_li
 let run_cmd =
   let protocol = protocol_arg in
   let caaf = Arg.(value & opt caaf_conv Instances.sum & info [ "aggregate" ] ~doc:"CAAF.") in
-  let b = Arg.(value & opt int 63 & info [ "b" ] ~doc:"Time budget in flooding rounds.") in
-  let f = Arg.(value & opt int 8 & info [ "f" ] ~doc:"Edge-failure budget.") in
-  let tol = Arg.(value & opt (some int) None & info [ "tolerance" ] ~doc:"t for pair/agg.") in
-  let fmode =
-    Arg.(
-      value
-      & opt string "random"
-      & info [ "failures" ] ~doc:"Adversary: none, random, burst, chain, neighborhood.")
-  in
-  let budget = Arg.(value & opt (some int) None & info [ "budget" ] ~doc:"Edge failures to inject (default f).") in
   let max_input = Arg.(value & opt int 100 & info [ "max-input" ] ~doc:"Inputs drawn from [0, max].") in
   let backend =
     Arg.(
@@ -317,79 +345,22 @@ let run_cmd =
         in
         print_common (Backend.name backend) v o.Backend.common;
         Printf.printf "guarantee  : %s\n" (Backend.guarantee backend);
-        List.iter (fun (k, v) -> Printf.printf "%-11s: %s\n" k v) o.Backend.evidence;
+        print_evidence o.Backend.evidence;
         code)
-    | None -> (
-    match String.lowercase_ascii protocol with
-    | "tradeoff" ->
-      let o = Run.tradeoff ~graph ~failures ~params ~b ~f ~seed () in
-      print_common "tradeoff" (string_of_int (Run.value_exn o.Run.result)) o.Run.common;
-      Printf.printf "via        : %s\n"
-        (match o.Run.how with
-        | Tradeoff.Via_pair y -> Printf.sprintf "AGG+VERI pair in interval %d" y
-        | Tradeoff.Via_brute_force -> "brute-force fallback");
-      0
-    | "brute" ->
-      let o = Run.brute_force ~graph ~failures ~params ~seed () in
-      print_common "brute" (string_of_int (Run.value_exn o.Run.result)) o.Run.common;
-      0
-    | "folklore" ->
-      let o = Run.folklore ~graph ~failures ~params ~mode:(Folklore.Retry (f + 1)) ~seed () in
-      let v =
-        match o.Run.f_result with
-        | Folklore.Value v -> string_of_int v
-        | Folklore.No_clean_epoch -> "<no clean epoch>"
+    | None ->
+      let label, v, code, common, evidence =
+        exec_protocol ~protocol ~graph ~failures ~params ~b ~f ~seed ()
       in
-      print_common "folklore" v o.Run.common;
-      Printf.printf "epochs     : %d\n" o.Run.epochs;
-      if o.Run.f_result = Folklore.No_clean_epoch then 2 else 0
-    | "naive" ->
-      let o = Run.folklore ~graph ~failures ~params ~mode:Folklore.Naive ~seed () in
-      let v =
-        match o.Run.f_result with
-        | Folklore.Value v -> string_of_int v
-        | Folklore.No_clean_epoch -> "<dirty>"
-      in
-      print_common "naive-TAG" v o.Run.common;
-      if o.Run.f_result = Folklore.No_clean_epoch then 2 else 0
-    | "unknown-f" | "unknown_f" ->
-      let o = Run.unknown_f ~graph ~failures ~params ~seed () in
-      print_common "unknown-f" (string_of_int (Run.value_exn o.Run.result)) o.Run.common;
-      Printf.printf "via        : %s\n"
-        (match o.Run.how with
-        | Unknown_f.Via_slot g -> Printf.sprintf "slot %d (t = %d)" g (1 lsl g)
-        | Unknown_f.Via_brute_force -> "brute-force fallback");
-      0
-    | "pair" ->
-      let o = Run.pair ~graph ~failures ~params ~seed () in
-      let v =
-        match o.Run.verdict.Pair.result with
-        | Agg.Value v -> string_of_int v
-        | Agg.Aborted -> "<aborted>"
-      in
-      print_common "AGG+VERI" v o.Run.common;
-      Printf.printf "VERI says  : %b   (ground truth: LFC = %b, %d edge failures in window)\n"
-        o.Run.verdict.Pair.veri_ok o.Run.lfc o.Run.edge_failures;
-      if o.Run.verdict.Pair.result = Agg.Aborted then 2 else 0
-    | "agg" ->
-      let o = Run.agg ~graph ~failures ~params ~seed () in
-      let v =
-        match o.Run.result with
-        | Agg.Value v -> string_of_int v
-        | Agg.Aborted -> "<aborted>"
-      in
-      print_common "AGG" v o.Run.common;
-      if o.Run.result = Agg.Aborted then 2 else 0
-    | other ->
-      Printf.eprintf "ftagg: unknown protocol %S\n" other;
-      3)
+      print_common label v common;
+      print_evidence evidence;
+      code
     end
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a protocol on a generated topology under an adversary.")
     Term.(
-      const run $ protocol $ topology $ nodes $ seed $ caaf $ b $ f $ tol $ fmode $ budget
-      $ max_input $ backend $ scale $ domains $ mem_limit $ pin)
+      const run $ protocol $ topology $ nodes $ seed $ caaf $ b_arg $ f_arg $ tolerance_arg
+      $ failures_arg $ budget_arg $ max_input $ backend $ scale $ domains $ mem_limit $ pin)
 
 let graph_cmd =
   let run topology n seed =
@@ -477,18 +448,6 @@ let dot_cmd =
     Term.(const run $ topology $ nodes $ seed)
 
 let trace_cmd =
-  let b = Arg.(value & opt int 63 & info [ "b" ] ~doc:"Time budget in flooding rounds.") in
-  let f = Arg.(value & opt int 8 & info [ "f" ] ~doc:"Edge-failure budget.") in
-  let tol = Arg.(value & opt (some int) None & info [ "tolerance" ] ~doc:"t for pair/agg.") in
-  let fmode =
-    Arg.(
-      value
-      & opt string "random"
-      & info [ "failures" ] ~doc:"Adversary: none, random, burst, chain, neighborhood.")
-  in
-  let budget =
-    Arg.(value & opt (some int) None & info [ "budget" ] ~doc:"Edge failures to inject (default f).")
-  in
   let out =
     Arg.(
       value
@@ -513,7 +472,9 @@ let trace_cmd =
     let budget = Option.value budget ~default:f in
     let failures = make_failures graph ~mode:fmode ~budget ~seed:(seed + 3) ~window in
     let obs = Obs.create ~name:(Printf.sprintf "%s-%s-n%d" protocol (Gen.family_name topology) n) () in
-    let value, code, common = exec_traced ~protocol ~obs ~graph ~failures ~params ~b ~f ~seed in
+    let _, value, code, common, _ =
+      exec_protocol ~obs ~protocol ~graph ~failures ~params ~b ~f ~seed ()
+    in
     Printf.printf "%s on %s (N=%d, seed %d): %s = %s, correct %b\n" protocol
       (Gen.family_name topology) n seed params.Params.caaf.Caaf.name value common.Run.correct;
     Printf.printf "CC %d bits, TC %d rounds = %d flooding rounds\n"
@@ -602,19 +563,10 @@ let trace_cmd =
          "Run a protocol with telemetry attached: per-phase bit breakdown on stdout, optional \
           Chrome trace_event JSON and JSONL exports.")
     Term.(
-      const run $ protocol_arg $ topology $ nodes $ seed $ b $ f $ tol $ fmode $ budget $ out
-      $ jsonl $ limit)
+      const run $ protocol_arg $ topology $ nodes $ seed $ b_arg $ f_arg $ tolerance_arg
+      $ failures_arg $ budget_arg $ out $ jsonl $ limit)
 
 let stats_cmd =
-  let b = Arg.(value & opt int 63 & info [ "b" ] ~doc:"Time budget in flooding rounds.") in
-  let f = Arg.(value & opt int 8 & info [ "f" ] ~doc:"Edge-failure budget.") in
-  let tol = Arg.(value & opt (some int) None & info [ "tolerance" ] ~doc:"t for pair/agg.") in
-  let fmode =
-    Arg.(
-      value
-      & opt string "random"
-      & info [ "failures" ] ~doc:"Adversary: none, random, burst, chain, neighborhood.")
-  in
   let prom =
     Arg.(value & flag & info [ "prom" ] ~doc:"Print a Prometheus-style text dump instead.")
   in
@@ -668,7 +620,9 @@ let stats_cmd =
         let window = b * params.Params.d in
         let failures = make_failures graph ~mode:fmode ~budget:f ~seed:(seed + 3) ~window in
         let obs = Obs.create ~name:protocol () in
-        let value, code, common = exec_traced ~protocol ~obs ~graph ~failures ~params ~b ~f ~seed in
+        let _, value, code, common, _ =
+          exec_protocol ~obs ~protocol ~graph ~failures ~params ~b ~f ~seed ()
+        in
         ( protocol, value, code, Metrics.cc common.Run.metrics, common.Run.rounds,
           Obs.registry obs )
       end
@@ -714,8 +668,8 @@ let stats_cmd =
          "Run a protocol with telemetry attached and print the metric registry (add --scale for \
           the massive-scale executor's scale_* series).")
     Term.(
-      const run $ protocol_arg $ topology $ nodes $ seed $ b $ f $ tol $ fmode $ prom $ scale
-      $ domains)
+      const run $ protocol_arg $ topology $ nodes $ seed $ b_arg $ f_arg $ tolerance_arg
+      $ failures_arg $ prom $ scale $ domains)
 
 let rank_cmd =
   let q = Arg.(value & opt int 7 & info [ "q" ] ~doc:"Alphabet size (>= 2).") in

@@ -1,13 +1,11 @@
-module Graph = Ftagg_graph.Graph
 module Gen = Ftagg_graph.Gen
 module Prng = Ftagg_util.Prng
 module Engine = Ftagg_sim.Engine
 module Failure = Ftagg_sim.Failure
 module Metrics = Ftagg_sim.Metrics
 module Params = Ftagg_proto.Params
-module Message = Ftagg_proto.Message
-module Agg = Ftagg_proto.Agg
 module Pair = Ftagg_proto.Pair
+module Checker = Ftagg_proto.Checker
 module Run = Ftagg_proto.Run
 module Backend = Ftagg_proto.Backend
 module Obs = Ftagg_obs.Obs
@@ -44,52 +42,28 @@ type pair_report = {
   rounds : int;
 }
 
-let pair_proto params =
-  {
-    Engine.name = "pair-chaos";
-    init = (fun u ~rng:_ -> Pair.create params ~me:u);
-    step = (fun ~round ~me:_ ~state ~inbox -> (state, Pair.step state ~rr:round ~inbox));
-    msg_bits = Message.bits params;
-    root_done = (fun _ -> false);
-    wake = Engine.every_round;
-  }
-
 let run_pair ?online ?obs (sc : Incident.scenario) =
   let graph = graph_of sc in
   let params = params_of sc graph in
   let failures = Failure.of_list ~n:sc.Incident.n sc.Incident.schedule in
-  let duration = Pair.duration params in
   let watch = Watchdog.pair_watch ?bit_cap:sc.Incident.bit_cap ~params ~graph () in
   let res =
     Engine.run_chaos ?obs ~faults:sc.Incident.faults ?online ~watch ~graph ~failures
-      ~max_rounds:duration ~seed:sc.Incident.run_seed (pair_proto params)
+      ~max_rounds:(Pair.duration params) ~seed:sc.Incident.run_seed (Pair.protocol params)
   in
-  let states = res.Engine.c_states in
   let metrics = res.Engine.c_metrics in
   let failures = res.Engine.c_schedule in
   let rounds = Metrics.rounds metrics in
-  (* No verdict (and trivial ground truth) when the watchdog halted the
+  (* No verdict (and trivial correctness) when the watchdog halted the
      run before the pair finished — [violation] is authoritative then. *)
-  let verdict = if rounds < duration then None else Some (Pair.root_verdict states.(Graph.root)) in
-  let trace =
-    { Ftagg_proto.Checker.agg_nodes = Array.map Pair.agg states; agg_start = 1; failures; params; graph }
-  in
-  let module Checker = Ftagg_proto.Checker in
-  let lfc = Checker.has_lfc trace ~veri_end:duration in
-  let edge_failures = Checker.model_edge_failures ~graph ~failures ~round:duration in
-  let correct =
-    match verdict with
-    | None | Some { Pair.result = Agg.Aborted; _ } -> true
-    | Some { Pair.result = Agg.Value v; _ } ->
-      Checker.result_correct ~graph ~failures ~end_round:rounds ~params v
-  in
+  let truth = Checker.pair_truth ~graph ~failures ~params ~end_round:rounds res.Engine.c_states in
   {
     scenario = { sc with Incident.schedule = Failure.to_list failures };
     violation = res.Engine.c_violation;
-    verdict;
-    correct;
-    lfc;
-    edge_failures;
+    verdict = truth.Checker.verdict;
+    correct = truth.Checker.correct;
+    lfc = truth.Checker.lfc;
+    edge_failures = truth.Checker.edge_failures;
     cc = Metrics.cc metrics;
     rounds;
   }
@@ -251,8 +225,11 @@ type trial = {
 }
 
 let run config =
-  (* Fail fast on a typo'd backend, before burning trials. *)
-  if config.backend <> "agg" then ignore (backend_exn config.backend);
+  (* Resolve the backend once, failing fast on a typo before burning
+     trials; branch on the registry's own name, so any spelling of "agg"
+     runs the watched pair. *)
+  let backend = Backend.name (backend_exn config.backend) in
+  let pair = backend = "agg" in
   let rng = Prng.create config.seed in
   let seen = Hashtbl.create 8 in
   let incidents = ref [] in
@@ -273,13 +250,13 @@ let run config =
     in
     let sc0 = { sc0 with Incident.schedule = Failure.to_list base } in
     let sc0 =
-      if config.backend = "agg" then sc0
+      if pair then sc0
       else begin
         (* Round the pair window up to whole flooding rounds so the
            approximate backends run at least as long. *)
         let d = params.Params.d in
         let b = (Pair.duration params + d - 1) / d in
-        { sc0 with Incident.kind = Incident.Backend_run { backend = config.backend; b; f = budget } }
+        { sc0 with Incident.kind = Incident.Backend_run { backend; b; f = budget } }
       end
     in
     (match config.obs with
@@ -292,7 +269,7 @@ let run config =
        transport speaks pair scenarios only, so it applies to the "agg"
        backend; other backends run in-process. *)
     let report =
-      if config.backend <> "agg" then begin
+      if not pair then begin
         let r = run_backend ?online ?obs:config.obs sc0 in
         Some { t_scenario = r.b_scenario; t_violation = r.b_violation }
       end

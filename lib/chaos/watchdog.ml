@@ -1,6 +1,5 @@
 module Graph = Ftagg_graph.Graph
 module Engine = Ftagg_sim.Engine
-module Metrics = Ftagg_sim.Metrics
 module Failure = Ftagg_sim.Failure
 module Params = Ftagg_proto.Params
 module Message = Ftagg_proto.Message
@@ -8,25 +7,10 @@ module Agg = Ftagg_proto.Agg
 module Pair = Ftagg_proto.Pair
 module Checker = Ftagg_proto.Checker
 
-let backend_bit_watch ~bit_cap = Ftagg_proto.Backend.bits_watch ~bit_cap
-
 let pair_bit_cap params =
   Params.agg_bit_budget params + Params.veri_bit_budget params
   + Message.bits params Message.Agg_abort
   + Message.bits params Message.Veri_overflow
-
-(* Per-node bit totals against the Theorem 3/6 budgets. *)
-let check_bits ~cap ~n metrics =
-  let rec go u =
-    if u >= n then None
-    else begin
-      let b = Metrics.bits_sent metrics u in
-      if b > cap then
-        Some ("bit_budget", Printf.sprintf "node %d has sent %d bits, over the %d-bit cap" u b cap)
-      else go (u + 1)
-    end
-  in
-  go 0
 
 (* Tree-construction sanity: levels stay in [0, cd] and are only assigned
    in a round after the parent's, parents are physical neighbours, and a
@@ -73,6 +57,9 @@ let trace_of ~params ~graph (view : Pair.node Engine.view) =
     graph;
   }
 
+let psums_mismatch =
+  ("representative_psums", "a selected partial sum disagrees with the schedule recomputation")
+
 let pair_watch ?bit_cap ~params ~graph () : Pair.node Engine.watch =
   let cap = match bit_cap with Some c -> c | None -> pair_bit_cap params in
   let cd = Params.cd params in
@@ -83,7 +70,7 @@ let pair_watch ?bit_cap ~params ~graph () : Pair.node Engine.watch =
   fun view ->
     let round = view.Engine.v_round in
     let states = view.Engine.v_states in
-    match check_bits ~cap ~n view.Engine.v_metrics with
+    match Ftagg_proto.Backend.bits_watch ~bit_cap:cap view with
     | Some v -> Some v
     | None -> (
       match check_activation ~graph ~cd ~n ~round states with
@@ -101,11 +88,7 @@ let pair_watch ?bit_cap ~params ~graph () : Pair.node Engine.watch =
               let trace = trace_of ~params ~graph view in
               let selected = Agg.selected_sources (Pair.agg states.(Graph.root)) in
               let r = Checker.representative_set trace ~selected ~end_round:round in
-              if not r.Checker.psums_match then
-                Some
-                  ( "representative_psums",
-                    "a selected partial sum disagrees with the schedule recomputation" )
-              else None
+              if not r.Checker.psums_match then Some psums_mismatch else None
           end
           else None
         in
@@ -118,15 +101,10 @@ let pair_watch ?bit_cap ~params ~graph () : Pair.node Engine.watch =
                row this schedule landed in, and the §4.3 representative-set
                structure behind an accepting verdict. *)
             let failures = Failure.of_crash_rounds view.Engine.v_crash_rounds in
-            let verdict = Pair.root_verdict states.(Graph.root) in
-            let trace = trace_of ~params ~graph view in
-            let edge_failures = Checker.model_edge_failures ~graph ~failures ~round in
-            let lfc = Checker.has_lfc trace ~veri_end:round in
-            let correct =
-              match verdict.Pair.result with
-              | Agg.Aborted -> true
-              | Agg.Value v -> Checker.result_correct ~graph ~failures ~end_round:round ~params v
-            in
+            let truth = Checker.pair_truth ~graph ~failures ~params ~end_round:round states in
+            let verdict = Option.get truth.Checker.verdict in
+            let edge_failures = truth.Checker.edge_failures in
+            let correct = truth.Checker.correct in
             let table2 =
               if edge_failures <= params.Params.t then begin
                 if verdict.Pair.result = Agg.Aborted then
@@ -140,7 +118,7 @@ let pair_watch ?bit_cap ~params ~graph () : Pair.node Engine.watch =
                   Some ("table2_s1_veri", "VERI rejected a scenario 1 run")
                 else None
               end
-              else if not lfc then begin
+              else if not truth.Checker.lfc then begin
                 if not correct then
                   Some
                     ( "table2_s2_correct",
@@ -158,11 +136,10 @@ let pair_watch ?bit_cap ~params ~graph () : Pair.node Engine.watch =
               | Agg.Aborted -> None
               | Agg.Value _ ->
                 let selected = Agg.selected_sources (Pair.agg states.(Graph.root)) in
-                let r = Checker.representative_set trace ~selected ~end_round:round in
-                if not r.Checker.psums_match then
-                  Some
-                    ( "representative_psums",
-                      "a selected partial sum disagrees with the schedule recomputation" )
+                let r =
+                  Checker.representative_set truth.Checker.trace ~selected ~end_round:round
+                in
+                if not r.Checker.psums_match then Some psums_mismatch
                 else if verdict.Pair.veri_ok && not r.Checker.disjoint then
                   Some ("representative_disjoint", "an accepted representative set double-counts a node")
                 else if verdict.Pair.veri_ok && not r.Checker.covers_alive then

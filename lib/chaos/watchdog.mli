@@ -25,14 +25,6 @@ val pair_bit_cap : Ftagg_proto.Params.t -> int
     one [Agg_abort] and one [Veri_overflow] symbol (a node may cross a
     threshold by its final special-symbol flood). *)
 
-val backend_bit_watch : bit_cap:int -> 'state Ftagg_sim.Engine.watch
-(** Protocol-agnostic bit-budget watchdog (re-export of
-    {!Ftagg_proto.Backend.bits_watch}): fires ["bit_budget"] the first
-    round any node's cumulative bit count exceeds [bit_cap].  This is the
-    cap every non-["agg"] backend runs under in a campaign; backends may
-    compose their own invariants after it (see
-    {!Ftagg_proto.Backend.S.watch}). *)
-
 val pair_watch :
   ?bit_cap:int ->
   params:Ftagg_proto.Params.t ->

@@ -371,8 +371,7 @@ let wake node ~round =
 
 let protocol ?ablation p =
   {
-    Ftagg_sim.Engine.name = "agg";
-    init = (fun u ~rng:_ -> create ?ablation p ~me:u);
+    Ftagg_sim.Engine.init = (fun u ~rng:_ -> create ?ablation p ~me:u);
     step = (fun ~round ~me:_ ~state ~inbox -> (state, step state ~rr:round ~inbox));
     msg_bits = Message.bits p;
     root_done = (fun _ -> false);

@@ -91,6 +91,9 @@ let bits_watch ~bit_cap view =
   in
   go 0
 
+let cap_watch ?bit_cap ~params:_ ~graph:_ () =
+  Option.map (fun cap -> bits_watch ~bit_cap:cap) bit_cap
+
 let exec ?loss ?obs ~backend ~graph ~failures ~params ~b ~f ~seed () =
   let module B = (val backend : S) in
   let proto = B.protocol ~graph ~params ~b ~f in

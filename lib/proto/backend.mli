@@ -128,6 +128,16 @@ val bits_watch : bit_cap:int -> 'state Ftagg_sim.Engine.watch
     protocol-agnostic half of {!Watchdog.pair_watch}'s budget check,
     usable with any backend state. *)
 
+val cap_watch :
+  ?bit_cap:int ->
+  params:Params.t ->
+  graph:Ftagg_graph.Graph.t ->
+  unit ->
+  'state Ftagg_sim.Engine.watch option
+(** An {!S.watch} that honours a planted cap with {!bits_watch} and
+    checks nothing else — the watch of every backend without invariants
+    of its own. *)
+
 val exec :
   ?loss:float ->
   ?obs:Ftagg_obs.Obs.t ->

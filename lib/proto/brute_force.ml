@@ -51,6 +51,15 @@ let step node ~rr ~inbox =
   end;
   Flood.drain node.flood
 
+let protocol p =
+  {
+    Ftagg_sim.Engine.init = (fun u ~rng:_ -> create p ~me:u);
+    step = (fun ~round ~me:_ ~state ~inbox -> (state, step state ~rr:round ~inbox));
+    msg_bits = Message.bits p;
+    root_done = (fun _ -> false);
+    wake = Ftagg_sim.Engine.every_round;
+  }
+
 let root_result node =
   match node.output with
   | Some v -> v

@@ -17,6 +17,11 @@ val create : Params.t -> me:int -> node
 
 val step : node -> rr:int -> inbox:(int * Message.body) list -> Message.body list
 
+val protocol : Params.t -> (node, Message.body) Ftagg_sim.Engine.protocol
+(** The standalone baseline as an engine protocol: execution round =
+    engine round, raw bodies charged by [Message.bits], no early halt
+    (run it for {!duration} rounds). *)
+
 val root_result : node -> int
 (** Aggregate of the root's own input and every distinct flooded value
     received; meaningful once [rr = duration] has executed. *)

@@ -2,12 +2,16 @@ module Graph = Ftagg_graph.Graph
 module Path = Ftagg_graph.Path
 module Failure = Ftagg_sim.Failure
 
+(* The nodes not failed in the model's sense at [round]: alive, and
+   still connected to the root in the surviving topology (§2). *)
+let connected ~graph ~failures ~round =
+  let surviving = Graph.remove_nodes graph (Failure.crashed_by failures ~round) in
+  let ok = Array.make (Graph.n graph) false in
+  List.iter (fun u -> ok.(u) <- true) (Path.reachable_from_root surviving);
+  ok
+
 let correctness_sets ~graph ~failures ~end_round ~inputs =
-  let crashed = Failure.crashed_by failures ~round:end_round in
-  let surviving = Graph.remove_nodes graph crashed in
-  let connected = Path.reachable_from_root surviving in
-  let in_base = Array.make (Graph.n graph) false in
-  List.iter (fun u -> in_base.(u) <- true) connected;
+  let in_base = connected ~graph ~failures ~round:end_round in
   let base = ref [] and optional = ref [] in
   for u = Graph.n graph - 1 downto 0 do
     if in_base.(u) then base := inputs.(u) :: !base else optional := inputs.(u) :: !optional
@@ -21,11 +25,7 @@ let result_correct ~graph ~failures ~end_round ~params result =
   Ftagg_caaf.Caaf.is_correct params.Params.caaf ~base ~optional result
 
 let model_edge_failures ~graph ~failures ~round =
-  let crashed = Failure.crashed_by failures ~round in
-  let surviving = Graph.remove_nodes graph crashed in
-  let connected = Path.reachable_from_root surviving in
-  let ok = Array.make (Graph.n graph) false in
-  List.iter (fun u -> ok.(u) <- true) connected;
+  let ok = connected ~graph ~failures ~round in
   Graph.fold_edges (fun u v acc -> if ok.(u) && ok.(v) then acc else acc + 1) graph 0
 
 type agg_trace = {
@@ -59,11 +59,7 @@ let critical_failures tr =
 (* "Failed" in the model's sense at a given round: crashed, or disconnected
    from the root by others' crashes (§2). *)
 let failed_at tr ~round =
-  let crashed = Failure.crashed_by tr.failures ~round in
-  let surviving = Graph.remove_nodes tr.graph crashed in
-  let connected = Path.reachable_from_root surviving in
-  let ok = Array.make (Graph.n tr.graph) false in
-  List.iter (fun u -> ok.(u) <- true) connected;
+  let ok = connected ~graph:tr.graph ~failures:tr.failures ~round in
   fun u -> not ok.(u)
 
 (* Global round of a node's aggregation action: phase 2 starts at
@@ -170,3 +166,30 @@ let has_lfc tr ~veri_end =
     then exists := true
   done;
   !exists
+
+type pair_truth = {
+  verdict : Pair.verdict option;
+  trace : agg_trace;
+  lfc : bool;
+  edge_failures : int;
+  correct : bool;
+}
+
+let pair_truth ~graph ~failures ~params ~end_round states =
+  let duration = Pair.duration params in
+  let verdict =
+    if end_round < duration then None else Some (Pair.root_verdict states.(Graph.root))
+  in
+  let trace = { agg_nodes = Array.map Pair.agg states; agg_start = 1; failures; params; graph } in
+  let correct =
+    match verdict with
+    | None | Some { Pair.result = Agg.Aborted; _ } -> true
+    | Some { Pair.result = Agg.Value v; _ } -> result_correct ~graph ~failures ~end_round ~params v
+  in
+  {
+    verdict;
+    trace;
+    lfc = has_lfc trace ~veri_end:duration;
+    edge_failures = model_edge_failures ~graph ~failures ~round:duration;
+    correct;
+  }

@@ -73,3 +73,29 @@ val has_lfc : agg_trace -> veri_end:int -> bool
     local descendant alive at global round [veri_end].  Fragments are cut
     at the {e root-visible} critical failures, exactly as the paper
     defines them. *)
+
+(** {2 The pair verdict} *)
+
+type pair_truth = {
+  verdict : Pair.verdict option;
+      (** the root's verdict; [None] iff the run ended before
+          [Pair.duration] (a watchdog halt) *)
+  trace : agg_trace;  (** the AGG half, started at round 1 *)
+  lfc : bool;  (** {!has_lfc} with VERI ending at [Pair.duration] *)
+  edge_failures : int;  (** {!model_edge_failures} at [Pair.duration] *)
+  correct : bool;
+      (** [true] on [None] or an abort; otherwise whether the value lies
+          in the correctness interval at the run's end round *)
+}
+
+val pair_truth :
+  graph:Ftagg_graph.Graph.t ->
+  failures:Ftagg_sim.Failure.t ->
+  params:Params.t ->
+  end_round:int ->
+  Pair.node array ->
+  pair_truth
+(** Ground truth for one AGG+VERI pair started at round 1 whose run
+    stopped after [end_round] rounds: the one judgment the runner, the
+    [agg] backend, the chaos campaign and the watchdog's final round
+    share.  [failures] is the materialized schedule. *)

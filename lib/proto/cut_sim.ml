@@ -52,22 +52,9 @@ let sum_transcript ~graph ~failures ~params ~b ~f ~seed ~cut =
     if is_boundary_alice.(node) then a2b := !a2b + bits
     else if is_boundary_bob.(node) then b2a := !b2a + bits
   in
-  let proto =
-    {
-      Engine.name = "tradeoff-cut";
-      init = (fun u ~rng -> Tradeoff.create params ~b ~f ~me:u ~rng);
-      step =
-        (fun ~round ~me:_ ~state ~inbox ->
-          let out = Tradeoff.step state ~round ~inbox in
-          (state, out));
-      msg_bits = Message.msg_bits params;
-      root_done = Tradeoff.root_done;
-      wake = Engine.every_round;
-    }
-  in
   let _, metrics =
     Engine.run ~observer ~graph ~failures ~max_rounds:(Tradeoff.max_rounds params ~b) ~seed
-      proto
+      (Tradeoff.protocol params ~b ~f)
   in
   {
     alice_to_bob_bits = !a2b;

@@ -37,8 +37,7 @@ let protocol ?(mode = Sum) ~graph ~params () =
   ignore mode;
   let msg_cost = 5 + Params.id_bits params + (2 * value_bits) in
   {
-    Engine.name = "flow-updating";
-    init =
+    Engine.init =
       (fun u ~rng:_ ->
         let neighbors = Array.of_list (Graph.neighbors graph u) in
         let deg = Array.length neighbors in

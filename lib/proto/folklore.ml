@@ -127,6 +127,15 @@ let step node ~rr ~inbox =
     List.map (fun body -> Message.{ exec = node.epoch; body }) !out
   end
 
+let protocol p ~mode =
+  {
+    Ftagg_sim.Engine.init = (fun u ~rng:_ -> create p ~mode ~me:u);
+    step = (fun ~round ~me:_ ~state ~inbox -> (state, step state ~rr:round ~inbox));
+    msg_bits = Message.msg_bits p;
+    root_done;
+    wake = Ftagg_sim.Engine.every_round;
+  }
+
 let root_result node =
   match node.output with
   | Some r -> r

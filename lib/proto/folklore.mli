@@ -43,4 +43,8 @@ val root_result : node -> result
 val root_done : node -> bool
 (** Whether the root has already accepted an epoch (enables early halt). *)
 
+val protocol : Params.t -> mode:mode -> (node, Message.t) Ftagg_sim.Engine.protocol
+(** The protocol as an engine protocol, halting once the root has
+    accepted ({!root_done}); drive it for {!duration} rounds. *)
+
 val epochs_used : node -> int

@@ -16,8 +16,7 @@ let push_sum_protocol ~graph ~inputs =
   let n = Graph.n graph in
   if Array.length inputs <> n then invalid_arg "Gossip.run: wrong inputs length";
   {
-    Engine.name = "push-sum";
-    init =
+    Engine.init =
       (fun u ~rng:_ ->
         {
           s = float_of_int inputs.(u);
@@ -96,6 +95,5 @@ let backend : Backend.t =
     let finish ~graph ~failures ~params ~b:_ ~f:_ ~states ~metrics =
       package ~graph ~failures ~params ~states ~metrics
 
-    let watch ?bit_cap ~params:_ ~graph:_ () =
-      Option.map (fun cap -> Backend.bits_watch ~bit_cap:cap) bit_cap
+    let watch = Backend.cap_watch
   end)

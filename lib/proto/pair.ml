@@ -44,6 +44,15 @@ let step node ~rr ~inbox =
     Veri.step veri ~rr:(rr - agg_dur) ~inbox
   end
 
+let protocol ?ablation p =
+  {
+    Ftagg_sim.Engine.init = (fun u ~rng:_ -> create ?ablation p ~me:u);
+    step = (fun ~round ~me:_ ~state ~inbox -> (state, step state ~rr:round ~inbox));
+    msg_bits = Message.bits p;
+    root_done = (fun _ -> false);
+    wake = Ftagg_sim.Engine.every_round;
+  }
+
 let root_verdict node =
   match node.veri with
   | None -> invalid_arg "Pair.root_verdict: execution not finished"

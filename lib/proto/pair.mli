@@ -18,6 +18,12 @@ val create : ?ablation:Agg.ablation -> Params.t -> me:int -> node
 
 val step : node -> rr:int -> inbox:(int * Message.body) list -> Message.body list
 
+val protocol :
+  ?ablation:Agg.ablation -> Params.t -> (node, Message.body) Ftagg_sim.Engine.protocol
+(** One pair as an engine protocol: execution round = engine round, raw
+    bodies charged by [Message.bits], no early halt (run it for
+    {!duration} rounds), stepped every round. *)
+
 val root_verdict : node -> verdict
 (** Meaningful once [rr = duration] has executed at the root. *)
 

@@ -64,9 +64,10 @@ val pair :
   seed:int ->
   unit ->
   pair_outcome
-(** One AGG+VERI pair starting at round 1.  [common.correct] is [true]
-    when AGG aborted (it gave up explicitly) or its value is in the
-    correctness interval. *)
+(** One AGG+VERI pair ({!Pair.protocol}) starting at round 1, judged by
+    {!Checker.pair_truth}.  [common.correct] is [true] when AGG aborted
+    (it gave up explicitly) or its value is in the correctness
+    interval. *)
 
 type agg_outcome = {
   result : Agg.result;
@@ -132,6 +133,7 @@ type tradeoff_outcome = {
 val tradeoff :
   ?loss:float ->
   ?obs:Ftagg_obs.Obs.t ->
+  ?strategy:Tradeoff.strategy ->
   graph:Ftagg_graph.Graph.t ->
   failures:Ftagg_sim.Failure.t ->
   params:Params.t ->
@@ -140,22 +142,9 @@ val tradeoff :
   seed:int ->
   unit ->
   tradeoff_outcome
-(** Algorithm 1 with the paper's sampled-interval strategy. *)
-
-val tradeoff_with :
-  ?loss:float ->
-  ?obs:Ftagg_obs.Obs.t ->
-  strategy:Tradeoff.strategy ->
-  graph:Ftagg_graph.Graph.t ->
-  failures:Ftagg_sim.Failure.t ->
-  params:Params.t ->
-  b:int ->
-  f:int ->
-  seed:int ->
-  unit ->
-  tradeoff_outcome
-(** Same, with an explicit interval-selection strategy (the [Sequential]
-    derandomized ablation of bench E15). *)
+(** Algorithm 1 ({!Tradeoff.protocol}).  [strategy] defaults to the
+    paper's [Sampled] intervals; [Sequential] is the derandomized
+    ablation of bench E15. *)
 
 type unknown_f_outcome = {
   result : Agg.result;  (** always [Value] *)
@@ -186,9 +175,10 @@ val unknown_f :
 type backend = Backend.t
 
 val agg_backend : backend
-(** One AGG+VERI pair.  On a watchdog-truncated run the result is
-    [Exact Aborted] with [("halted_early", "true")] evidence; otherwise
-    evidence carries [veri_ok], [lfc] and [edge_failures]. *)
+(** One AGG+VERI pair, judged by {!Checker.pair_truth} as {!pair} is.
+    On a watchdog-truncated run the result is [Exact Aborted] with
+    [("halted_early", "true")] evidence; otherwise evidence carries
+    [veri_ok], [lfc] and [edge_failures]. *)
 
 val flood_backend : backend
 (** Brute force — tolerates any number of crashes. *)

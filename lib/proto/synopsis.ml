@@ -51,8 +51,7 @@ let run_generic ~graph ~failures ~k ~rounds ~seed ~contribution ~truth =
   if k < 1 then invalid_arg "Synopsis: need k >= 1";
   let proto =
     {
-      Engine.name = "synopsis-diffusion";
-      init =
+      Engine.init =
         (fun u ~rng:_ ->
           let syn = Array.make k 0 in
           List.iter (fun e -> insert syn ~element:e) (contribution u);

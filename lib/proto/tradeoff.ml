@@ -1,5 +1,7 @@
 module Bits = Ftagg_util.Bits
 module Prng = Ftagg_util.Prng
+module Engine = Ftagg_sim.Engine
+module Span = Ftagg_obs.Span
 
 let bf_exec = -1  (* execution tag of the brute-force fallback *)
 
@@ -7,17 +9,22 @@ type how = Via_pair of int | Via_brute_force
 
 type strategy = Sampled | Sequential
 
-type exec = { y : int; start : int; pair : Pair.node }
+type plan = {
+  params : Params.t;
+  starts : Prng.t -> int list;
+  pair_params : int -> Params.t;
+  fallback : int;
+  spans : bool;
+}
+
+type exec = { tag : int; start : int; pair : Pair.node }
 
 type node = {
-  p : Params.t;  (* pair-parameterised: [t] already set to ⌊2f/x⌋ *)
-  b : int;
+  plan : plan;
   me : int;
-  x : int;
-  selected : int list;  (* root only; ascending distinct interval indices *)
+  starts : int list;  (* root only *)
   mutable current : exec option;
   mutable bf : Brute_force.node option;
-  mutable bf_start : int;
   mutable output : (int * how) option;
 }
 
@@ -33,48 +40,36 @@ let max_rounds (p : Params.t) ~b = b * p.Params.d
 
 let interval_len p = 19 * Params.cd p
 
-let create ?(strategy = Sampled) (p : Params.t) ~b ~f ~me ~rng =
-  let x = intervals p ~b in
-  let t = pair_t p ~b ~f in
-  let p = { p with Params.t = t } in
-  let selected =
-    if me <> Ftagg_graph.Graph.root then []
-    else
-      match strategy with
-      | Sequential -> List.init x (fun i -> i + 1)
-      | Sampled ->
-        (* log N integers drawn with replacement from [1, x]; duplicates
-           collapse (Algorithm 1 runs each distinct interval once). *)
-        let draws = max 1 (Bits.bits_for p.Params.n) in
-        let module IS = Set.Make (Int) in
-        let s = ref IS.empty in
-        for _ = 1 to draws do
-          s := IS.add (Prng.in_range rng 1 x) !s
-        done;
-        IS.elements !s
-  in
+let create plan ~me ~rng =
   {
-    p;
-    b;
+    plan;
     me;
-    x;
-    selected;
+    starts = (if me = Ftagg_graph.Graph.root then plan.starts rng else []);
     current = None;
     bf = None;
-    bf_start = (b * p.Params.d) - (2 * Params.cd p);
     output = None;
   }
 
 let root_done node = node.output <> None
 
-(* Telemetry: each interval execution is a [tradeoff/interval#y] span
-   wrapping the Pair phase spans opened by Agg/Veri; the brute-force
-   fallback is a phase of its own.  All calls are ambient no-ops when the
-   engine was given no [?obs] sink. *)
+(* Telemetry: under a plan with [spans], each execution is a
+   [tradeoff/interval#y] span wrapping the Pair phase spans opened by
+   Agg/Veri, and the brute-force fallback is a phase of its own.  All
+   calls are ambient no-ops when the engine was given no [?obs] sink. *)
 let span_name y = "tradeoff/interval#" ^ string_of_int y
 
+let start_pair node y ~start =
+  let pair = Pair.create (node.plan.pair_params y) ~me:node.me in
+  node.current <- Some { tag = y; start; pair };
+  if node.plan.spans then Span.enter ~node:node.me (span_name y)
+
+let end_pair node y =
+  if node.plan.spans then Span.exit_named ~node:node.me (span_name y);
+  node.current <- None
+
 let step node ~round ~inbox =
-  let p = node.p in
+  let plan = node.plan in
+  let p = plan.params in
   let is_root = node.me = Ftagg_graph.Graph.root in
   if node.output <> None then []
   else begin
@@ -84,21 +79,16 @@ let step node ~round ~inbox =
           if exec = y then Some (sender, body) else None)
         inbox
     in
-    (* Expire a finished execution. *)
+    (* Expire a finished execution.  [Pair.duration] does not depend on
+       [t], so every tag expires after the same number of rounds. *)
     (match node.current with
-    | Some { y; start; _ } when round - start + 1 > Pair.duration p ->
-      Ftagg_obs.Span.exit_named ~node:node.me (span_name y);
-      node.current <- None
+    | Some { tag; start; _ } when round - start + 1 > Pair.duration p -> end_pair node tag
     | _ -> ());
     let out = ref [] in
-    (* Root: start a pair at the head of each selected interval. *)
+    (* Root: start pair [y] at the head of interval [y]. *)
     (if is_root then
-       match
-         List.find_opt (fun y -> ((y - 1) * interval_len p) + 1 = round) node.selected
-       with
-       | Some y ->
-         node.current <- Some { y; start = round; pair = Pair.create p ~me:node.me };
-         Ftagg_obs.Span.enter ~node:node.me (span_name y)
+       match List.find_opt (fun y -> ((y - 1) * interval_len p) + 1 = round) node.starts with
+       | Some y -> start_pair node y ~start:round
        | None -> ());
     (* Non-root: activation by a tree_construct of a new execution. *)
     (if (not is_root) && node.current = None then
@@ -113,12 +103,11 @@ let step node ~round ~inbox =
             2s+2 of the execution: the phase-1 recurrence is recv = 2·level
             (ack in the receipt round, tree_construct one round later). *)
          let rr = (2 * level) + 2 in
-         node.current <- Some { y; start = round - rr + 1; pair = Pair.create p ~me:node.me };
-         Ftagg_obs.Span.enter ~node:node.me (span_name y)
+         start_pair node y ~start:(round - rr + 1)
        | _ -> ());
     (* Advance the current pair. *)
     (match node.current with
-    | Some { y; start; pair } ->
+    | Some { tag = y; start; pair } ->
       let rr = round - start + 1 in
       let bodies = Pair.step pair ~rr ~inbox:(pair_inbox y) in
       out := List.map (fun body -> Message.{ exec = y; body }) bodies;
@@ -127,28 +116,64 @@ let step node ~round ~inbox =
         (match v.Pair.result with
         | Agg.Value value when v.Pair.veri_ok -> node.output <- Some (value, Via_pair y)
         | Agg.Value _ | Agg.Aborted -> ());
-        Ftagg_obs.Span.exit_named ~node:node.me (span_name y);
-        node.current <- None
+        end_pair node y
       end
     | None -> ());
-    (* Brute-force fallback in the last 2c flooding rounds. *)
+    (* Brute-force fallback from the plan's fallback round on. *)
     if node.output = None then begin
-      (if is_root && round = node.bf_start then node.bf <- Some (Brute_force.create p ~me:node.me));
+      (if is_root && round = plan.fallback then node.bf <- Some (Brute_force.create p ~me:node.me));
       (if (not is_root) && node.bf = None
        && List.exists (fun (_, Message.{ exec; _ }) -> exec = bf_exec) inbox
       then node.bf <- Some (Brute_force.create p ~me:node.me));
       match node.bf with
       | Some bf ->
-        if node.current = None then Ftagg_obs.Span.phase ~node:node.me "tradeoff/brute_force";
-        let rr = round - node.bf_start + 1 in
+        if plan.spans && node.current = None then
+          Span.phase ~node:node.me "tradeoff/brute_force";
+        let rr = round - plan.fallback + 1 in
         let bodies = Brute_force.step bf ~rr ~inbox:(pair_inbox bf_exec) in
         out := !out @ List.map (fun body -> Message.{ exec = bf_exec; body }) bodies;
-        if is_root && round = node.bf_start + Brute_force.duration p - 1 then
+        if is_root && round = plan.fallback + Brute_force.duration p - 1 then
           node.output <- Some (Brute_force.root_result bf, Via_brute_force)
       | None -> ()
     end;
     !out
   end
+
+let drive plan =
+  {
+    Engine.init = (fun me ~rng -> create plan ~me ~rng);
+    step = (fun ~round ~me:_ ~state ~inbox -> (state, step state ~round ~inbox));
+    msg_bits = Message.msg_bits plan.params;
+    root_done;
+    wake = Engine.every_round;
+  }
+
+let plan ?(strategy = Sampled) (p : Params.t) ~b ~f =
+  let x = intervals p ~b in
+  let p = { p with Params.t = pair_t p ~b ~f } in
+  let starts rng =
+    match strategy with
+    | Sequential -> List.init x (fun i -> i + 1)
+    | Sampled ->
+      (* log N integers drawn with replacement from [1, x]; duplicates
+         collapse (Algorithm 1 runs each distinct interval once). *)
+      let draws = max 1 (Bits.bits_for p.Params.n) in
+      let module IS = Set.Make (Int) in
+      let s = ref IS.empty in
+      for _ = 1 to draws do
+        s := IS.add (Prng.in_range rng 1 x) !s
+      done;
+      IS.elements !s
+  in
+  {
+    params = p;
+    starts;
+    pair_params = (fun _ -> p);
+    fallback = (b * p.Params.d) - (2 * Params.cd p);
+    spans = true;
+  }
+
+let protocol ?strategy p ~b ~f = drive (plan ?strategy p ~b ~f)
 
 let root_result node =
   match node.output with
@@ -160,4 +185,4 @@ let root_how node =
   | Some (_, how) -> how
   | None -> invalid_arg "Tradeoff.root_how: execution not finished"
 
-let selected_intervals node = node.selected
+let selected_intervals node = node.starts

@@ -17,7 +17,9 @@
 type node
 
 type how =
-  | Via_pair of int  (** accepted in the interval with this index *)
+  | Via_pair of int
+      (** accepted in the execution with this tag (under Algorithm 1's
+          plan, the interval index) *)
   | Via_brute_force
 
 type strategy =
@@ -29,19 +31,44 @@ type strategy =
           back up to O(f·log N) — the experiment that shows what the
           private-coin sampling buys (bench E15). *)
 
-val create :
+type plan = {
+  params : Params.t;
+      (** sizes the intervals, parameterises the fallback and charges
+          [Message.msg_bits] *)
+  starts : Ftagg_util.Prng.t -> int list;
+      (** the root's start tags, ascending and distinct, drawn from its
+          private coins; pair [y] starts at global round
+          [(y − 1)·19cd + 1] and carries execution tag [y] *)
+  pair_params : int -> Params.t;  (** each tag's pair parameters *)
+  fallback : int;  (** the brute-force start round *)
+  spans : bool;
+      (** open a [tradeoff/interval#y] span per execution and a
+          [tradeoff/brute_force] phase *)
+}
+(** One schedule of AGG+VERI pairs in [19c]-flooding-round intervals
+    followed by a brute-force fallback.  The root starts the planned
+    tags; every other node joins an execution on its first
+    tree_construct.  The root outputs the first pair that ends with no
+    abort and a [true] verdict, or else the fallback's value.
+    [Pair.duration] and [Message.bits] do not depend on [t], so a
+    pair's expiry and accept rounds are the same under every plan. *)
+
+val drive : plan -> (node, Message.t) Ftagg_sim.Engine.protocol
+(** The interval driver for a plan as an engine protocol, halting once
+    the root has output. *)
+
+val protocol :
   ?strategy:strategy ->
   Params.t ->
   b:int ->
   f:int ->
-  me:int ->
-  rng:Ftagg_util.Prng.t ->
-  node
-(** [b] in flooding rounds; raises [Invalid_argument] if [b < 21c].  The
-    [t] field of the given params is ignored (the protocol derives its
-    own [⌊2f/x⌋]).  [rng] supplies the root's private coins for interval
-    selection (unused under [Sequential]); other nodes never draw from
-    it.  Default strategy: [Sampled]. *)
+  (node, Message.t) Ftagg_sim.Engine.protocol
+(** Algorithm 1: {!drive} on the plan with the [x] intervals chosen per
+    [strategy], every pair at [t = ⌊2f/x⌋], the fallback in the last
+    [2c] flooding rounds, and spans.  [b] in flooding rounds; raises
+    [Invalid_argument] if [b < 21c] or [f < 0].  The [t] field of the
+    given params is ignored.  Default strategy: [Sampled]; only the root
+    draws from its private coins, and only under [Sampled]. *)
 
 val max_rounds : Params.t -> b:int -> int
 (** [b·d] — pass to the engine. *)
@@ -52,11 +79,11 @@ val intervals : Params.t -> b:int -> int
 val pair_t : Params.t -> b:int -> f:int -> int
 (** [⌊2f/x⌋] — the per-interval tolerance. *)
 
-val step : node -> round:int -> inbox:(int * Message.t) list -> Message.t list
-(** [round] is the global round (the root initiates at round 1). *)
+val interval_len : Params.t -> int
+(** [19cd] rounds. *)
 
-val root_done : node -> bool
 val root_result : node -> int
 val root_how : node -> how
 val selected_intervals : node -> int list
-(** Root only: the sampled distinct interval indices, ascending. *)
+(** Root only: the plan's start tags (Algorithm 1: the sampled distinct
+    interval indices), ascending. *)

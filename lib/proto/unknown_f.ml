@@ -1,116 +1,29 @@
 module Bits = Ftagg_util.Bits
 
-let bf_exec = -1
-
 type how = Via_slot of int | Via_brute_force
 
-type exec = { g : int; start : int; pair : Pair.node }
-
-type node = {
-  base : Params.t;
-  me : int;
-  mutable current : exec option;
-  mutable bf : Brute_force.node option;
-  bf_start : int;
-  mutable output : (int * how) option;
-}
+type node = Tradeoff.node
 
 let slots (p : Params.t) = max 1 (Bits.bits_for p.Params.n) + 1
 
-let interval_len p = 19 * Params.cd p
+let max_rounds p = (slots p * Tradeoff.interval_len p) + (2 * Params.cd p) + 1
 
-let max_rounds p = (slots p * interval_len p) + (2 * Params.cd p) + 1
-
-let create p ~me =
+(* Slot g is execution tag g + 1 with t = 2^g, in interval g + 1. *)
+let plan p =
+  let slots = slots p in
   {
-    base = p;
-    me;
-    current = None;
-    bf = None;
-    bf_start = (slots p * interval_len p) + 1;
-    output = None;
+    Tradeoff.params = p;
+    starts = (fun _ -> List.init slots (fun g -> g + 1));
+    pair_params = (fun tag -> { p with Params.t = 1 lsl (tag - 1) });
+    fallback = (slots * Tradeoff.interval_len p) + 1;
+    spans = false;
   }
 
-let slot_params node g = { node.base with Params.t = 1 lsl g }
+let protocol p = Tradeoff.drive (plan p)
 
-let root_done node = node.output <> None
-
-let step node ~round ~inbox =
-  let p = node.base in
-  let is_root = node.me = Ftagg_graph.Graph.root in
-  if node.output <> None then []
-  else begin
-    let pair_inbox y =
-      List.filter_map
-        (fun (sender, Message.{ exec; body }) ->
-          if exec = y then Some (sender, body) else None)
-        inbox
-    in
-    (match node.current with
-    | Some { g; start; _ }
-      when round - start + 1 > Pair.duration (slot_params node g) ->
-      node.current <- None
-    | _ -> ());
-    let out = ref [] in
-    (if is_root then
-       let g = (round - 1) / interval_len p in
-       if g < slots p && ((g * interval_len p) + 1) = round then
-         node.current <-
-           Some { g; start = round; pair = Pair.create (slot_params node g) ~me:node.me });
-    (if (not is_root) && node.current = None then
-       match
-         List.find_opt
-           (fun (_, m) ->
-             m.Message.exec >= 1
-             && match m.Message.body with Message.Tree_construct _ -> true | _ -> false)
-           inbox
-       with
-       | Some (_, { Message.exec = e; body = Message.Tree_construct { level; _ } }) ->
-         (* Execution tag e = g + 1 (tags start at 1). *)
-         let g = e - 1 in
-         (* A level-(s+1) node receives its first tree_construct in round
-            2s+2 of the execution: the phase-1 recurrence is recv = 2·level
-            (ack in the receipt round, tree_construct one round later). *)
-         let rr = (2 * level) + 2 in
-         node.current <-
-           Some { g; start = round - rr + 1; pair = Pair.create (slot_params node g) ~me:node.me }
-       | _ -> ());
-    (match node.current with
-    | Some { g; start; pair } ->
-      let rr = round - start + 1 in
-      let bodies = Pair.step pair ~rr ~inbox:(pair_inbox (g + 1)) in
-      out := List.map (fun body -> Message.{ exec = g + 1; body }) bodies;
-      if is_root && rr = Pair.duration (slot_params node g) then begin
-        let v = Pair.root_verdict pair in
-        (match v.Pair.result with
-        | Agg.Value value when v.Pair.veri_ok -> node.output <- Some (value, Via_slot g)
-        | Agg.Value _ | Agg.Aborted -> ());
-        node.current <- None
-      end
-    | None -> ());
-    if node.output = None then begin
-      (if is_root && round = node.bf_start then node.bf <- Some (Brute_force.create p ~me:node.me));
-      (if (not is_root) && node.bf = None
-       && List.exists (fun (_, m) -> m.Message.exec = bf_exec) inbox
-      then node.bf <- Some (Brute_force.create p ~me:node.me));
-      match node.bf with
-      | Some bf ->
-        let rr = round - node.bf_start + 1 in
-        let bodies = Brute_force.step bf ~rr ~inbox:(pair_inbox bf_exec) in
-        out := !out @ List.map (fun body -> Message.{ exec = bf_exec; body }) bodies;
-        if is_root && round = node.bf_start + Brute_force.duration p - 1 then
-          node.output <- Some (Brute_force.root_result bf, Via_brute_force)
-      | None -> ()
-    end;
-    !out
-  end
-
-let root_result node =
-  match node.output with
-  | Some (v, _) -> v
-  | None -> invalid_arg "Unknown_f.root_result: execution not finished"
+let root_result = Tradeoff.root_result
 
 let root_how node =
-  match node.output with
-  | Some (_, how) -> how
-  | None -> invalid_arg "Unknown_f.root_how: execution not finished"
+  match Tradeoff.root_how node with
+  | Tradeoff.Via_pair tag -> Via_slot (tag - 1)
+  | Tradeoff.Via_brute_force -> Via_brute_force

@@ -12,7 +12,8 @@
     {e inside} slot [g] to defeat it, so the protocol terminates by slot
     [⌈log₂(f_actual+1)⌉] and its CC is [O(f_actual·log N + log²N)]. *)
 
-type node
+type node = Tradeoff.node
+(** The interval driver's node. *)
 
 type how =
   | Via_slot of int  (** accepted in slot [g] (i.e. with [t = 2^g]) *)
@@ -25,10 +26,11 @@ val slots : Params.t -> int
 val max_rounds : Params.t -> int
 (** Slots plus the brute-force fallback window. *)
 
-val create : Params.t -> me:int -> node
-(** The [t] field of the params is ignored. *)
+val protocol : Params.t -> (node, Message.t) Ftagg_sim.Engine.protocol
+(** {!Tradeoff.drive} on the doubling plan: every slot [g] is planned
+    (execution tag [g + 1], [t = 2^g], starting at round [g·19cd + 1]),
+    the brute-force fallback starts at [slots·19cd + 1], and no spans
+    are opened.  The [t] field of the params is ignored. *)
 
-val step : node -> round:int -> inbox:(int * Message.t) list -> Message.t list
-val root_done : node -> bool
 val root_result : node -> int
 val root_how : node -> how

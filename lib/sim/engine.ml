@@ -7,7 +7,6 @@ module Span = Ftagg_obs.Span
 type node_id = int
 
 type ('state, 'msg) protocol = {
-  name : string;
   init : node_id -> rng:Prng.t -> 'state;
   step :
     round:int ->

@@ -14,7 +14,6 @@
 type node_id = int
 
 type ('state, 'msg) protocol = {
-  name : string;
   init : node_id -> rng:Ftagg_util.Prng.t -> 'state;
       (** Initial state.  [rng] is a private-coin stream for this node,
           derived from the run seed. *)

@@ -10,16 +10,6 @@ open Helpers
 
 (* ---------- chaos-off differential: run_chaos ≡ run ---------- *)
 
-let pair_proto params =
-  {
-    Engine.name = "pair";
-    init = (fun u ~rng:_ -> Pair.create params ~me:u);
-    step = (fun ~round ~me:_ ~state ~inbox -> (state, Pair.step state ~rr:round ~inbox));
-    msg_bits = Message.bits params;
-    root_done = (fun _ -> false);
-    wake = Engine.every_round;
-  }
-
 let agg_project st = (Agg.level st, Agg.parent st, Agg.psum st, Agg.max_level st, Agg.aborted st)
 
 (* With no faults, no online adversary and no watchdog, run_chaos must be
@@ -58,7 +48,8 @@ let test_chaos_off_differential () =
           Alcotest.(check unit)
             (Printf.sprintf "chaos-off %s seed %d" name seed)
             ()
-            (both ~graph:g ~failures ~max_rounds:(Pair.duration params) ~seed (pair_proto params)))
+            (both ~graph:g ~failures ~max_rounds:(Pair.duration params) ~seed
+               (Pair.protocol params)))
         [ 1; 2; 3 ])
     [ ("grid", Gen.Grid); ("ring", Gen.Ring); ("caterpillar", Gen.Caterpillar) ]
 
@@ -72,7 +63,8 @@ let test_loss_only_differential () =
           let failures = Failure.random g ~rng:(Prng.create seed) ~budget:4 ~max_round:200 in
           both
             ~faults:{ Engine.loss; dup = 0.0; delay = 0.0 }
-            ~loss ~graph:g ~failures ~max_rounds:(Pair.duration params) ~seed (pair_proto params))
+            ~loss ~graph:g ~failures ~max_rounds:(Pair.duration params) ~seed
+            (Pair.protocol params))
         [ 1; 2; 3 ])
     [ 0.05; 0.3 ]
 
@@ -83,8 +75,7 @@ let test_loss_only_differential () =
    faults. *)
 let beacon_proto b =
   {
-    Engine.name = "beacon";
-    init = (fun _ ~rng:_ -> 0);
+    Engine.init = (fun _ ~rng:_ -> 0);
     step =
       (fun ~round:_ ~me ~state ~inbox ->
         if me = b then (state, [ () ]) else (state + List.length inbox, []));
@@ -235,7 +226,7 @@ let fault_fingerprint ~family ~seed (loss, dup, delay) =
     Engine.run_chaos ~faults:{ Engine.loss; dup; delay } ?online
       ~watch:(Watchdog.pair_watch ~params ~graph ())
       ~halt_on_violation:false ~graph ~failures:(Failure.none ~n) ~max_rounds:window ~seed
-      (pair_proto params)
+      (Pair.protocol params)
   in
   let m = r.Engine.c_metrics in
   let b = Buffer.create 1024 in
@@ -365,7 +356,7 @@ let test_frontier_under_faults () =
             ~rng:(Prng.create seed) ~budget:4 ~window
         in
         let r =
-          Engine.run_chaos ~faults ?online ~watch:(Watchdog.backend_bit_watch ~bit_cap:120)
+          Engine.run_chaos ~faults ?online ~watch:(Backend.bits_watch ~bit_cap:120)
             ~halt_on_violation:false ~graph ~failures:(Failure.none ~n) ~max_rounds:window ~seed
             { (Agg.protocol params) with Engine.wake }
         in
@@ -423,7 +414,7 @@ let test_planted_bit_cap_fires_at_correct_round () =
   let sc = base_scenario ~family:Gen.Star ~n:8 ~t:0 in
   let graph = Campaign.graph_of sc in
   let params = Campaign.params_of sc graph in
-  let proto = pair_proto params in
+  let proto = Pair.protocol params in
   let duration = Pair.duration params in
   let failures = Failure.none ~n:8 in
   let _, m = Engine.run ~graph ~failures ~max_rounds:duration ~seed:sc.Incident.run_seed proto in

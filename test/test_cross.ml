@@ -53,8 +53,7 @@ let test_engine_loss_validation () =
   let g = Gen.path 3 in
   let proto =
     {
-      Engine.name = "noop";
-      init = (fun _ ~rng:_ -> ());
+      Engine.init = (fun _ ~rng:_ -> ());
       step = (fun ~round:_ ~me:_ ~state:() ~inbox:_ -> ((), ([] : int list)));
       msg_bits = (fun _ -> 0);
       root_done = (fun _ -> false);
@@ -70,30 +69,13 @@ let test_engine_loss_zero_identical () =
   let n = 25 in
   let g = Gen.grid n in
   let params = params_of ~t:2 g ~inputs:(default_inputs n) in
-  let mk () =
-    {
-      Engine.name = "pair";
-      init = (fun u ~rng:_ -> Pair.create params ~me:u);
-      step =
-        (fun ~round ~me:_ ~state ~inbox ->
-          let inbox =
-            List.filter_map
-              (fun (s, m) -> if m.Message.exec = 0 then Some (s, m.Message.body) else None)
-              inbox
-          in
-          let out = Pair.step state ~rr:round ~inbox in
-          (state, List.map (fun body -> Message.{ exec = 0; body }) out));
-      msg_bits = Message.msg_bits params;
-      root_done = (fun _ -> false);
-      wake = Engine.every_round;
-    }
-  in
+  let proto = Pair.protocol params in
   let dur = Pair.duration params in
   let _, m0 =
-    Engine.run ~graph:g ~failures:(Failure.none ~n) ~max_rounds:dur ~seed:1 (mk ())
+    Engine.run ~graph:g ~failures:(Failure.none ~n) ~max_rounds:dur ~seed:1 proto
   in
   let _, m1 =
-    Engine.run ~loss:0.0 ~graph:g ~failures:(Failure.none ~n) ~max_rounds:dur ~seed:1 (mk ())
+    Engine.run ~loss:0.0 ~graph:g ~failures:(Failure.none ~n) ~max_rounds:dur ~seed:1 proto
   in
   for u = 0 to n - 1 do
     check_int "identical bits" (Metrics.bits_sent m0 u) (Metrics.bits_sent m1 u)

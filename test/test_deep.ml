@@ -26,8 +26,7 @@ let test_spec_flood_receipt_invariant () =
       let trace = Trace.create () in
       let proto =
         {
-          Engine.name = "agg-traced";
-          init = (fun u ~rng:_ -> Agg.create params ~me:u);
+          Engine.init = (fun u ~rng:_ -> Agg.create params ~me:u);
           step =
             (fun ~round ~me:_ ~state ~inbox ->
               let inbox =

@@ -57,17 +57,7 @@ let test_tradeoff_equivalence () =
       let inputs = default_inputs 30 in
       let params = params_of g ~inputs in
       let b = 63 and f = 4 in
-      let proto =
-        {
-          Engine.name = "tradeoff";
-          init = (fun u ~rng -> Tradeoff.create ~strategy:Tradeoff.Sampled params ~b ~f ~me:u ~rng);
-          step =
-            (fun ~round ~me:_ ~state ~inbox -> (state, Tradeoff.step state ~round ~inbox));
-          msg_bits = Message.msg_bits params;
-          root_done = Tradeoff.root_done;
-          wake = Engine.every_round;
-        }
-      in
+      let proto = Tradeoff.protocol params ~b ~f in
       List.iter
         (fun seed ->
           let failures =
@@ -87,16 +77,7 @@ let test_tradeoff_equivalence () =
 let test_pair_equivalence () =
   let g = Gen.grid 25 in
   let params = params_of ~t:2 g ~inputs:(default_inputs 25) in
-  let proto =
-    {
-      Engine.name = "pair";
-      init = (fun u ~rng:_ -> Pair.create params ~me:u);
-      step = (fun ~round ~me:_ ~state ~inbox -> (state, Pair.step state ~rr:round ~inbox));
-      msg_bits = Message.bits params;
-      root_done = (fun _ -> false);
-      wake = Engine.every_round;
-    }
-  in
+  let proto = Pair.protocol params in
   List.iter
     (fun seed ->
       let failures = Failure.random g ~rng:(Prng.create (seed * 5)) ~budget:4 ~max_round:250 in

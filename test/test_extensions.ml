@@ -12,8 +12,7 @@ let test_trace_records_broadcasts () =
   let tr = Trace.create () in
   let proto =
     {
-      Engine.name = "beeper";
-      init = (fun _ ~rng:_ -> ());
+      Engine.init = (fun _ ~rng:_ -> ());
       step =
         (fun ~round ~me ~state:() ~inbox:_ ->
           ((), if me = 0 && round <= 2 then [ round ] else []));
@@ -35,8 +34,7 @@ let test_trace_keep_silent () =
   let tr = Trace.create ~keep_silent:true () in
   let proto =
     {
-      Engine.name = "silent";
-      init = (fun _ ~rng:_ -> ());
+      Engine.init = (fun _ ~rng:_ -> ());
       step = (fun ~round:_ ~me:_ ~state:() ~inbox:_ -> ((), ([] : int list)));
       msg_bits = (fun _ -> 1);
       root_done = (fun _ -> false);

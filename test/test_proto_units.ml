@@ -114,8 +114,7 @@ let test_flood_propagation_bound () =
       let d = match Path.diameter g with Some d -> d | None -> assert false in
       let proto =
         {
-          Engine.name = "flood";
-          init = (fun u ~rng:_ -> (Flood.create (), ref (if u = 0 then 0 else -1)));
+          Engine.init = (fun u ~rng:_ -> (Flood.create (), ref (if u = 0 then 0 else -1)));
           step =
             (fun ~round ~me ~state:((f, got) as state) ~inbox ->
               List.iter

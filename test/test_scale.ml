@@ -229,8 +229,7 @@ let test_executor_counters () =
    broadcasts its id every round. *)
 let chatty_protocol ?(raise_at = -1) ?(raise_me = -1) () =
   {
-    Engine.name = "chatty";
-    init = (fun u ~rng:_ -> u);
+    Engine.init = (fun u ~rng:_ -> u);
     step =
       (fun ~round ~me ~state ~inbox:_ ->
         if round = raise_at && me = raise_me then failwith "boom";

@@ -168,8 +168,7 @@ type probe = { mutable heard : (int * int) list }
 
 let probe_protocol ~n:_ ~bits =
   {
-    Engine.name = "probe";
-    init = (fun _ ~rng:_ -> { heard = [] });
+    Engine.init = (fun _ ~rng:_ -> { heard = [] });
     step =
       (fun ~round ~me ~state ~inbox ->
         List.iter (fun (s, _) -> state.heard <- (round, s) :: state.heard) inbox;
@@ -235,8 +234,7 @@ let test_engine_root_done_halts () =
   let g = Gen.path 4 in
   let proto =
     {
-      Engine.name = "halt3";
-      init = (fun _ ~rng:_ -> ref 0);
+      Engine.init = (fun _ ~rng:_ -> ref 0);
       step = (fun ~round ~me:_ ~state ~inbox:_ -> state := round; (state, []));
       msg_bits = (fun _ -> 0);
       root_done = (fun s -> !s >= 3);
@@ -250,8 +248,7 @@ let test_engine_per_node_rng_deterministic () =
   let g = Gen.path 3 in
   let proto seedcell =
     {
-      Engine.name = "rng";
-      init = (fun u ~rng -> seedcell.(u) <- Prng.int rng 1000000; ());
+      Engine.init = (fun u ~rng -> seedcell.(u) <- Prng.int rng 1000000; ());
       step = (fun ~round:_ ~me:_ ~state ~inbox:_ -> (state, []));
       msg_bits = (fun _ -> 0);
       root_done = (fun _ -> false);
