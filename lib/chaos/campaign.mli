@@ -101,14 +101,16 @@ type config = {
           the hook means the transport refused the trial (backpressure or
           cancellation); it is counted in [o_rejected_trials] and skipped.
           The transport speaks pair scenarios, so it only applies when
-          [backend = "agg"]. *)
+          [backend] names the ["agg"] backend. *)
   backend : string;
       (** which {!Ftagg_proto.Run.backends} entry the trials run
           (default ["agg"], the watched AGG+VERI pair).  Every random
           draw — topology, parameters, adversary, schedule — is
           backend-independent, so campaigns with equal seeds subject
-          every backend to the {e same} adversary schedules.  Unknown
-          names raise [Invalid_argument] before the first trial. *)
+          every backend to the {e same} adversary schedules.  The name is
+          resolved as {!Ftagg_proto.Run.backend_of_string} does,
+          case-insensitively; unknown names raise [Invalid_argument]
+          before the first trial. *)
 }
 
 val default_config : config
