@@ -177,3 +177,28 @@ let iter_neighbors t u f =
   for i = get t.offsets u to get t.offsets (u + 1) - 1 do
     f (get t.targets i)
   done
+
+let bfs t ~dist ~queue src =
+  Bigarray.Array1.fill dist (-1);
+  set queue 0 src;
+  set dist src 0;
+  let head = ref 0 and tail = ref 1 in
+  let far = ref src and ecc = ref 0 in
+  while !head < !tail do
+    let u = get queue !head in
+    incr head;
+    let du = get dist u in
+    if du > !ecc then begin
+      ecc := du;
+      far := u
+    end;
+    for i = get t.offsets u to get t.offsets (u + 1) - 1 do
+      let v = get t.targets i in
+      if get dist v < 0 then begin
+        set dist v (du + 1);
+        set queue !tail v;
+        incr tail
+      end
+    done
+  done;
+  (!far, !ecc, !tail)

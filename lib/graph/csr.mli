@@ -44,3 +44,14 @@ val num_edges : t -> int
 val degree : t -> int -> int
 val max_degree : t -> int
 val iter_neighbors : t -> int -> (int -> unit) -> unit
+
+val make_ints : int -> ints
+(** An uninitialised flat int array of the given length. *)
+
+val bfs : t -> dist:ints -> queue:ints -> int -> int * int * int
+(** [bfs t ~dist ~queue src] runs a breadth-first search from [src] with
+    no allocation: it writes each node's hop distance into [dist]
+    ([-1] where unreached) and uses [queue] as the FIFO, both of length
+    [n t].  Returns the last node reached (one farthest from [src]), its
+    distance (the eccentricity of [src] within its component) and the
+    number of nodes reached. *)

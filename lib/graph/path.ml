@@ -46,16 +46,22 @@ let is_connected g =
     let dist = bfs g src in
     Graph.fold_nodes (fun v ok -> ok && dist.(v) <> max_int) g true
 
+(* One BFS per present node over a CSR snapshot, whose rows drop removed
+   nodes: a search reaches only present nodes, so the graph is connected
+   iff the first one reaches them all. *)
 let diameter g =
-  let diam =
-    Graph.fold_nodes
-      (fun u acc ->
-        match acc, eccentricity g u with
-        | None, _ | _, None -> None
-        | Some m, Some e -> Some (max m e))
-      g (Some 0)
+  let n = Graph.n g in
+  let csr = Graph.csr g in
+  let dist = Csr.make_ints n and queue = Csr.make_ints n in
+  let present = Graph.fold_nodes (fun _ k -> k + 1) g 0 in
+  let rec go u diam =
+    if u >= n then Some diam
+    else if not (Graph.mem g u) then go (u + 1) diam
+    else
+      let _, ecc, reached = Csr.bfs csr ~dist ~queue u in
+      if reached < present then None else go (u + 1) (max diam ecc)
   in
-  diam
+  go 0 0
 
 let component_of g src =
   if not (Graph.mem g src) then []

@@ -5,11 +5,8 @@ module Prng = Ftagg_util.Prng
 
 include Csr
 
-let make_ints len : ints = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len
-
-(* Typed, so the Bigarray accesses compile to inline loads and stores. *)
+(* Typed, so the Bigarray reads compile to inline loads. *)
 let get (a : ints) i = Bigarray.Array1.unsafe_get a i
-let set (a : ints) i x = Bigarray.Array1.unsafe_set a i x
 
 let to_graph t =
   Graph.of_iter ~n:t.n (fun emit ->
@@ -102,43 +99,15 @@ let has_edge t u v =
   done;
   !found
 
-(* BFS over the CSR with flat scratch; returns (farthest node, its
-   distance, visited count).  [dist] must have length n. *)
-let bfs t src dist =
-  Bigarray.Array1.fill dist (-1);
-  let queue = make_ints t.n in
-  set queue 0 src;
-  set dist src 0;
-  let head = ref 0 and tail = ref 1 in
-  let far = ref src and ecc = ref 0 in
-  while !head < !tail do
-    let u = get queue !head in
-    incr head;
-    let du = get dist u in
-    if du > !ecc then begin
-      ecc := du;
-      far := u
-    end;
-    for i = get t.offsets u to get t.offsets (u + 1) - 1 do
-      let v = get t.targets i in
-      if get dist v < 0 then begin
-        set dist v (du + 1);
-        set queue !tail v;
-        incr tail
-      end
-    done
-  done;
-  (!far, !ecc, !tail)
-
 let connected t =
-  let dist = make_ints t.n in
-  let _, _, visited = bfs t Graph.root dist in
+  let _, _, visited = bfs t ~dist:(make_ints t.n) ~queue:(make_ints t.n) Graph.root in
   visited = t.n
 
+(* Double sweep: BFS from the root, then from the farthest node found. *)
 let pseudo_diameter t =
-  let dist = make_ints t.n in
-  let far, _, _ = bfs t Graph.root dist in
-  let _, ecc, _ = bfs t far dist in
+  let dist = make_ints t.n and queue = make_ints t.n in
+  let far, _, _ = bfs t ~dist ~queue Graph.root in
+  let _, ecc, _ = bfs t ~dist ~queue far in
   max ecc 1
 
 let validate ?spec t =

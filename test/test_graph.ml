@@ -137,6 +137,30 @@ let qcheck_tests =
         let before = Path.reachable_from_root g in
         let after = Path.reachable_from_root g' in
         List.for_all (fun u -> List.mem u before) after);
+    (* [Path.diameter] searches a CSR snapshot; the list-based
+       [Path.eccentricity] stays the reference.  Sparse random edge sets
+       are often disconnected, and removed nodes must be skipped. *)
+    Test.make ~name:"diameter is the largest eccentricity, or None" ~count:200
+      (triple (int_range 1 24) (int_range 0 100) small_int)
+      (fun (n, percent, seed) ->
+        let rng = Prng.create seed in
+        let edges = ref [] in
+        for u = 0 to n - 1 do
+          for v = u + 1 to n - 1 do
+            if Prng.int rng 100 < percent / 3 then edges := (u, v) :: !edges
+          done
+        done;
+        let removed = List.filter (fun _ -> Prng.int rng 4 = 0) (List.init n Fun.id) in
+        let g = Graph.remove_nodes (Graph.of_edges ~n !edges) removed in
+        let reference =
+          Graph.fold_nodes
+            (fun u acc ->
+              match (acc, Path.eccentricity g u) with
+              | Some m, Some e -> Some (max m e)
+              | _ -> None)
+            g (Some 0)
+        in
+        Path.diameter g = reference);
   ]
 
 let suite =
