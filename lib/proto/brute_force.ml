@@ -51,13 +51,23 @@ let step node ~rr ~inbox =
   end;
   Flood.drain node.flood
 
+(* Only the root acts on an empty inbox (the start flood in round 1, the
+   output in the last); every other node starts on the start flood and
+   then only forwards, so mail is its only wake. *)
+let wake node ~round =
+  if Flood.pending node.flood then round + 1
+  else if node.me <> Ftagg_graph.Graph.root then max_int
+  else if round < 1 then 1
+  else if round < duration node.p then duration node.p
+  else max_int
+
 let protocol p =
   {
     Ftagg_sim.Engine.init = (fun u ~rng:_ -> create p ~me:u);
     step = (fun ~round ~me:_ ~state ~inbox -> (state, step state ~rr:round ~inbox));
     msg_bits = Message.bits p;
     root_done = (fun _ -> false);
-    wake = Ftagg_sim.Engine.every_round;
+    wake;
   }
 
 let root_result node =

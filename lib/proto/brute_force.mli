@@ -17,10 +17,16 @@ val create : Params.t -> me:int -> node
 
 val step : node -> rr:int -> inbox:(int * Message.body) list -> Message.body list
 
+val wake : node -> round:int -> int
+(** The node's schedule, in the sense of {!Ftagg_sim.Engine.protocol}'s
+    [wake]: [round + 1] while a flood is queued; the root's start round
+    [1] and output round {!duration}; [max_int] for every other node,
+    which mail wakes. *)
+
 val protocol : Params.t -> (node, Message.body) Ftagg_sim.Engine.protocol
 (** The standalone baseline as an engine protocol: execution round =
     engine round, raw bodies charged by [Message.bits], no early halt
-    (run it for {!duration} rounds). *)
+    (run it for {!duration} rounds), and {!wake} as its schedule. *)
 
 val root_result : node -> int
 (** Aggregate of the root's own input and every distinct flooded value

@@ -139,13 +139,49 @@ let step node ~round ~inbox =
     !out
   end
 
+(* The driver's schedule: the root's next start tag and its fallback
+   round, the current pair's own schedule and its expiry round (which
+   clears [current] and closes its span), and the fallback's schedule —
+   the two sub-schedules shifted from execution to global rounds.  Mail
+   wakes an idle non-root node; nothing wakes anyone once the root has
+   output. *)
+let wake node ~round =
+  if node.output <> None then max_int
+  else begin
+    let plan = node.plan in
+    let p = plan.params in
+    let next a acc = if a > round && a < acc then a else acc in
+    let shift ~start = function r when r = max_int -> max_int | r -> start + r - 1 in
+    let root =
+      if node.me <> Ftagg_graph.Graph.root then max_int
+      else
+        List.fold_left
+          (fun acc y -> next (((y - 1) * interval_len p) + 1) acc)
+          (next plan.fallback max_int) node.starts
+    in
+    let pair =
+      match node.current with
+      | Some { start; pair; _ } ->
+        min (start + Pair.duration p)
+          (shift ~start (Pair.wake pair ~round:(round - start + 1)))
+      | None -> max_int
+    in
+    let bf =
+      match node.bf with
+      | Some bf ->
+        shift ~start:plan.fallback (Brute_force.wake bf ~round:(round - plan.fallback + 1))
+      | None -> max_int
+    in
+    min root (min pair bf)
+  end
+
 let drive plan =
   {
     Engine.init = (fun me ~rng -> create plan ~me ~rng);
     step = (fun ~round ~me:_ ~state ~inbox -> (state, step state ~round ~inbox));
     msg_bits = Message.msg_bits plan.params;
     root_done;
-    wake = Engine.every_round;
+    wake;
   }
 
 let plan ?(strategy = Sampled) (p : Params.t) ~b ~f =

@@ -55,7 +55,10 @@ type plan = {
 
 val drive : plan -> (node, Message.t) Ftagg_sim.Engine.protocol
 (** The interval driver for a plan as an engine protocol, halting once
-    the root has output. *)
+    the root has output.  Its [wake] is the root's next start tag and
+    fallback round, the current pair's {!Pair.wake} and expiry round,
+    and the fallback's {!Brute_force.wake}, in global rounds; an idle
+    non-root node waits for mail. *)
 
 val protocol :
   ?strategy:strategy ->

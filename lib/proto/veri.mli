@@ -24,11 +24,24 @@ val duration : Params.t -> int
 (** Rounds in one execution: [5cd + 3]. *)
 
 val create : Params.t -> me:int -> from_agg:Agg.node -> node
-(** Fresh VERI state seeded with the tree information (parent, children,
-    level, ancestors, max level, critical failures) of the given completed
-    AGG instance at the same node. *)
+(** Fresh VERI state over the given AGG instance at the same node.  VERI
+    reads that instance's tree information (activation, parent,
+    children, level, ancestors, max level, critical failures) in place,
+    so it may be created before AGG runs; AGG must have finished by
+    VERI's first {!step}. *)
 
 val step : node -> rr:int -> inbox:(int * Message.body) list -> Message.body list
+
+val wake : node -> round:int -> int
+(** The node's next action round after [round], in the sense of
+    {!Ftagg_sim.Engine.protocol}'s [wake]: [round + 1] while a flood is
+    queued; [max_int] for a node AGG never activated; otherwise the
+    smallest above [round] of the failed-parent check [level + 1]
+    (mandatory even with an empty inbox: a silent parent is what it
+    detects), the failed-child beat [3cd + 2 − level], the determination
+    round [4cd + 3] and, at the root, {!duration} for the verdict.  It
+    depends only on AGG's tree, so it is VERI's schedule also while AGG
+    still runs. *)
 
 val root_verdict : node -> bool
 (** The root's output; meaningful once [rr = duration] has executed. *)
