@@ -18,7 +18,12 @@
       guaranteed when VERI accepts — scenario 3 exists precisely because
       AGG alone may double-count);
     - {b Table 2} — at the final round, the verdict obligations of the
-      scenario the materialized schedule landed in. *)
+      scenario the materialized schedule landed in.
+
+    The two per-node checks read only the round's broadcasters
+    ([Engine.view.v_broadcasters]), the only nodes whose bits or
+    activation can have changed, and so report the same first violation
+    as a scan of every node. *)
 
 val pair_bit_cap : Ftagg_proto.Params.t -> int
 (** The default cap: AGG's abort budget plus VERI's overflow budget plus

@@ -74,22 +74,21 @@ let exact (module B : S) = B.exact
 let guarantee (module B : S) = B.guarantee
 
 (* Protocol-agnostic per-node bit accounting — any backend's state type
-   fits, so a planted cap plants the same invariant everywhere. *)
+   fits, so a planted cap plants the same invariant everywhere.  A node's
+   bits change only when it broadcasts, and every node starts at 0, so
+   with a cap >= 0 the first node over it is among the round's
+   broadcasters: walking them reports what a scan of all n would. *)
 let bits_watch ~bit_cap view =
   let metrics = view.Engine.v_metrics in
-  let n = Array.length view.Engine.v_states in
-  let rec go u =
-    if u >= n then None
-    else begin
-      let b = Metrics.bits_sent metrics u in
-      if b > bit_cap then
-        Some
-          ( "bit_budget",
-            Printf.sprintf "node %d has sent %d bits, over the %d-bit cap" u b bit_cap )
-      else go (u + 1)
-    end
+  let over u =
+    let b = Metrics.bits_sent metrics u in
+    if b > bit_cap then
+      Some
+        ("bit_budget", Printf.sprintf "node %d has sent %d bits, over the %d-bit cap" u b bit_cap)
+    else None
   in
-  go 0
+  (* Under a negative cap every node is over it from the start. *)
+  if bit_cap < 0 then over 0 else List.find_map over view.Engine.v_broadcasters
 
 let cap_watch ?bit_cap ~params:_ ~graph:_ () =
   Option.map (fun cap -> bits_watch ~bit_cap:cap) bit_cap

@@ -124,9 +124,11 @@ val guarantee : t -> string
 
 val bits_watch : bit_cap:int -> 'state Ftagg_sim.Engine.watch
 (** Generic per-node bit accounting: fires ["bit_budget"] on the first
-    round any node's cumulative broadcast bits exceed the cap.  The
-    protocol-agnostic half of {!Watchdog.pair_watch}'s budget check,
-    usable with any backend state. *)
+    round any node's cumulative broadcast bits exceed the cap, naming the
+    lowest such node.  The protocol-agnostic half of
+    {!Watchdog.pair_watch}'s budget check, usable with any backend
+    state.  It reads only the round's broadcasters
+    ([Engine.view.v_broadcasters]), the only nodes whose bits changed. *)
 
 val cap_watch :
   ?bit_cap:int ->

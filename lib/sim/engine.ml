@@ -97,6 +97,7 @@ type 'state view = {
   v_states : 'state array;
   v_metrics : Metrics.t;
   v_crash_rounds : int array;
+  v_broadcasters : int list;
 }
 
 type 'state watch = 'state view -> (string * string) option
@@ -285,10 +286,32 @@ let loop ~dispatch ?observer ?obs ~chaos ~csr ~failures ~max_rounds ~seed proto 
   let violation = ref None in
   let round = ref 1 in
   let halted = ref false in
+  (* Who broadcast this round, ascending — what both the watch view and
+     the online report carry.  Built once per round, and only when one
+     of them will read it. *)
+  let broadcasters () =
+    let sent = !in_flight in
+    let rec go u acc =
+      if u < 0 then acc else go (u - 1) (match sent.(u) with [] -> acc | _ -> u :: acc)
+    in
+    go (n - 1) []
+  in
   let after_round r =
+    let sent =
+      if Option.is_none chaos.watch && Option.is_none chaos.online then [] else broadcasters ()
+    in
     (match chaos.watch with
     | Some w when !violation = None -> (
-      match w { v_round = r; v_states = states; v_metrics = metrics; v_crash_rounds = crash } with
+      match
+        w
+          {
+            v_round = r;
+            v_states = states;
+            v_metrics = metrics;
+            v_crash_rounds = crash;
+            v_broadcasters = sent;
+          }
+      with
       | Some (invariant, detail) ->
         violation := Some { at_round = r; invariant; detail };
         (match obs with Some o -> Obs.on_violation o ~round:r ~invariant ~detail | None -> ());
@@ -297,14 +320,8 @@ let loop ~dispatch ?observer ?obs ~chaos ~csr ~failures ~max_rounds ~seed proto 
     | _ -> ());
     match chaos.online with
     | Some adversary when not !halted ->
-      let sent = !in_flight in
-      let rec broadcasters u acc =
-        if u < 0 then acc
-        else broadcasters (u - 1) (match sent.(u) with [] -> acc | _ -> u :: acc)
-      in
       let report =
-        { rr_round = r; rr_broadcasters = broadcasters (n - 1) []; rr_metrics = metrics;
-          rr_crash_rounds = crash }
+        { rr_round = r; rr_broadcasters = sent; rr_metrics = metrics; rr_crash_rounds = crash }
       in
       List.iter
         (fun u -> if u > 0 && u < n && crash.(u) > r + 1 then crash.(u) <- r + 1)

@@ -142,6 +142,12 @@ type 'state view = {
   v_states : 'state array;
   v_metrics : Metrics.t;
   v_crash_rounds : int array;  (** treat as read-only *)
+  v_broadcasters : int list;
+      (** nodes that sent a non-empty broadcast this round, ascending —
+          the same list as the round's [rr_broadcasters].  A per-node
+          check whose inputs change only when a node broadcasts can walk
+          this instead of all [n] nodes.  Built once per round, and only
+          when a watch or an online adversary is present. *)
 }
 (** Snapshot handed to a watchdog after each round's steps. *)
 
