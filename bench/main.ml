@@ -1265,6 +1265,15 @@ let perf_workload () =
   let params = Params.make ~c:2 ~graph:g ~inputs:(Array.make n 3) () in
   (g, params, Failure.none ~n, Agg.duration params)
 
+(* [perf]'s pair workload, which [guard] re-counts: one AGG+VERI pair at
+   t = 3 on a failure-free 100-node grid, 439 rounds per run — the run
+   whose step count test_engine_perf.ml pins. *)
+let perf_pair_workload () =
+  let n = 100 in
+  let g = Gen.grid n in
+  let params = Params.make ~c:2 ~t:3 ~graph:g ~inputs:(Array.init n (fun i -> i + 1)) () in
+  (g, params, Failure.none ~n, Pair.duration params)
+
 let perf_reps = List.concat_map (fun s -> [ s; s + 100; s + 200 ]) seeds
 
 (* [perf]'s timed sweep ([run] on each of [perf_reps]), after one warm-up
@@ -1294,7 +1303,8 @@ let node_steps run proto =
 let perf () =
   header
     "PERF | engine hot path — reference (seed) pipeline vs CSR engine, every round vs frontier\n\
-     256-node grid, AGG, identical metrics required; JSON to BENCH_engine.json";
+     256-node grid, AGG, and 100-node grid, AGG+VERI pair; identical metrics required;\n\
+     JSON to BENCH_engine.json";
   let g, params, failures, dur = perf_workload () in
   let every = { (Agg.protocol params) with Engine.wake = Engine.every_round } in
   let reference seed proto = Engine.run_reference ~graph:g ~failures ~max_rounds:dur ~seed proto in
@@ -1321,6 +1331,25 @@ let perf () =
   and every_steps = node_steps (csr 1) every
   and fast_steps = node_steps (csr 1) (Agg.protocol params) in
   let speedup = fast_rps /. seed_rps and frontier_speedup = fast_rps /. every_rps in
+  (* The same every-round vs frontier contrast on the AGG+VERI pair. *)
+  let pg, pparams, pfailures, pdur = perf_pair_workload () in
+  let pair_csr seed proto = Engine.run ~graph:pg ~failures:pfailures ~max_rounds:pdur ~seed proto in
+  let pair_every = { (Pair.protocol pparams) with Engine.wake = Engine.every_round } in
+  let pair_identical =
+    List.for_all
+      (fun s ->
+        let _, m_every = pair_csr s pair_every and _, m_new = pair_csr s (Pair.protocol pparams) in
+        Metrics.cc m_every = Metrics.cc m_new && Metrics.rounds m_every = Metrics.rounds m_new)
+      seeds
+  in
+  if not pair_identical then failwith "perf: the pair's frontier diverged from every-round stepping";
+  let pair_every_wall, pair_every_rps = perf_sweep ~dur:pdur (fun s -> pair_csr s pair_every) in
+  let pair_fast_wall, pair_fast_rps =
+    perf_sweep ~dur:pdur (fun s -> pair_csr s (Pair.protocol pparams))
+  in
+  let pair_every_steps = node_steps (pair_csr 1) pair_every
+  and pair_fast_steps = node_steps (pair_csr 1) (Pair.protocol pparams) in
+  let pair_speedup = pair_fast_rps /. pair_every_rps in
   (* Multicore scaling: the same fast-engine sweep fanned over domains. *)
   let domains = Sweep.default_domains () in
   let (), sweep_wall =
@@ -1334,9 +1363,12 @@ let perf () =
       ("seed pipeline (reference engine)", seed_wall, seed_rps, seed_steps);
       ("CSR engine, every round", every_wall, every_rps, every_steps);
       ("CSR engine, frontier rounds", fast_wall, fast_rps, fast_steps);
+      ("pair, every round", pair_every_wall, pair_every_rps, pair_every_steps);
+      ("pair, frontier rounds", pair_fast_wall, pair_fast_rps, pair_fast_steps);
     ];
   Printf.printf "%-34s %8.2fx\n" "speedup (frontier vs seed)" speedup;
   Printf.printf "%-34s %8.2fx\n" "speedup (frontier vs every round)" frontier_speedup;
+  Printf.printf "%-34s %8.2fx\n" "pair speedup (frontier vs every)" pair_speedup;
   Printf.printf "%-34s %8.3f s  (%d domains, %.2fx vs serial; %d core(s))\n"
     "fast pipeline via Sweep" sweep_wall domains (fast_wall /. sweep_wall) cores;
   Printf.printf "metrics identical across %d seeds: %b\n" (List.length seeds) identical;
@@ -1373,6 +1405,24 @@ let perf () =
               fast_rps fast_steps );
           ("speedup", Float (q2 speedup));
           ("frontier_speedup", Float (q2 frontier_speedup));
+          ( "pair",
+            Obj
+              [
+                ("graph", String "grid");
+                ("n", Int (Graph.n pg));
+                ("protocol", String "AGG+VERI pair, t=3");
+                ("rounds_per_run", Int pdur);
+                ("runs_timed", Int (List.length perf_reps));
+                ("cores", Int cores);
+                ("metrics_identical", Bool pair_identical);
+                ( "every_round",
+                  row "CSR delivery loop, wake = every_round" pair_every_wall pair_every_rps
+                    pair_every_steps );
+                ( "frontier",
+                  row "CSR delivery loop, Pair.wake (frontier rounds)" pair_fast_wall
+                    pair_fast_rps pair_fast_steps );
+                ("frontier_speedup", Float (q2 pair_speedup));
+              ] );
           ( "sweep",
             Obj
               [
@@ -2131,7 +2181,8 @@ let fail fmt = Printf.ksprintf (fun msg -> raise (Guard_failed msg)) fmt
 (* The experiment that writes each committed key. *)
 let baseline_writers =
   [
-    ("overhauled_pipeline", "perf"); ("cross_protocol", "e20"); ("update_lag", "e21");
+    ("overhauled_pipeline", "perf"); ("pair", "perf"); ("cross_protocol", "e20");
+    ("update_lag", "e21");
     ("fleet", "e22"); ("scale", "e23"); ("scenarios", "e24");
   ]
 
@@ -2156,19 +2207,32 @@ let get_float = field Bench_io.to_float "number"
 let get_str = field Bench_io.to_string_v "string"
 let get_bool = field Bench_io.to_bool "boolean"
 let get_list = field Bench_io.to_list "list"
+let get_obj = field Option.some "object"
 
 (* The frontier's work as a count, independent of host speed: [perf]'s
    AGG run must step no more nodes than the committed
-   [overhauled_pipeline.node_steps_per_run]. *)
+   [overhauled_pipeline.node_steps_per_run], and its pair run no more
+   than [pair.frontier.node_steps_per_run]. *)
 let guard_frontier_steps () =
-  let committed = get_int "node_steps_per_run" (committed "overhauled_pipeline") in
+  let committed_agg = get_int "node_steps_per_run" (committed "overhauled_pipeline") in
   let g, params, failures, dur = perf_workload () in
   let steps =
     node_steps (Engine.run ~graph:g ~failures ~max_rounds:dur ~seed:1) (Agg.protocol params)
   in
-  if steps > committed then
-    fail "AGG steps %d nodes per run, more than the committed %d" steps committed;
-  Printf.printf "frontier     %d node steps per run <= committed %d  OK\n" steps committed
+  if steps > committed_agg then
+    fail "AGG steps %d nodes per run, more than the committed %d" steps committed_agg;
+  Printf.printf "frontier     %d node steps per run <= committed %d  OK\n" steps committed_agg;
+  let committed_pair =
+    get_int "node_steps_per_run" (get_obj "frontier" (committed "pair"))
+  in
+  let g, params, failures, dur = perf_pair_workload () in
+  let steps =
+    node_steps (Engine.run ~graph:g ~failures ~max_rounds:dur ~seed:1) (Pair.protocol params)
+  in
+  if steps > committed_pair then
+    fail "the pair steps %d nodes per run, more than the committed %d" steps committed_pair;
+  Printf.printf "frontier     pair %d node steps per run <= committed %d  OK\n" steps
+    committed_pair
 
 (* The committed E20 matrix must exist, cover the registry, and keep the
    mass-conservation contrast: on every crash row set, flow-updating's
@@ -2376,7 +2440,7 @@ let guard () =
   header
     "GUARD | bench regression gate — fast engine vs committed BENCH_engine.json\n\
      fails (exit 1) if rounds/sec drops more than 30% below the baseline or\n\
-     the frontier steps more nodes than the committed count";
+     the frontier (AGG or the pair) steps more nodes than the committed count";
   match get_float "rounds_per_sec" (committed "overhauled_pipeline") with
   | exception Guard_failed e ->
     Printf.eprintf "guard: cannot read the committed baseline: %s\n" e;
