@@ -1,2504 +1,10 @@
-(* The reproduction harness: one experiment per figure/table of the paper
-   (see DESIGN.md's per-experiment index), plus bechamel wall-clock
-   micro-benchmarks.
+(* The reproduction harness: runs the experiments of [experiments.ml] by
+   name.
 
      dune exec bench/main.exe            # run everything
-     dune exec bench/main.exe -- e1 e8   # run selected experiments
+     dune exec bench/main.exe -- e1 e8   # run selected experiments *)
 
-   Measured numbers come from the simulator under the paper's bit
-   accounting; "bound" columns evaluate the theorem formulas with all
-   constants set to 1, so shapes and ratios (not absolute values) are the
-   comparison targets.  EXPERIMENTS.md records paper-vs-measured. *)
-
-open Ftagg
-
-let header title =
-  Printf.printf "\n================================================================\n";
-  Printf.printf "%s\n" title;
-  Printf.printf "================================================================\n\n"
-
-let mean xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
-
-let seeds = [ 1; 2; 3; 4; 5; 6; 7; 8 ]
-
-(* ------------------------------------------------------------------ *)
-(* E1 — Figure 1: CC vs TC for the three protocols and the two bounds  *)
-(* ------------------------------------------------------------------ *)
-
-let e1 () =
-  header
-    "E1 | Figure 1 — communication-time tradeoff for SUM\n\
-     brute-force (TC=O(1)), folklore (TC=O(f)), Algorithm 1 (tunable b)";
-  let n = 64 in
-  let g = Gen.grid n in
-  let inputs = Array.make n 3 in
-  let params = Params.make ~c:2 ~graph:g ~inputs () in
-  let d = params.Params.d in
-  let f = 16 in
-  let avg run = mean (Sweep.map (fun s -> float_of_int (run s)) seeds) in
-  let brute_cc =
-    avg (fun s ->
-        let failures =
-          Failure.random g ~rng:(Prng.create s) ~budget:f ~max_round:(4 * d)
-        in
-        Metrics.cc (Run.brute_force ~graph:g ~failures ~params ~seed:s ()).Run.common.Run.metrics)
-  in
-  let folklore_cc, folklore_fl =
-    let ccs, fls =
-      List.split
-        (Sweep.map
-           (fun s ->
-             let mode = Folklore.Retry (f + 1) in
-             let failures =
-               Failure.random g ~rng:(Prng.create s) ~budget:f
-                 ~max_round:(Folklore.duration params mode)
-             in
-             let o = Run.folklore ~graph:g ~failures ~params ~mode ~seed:s () in
-             ( float_of_int (Metrics.cc o.Run.common.Run.metrics),
-               float_of_int o.Run.common.Run.flooding_rounds ))
-           seeds)
-    in
-    (mean ccs, mean fls)
-  in
-  Printf.printf "N = %d (grid, d = %d), f = %d, CC = bits at the busiest node\n\n" n d f;
-  Printf.printf "baseline        measured CC   TC (flooding rounds)   paper bound (x const)\n";
-  Printf.printf "brute-force     %11.0f   %20s   N*logN = %.0f\n" brute_cc "O(1) ~ 4"
-    (Bounds.brute_force_cc ~n);
-  Printf.printf "folklore        %11.0f   %20.0f   f*logN = %.0f\n\n" folklore_cc folklore_fl
-    (Bounds.folklore_cc ~n ~f);
-  let table =
-    Table.create ~title:"Algorithm 1 (this paper): CC decreases as b grows"
-      [
-        ("b", Table.Right);
-        ("measured CC", Table.Right);
-        ("measured TC", Table.Right);
-        ("Thm1 upper", Table.Right);
-        ("Thm2 lower", Table.Right);
-        ("meas/upper", Table.Right);
-      ]
-  in
-  List.iter
-    (fun b ->
-      let ccs, fls =
-        List.split
-          (Sweep.map
-             (fun s ->
-               let failures =
-                 Failure.random g ~rng:(Prng.create s) ~budget:f ~max_round:(b * d)
-               in
-               let o = Run.tradeoff ~graph:g ~failures ~params ~b ~f ~seed:s () in
-               ( float_of_int (Metrics.cc o.Run.common.Run.metrics),
-                 float_of_int o.Run.common.Run.flooding_rounds ))
-             seeds)
-      in
-      let cc = mean ccs in
-      let up = Bounds.sum_upper_bound ~n ~f ~b in
-      Table.add_row table
-        [
-          string_of_int b;
-          Printf.sprintf "%.0f" cc;
-          Printf.sprintf "%.0f" (mean fls);
-          Printf.sprintf "%.0f" up;
-          Printf.sprintf "%.1f" (Bounds.sum_lower_bound ~n ~f ~b);
-          Printf.sprintf "%.1f" (cc /. up);
-        ])
-    [ 42; 63; 84; 126; 168; 252; 336 ];
-  Table.print table;
-  Printf.printf
-    "Shape check (paper): brute-force CC >> folklore CC at its own TC; Algorithm 1's\n\
-     CC falls roughly like f/b*log^2(N) as b grows and undercuts brute force everywhere.\n"
-
-(* ------------------------------------------------------------------ *)
-(* E2 — Table 2: the AGG/VERI guarantee matrix                         *)
-(* ------------------------------------------------------------------ *)
-
-let e2 () =
-  header "E2 | Table 2 — guarantees of AGG and VERI in the three scenarios";
-  let t = 4 in
-  let trials = 25 in
-  let tally name runs =
-    let correct = ref 0
-    and abort = ref 0
-    and veri_true = ref 0
-    and veri_false = ref 0
-    and used = ref 0
-    and violations = ref 0 in
-    List.iter
-      (fun ((o : Run.pair_outcome), expected) ->
-        if expected o then begin
-          incr used;
-          (match o.Run.verdict.Pair.result with
-          | Agg.Aborted -> incr abort
-          | Agg.Value _ -> if o.Run.common.Run.correct then incr correct);
-          if o.Run.verdict.Pair.veri_ok then incr veri_true else incr veri_false;
-          let ok =
-            if o.Run.edge_failures <= t then
-              o.Run.common.Run.correct && o.Run.verdict.Pair.veri_ok
-              && o.Run.verdict.Pair.result <> Agg.Aborted
-            else if not o.Run.lfc then o.Run.common.Run.correct
-            else not o.Run.verdict.Pair.veri_ok
-          in
-          if not ok then incr violations
-        end)
-      runs;
-    (name, !used, !correct, !abort, !veri_true, !veri_false, !violations)
-  in
-  let scenario1 =
-    Sweep.map_seeds ~seeds:(List.init trials Fun.id) (fun s ->
-        let g = Gen.grid 36 in
-        let params = Params.make ~c:2 ~t ~graph:g ~inputs:(Array.make 36 2) () in
-        let failures = Failure.random g ~rng:(Prng.create s) ~budget:t ~max_round:400 in
-        ( Run.pair ~graph:g ~failures ~params ~seed:s (),
-          fun (o : Run.pair_outcome) -> o.Run.edge_failures <= t ))
-  in
-  let scenario2 =
-    Sweep.map_seeds ~seeds:(List.init trials Fun.id) (fun s ->
-        let g = Gen.grid 36 in
-        let params = Params.make ~c:2 ~t ~graph:g ~inputs:(Array.make 36 2) () in
-        let failures = Failure.burst g ~rng:(Prng.create (s + 50)) ~budget:(4 * t) ~round:60 in
-        ( Run.pair ~graph:g ~failures ~params ~seed:s (),
-          fun (o : Run.pair_outcome) -> o.Run.edge_failures > t && not o.Run.lfc ))
-  in
-  let scenario3 =
-    Sweep.map_seeds ~seeds:(List.init trials Fun.id) (fun s ->
-        let g = Gen.ring 36 in
-        let params = Params.make ~c:2 ~t ~graph:g ~inputs:(Array.make 36 2) () in
-        let len = t + (s mod (t + 3)) in
-        let failures = Failure.chain ~n:36 ~first:1 ~len ~round:(60 + (s * 3)) in
-        ( Run.pair ~graph:g ~failures ~params ~seed:s (),
-          fun (o : Run.pair_outcome) -> o.Run.lfc ))
-  in
-  let table =
-    Table.create
-      ~title:(Printf.sprintf "AGG+VERI pairs with t = %d, %d trials per scenario" t trials)
-      [
-        ("scenario", Table.Left);
-        ("runs", Table.Right);
-        ("AGG correct", Table.Right);
-        ("AGG abort", Table.Right);
-        ("VERI true", Table.Right);
-        ("VERI false", Table.Right);
-        ("violations", Table.Right);
-      ]
-  in
-  List.iter
-    (fun (name, used, correct, abort, vt, vf, viol) ->
-      Table.add_row table
-        [
-          name;
-          string_of_int used;
-          string_of_int correct;
-          string_of_int abort;
-          string_of_int vt;
-          string_of_int vf;
-          string_of_int viol;
-        ])
-    [
-      tally "1: <= t failures (no LFC)" scenario1;
-      tally "2: > t failures, no LFC" scenario2;
-      tally "3: > t failures, LFC" scenario3;
-    ];
-  Table.print table;
-  Printf.printf
-    "Paper guarantees: scenario 1 -> AGG correct + VERI true; scenario 2 -> AGG correct\n\
-     or abort (VERI unconstrained); scenario 3 -> VERI false.  'violations' must be 0.\n"
-
-(* ------------------------------------------------------------------ *)
-(* E3 / E4 — Theorems 3 and 6: AGG and VERI cost envelopes             *)
-(* ------------------------------------------------------------------ *)
-
-let agg_veri_costs ~which () =
-  let n = 64 in
-  let g = Gen.grid n in
-  let inputs = Array.make n 5 in
-  let title, budget_of =
-    match which with
-    | `Agg ->
-      ( "E3 | Theorem 3 — AGG: TC <= 11c flooding rounds, CC <= (11t+14)(logN+5)",
-        Params.agg_bit_budget )
-    | `Veri ->
-      ( "E4 | Theorem 6 — VERI: TC <= 8c flooding rounds, CC <= (5t+7)(3logN+10)",
-        Params.veri_bit_budget )
-  in
-  header title;
-  let table =
-    Table.create
-      [
-        ("t", Table.Right);
-        ("measured CC", Table.Right);
-        ("theorem threshold", Table.Right);
-        ("CC/threshold", Table.Right);
-        ("rounds used", Table.Right);
-        ("round bound", Table.Right);
-      ]
-  in
-  List.iter
-    (fun t ->
-      let params = Params.make ~c:2 ~t ~graph:g ~inputs () in
-      let cc =
-        mean
-          (Sweep.map
-             (fun s ->
-               let failures =
-                 Failure.random g ~rng:(Prng.create (s * 7)) ~budget:t ~max_round:300
-               in
-               match which with
-               | `Agg ->
-                 let oa = Run.agg ~graph:g ~failures ~params ~seed:s () in
-                 float_of_int (Metrics.cc oa.Run.common.Run.metrics)
-               | `Veri ->
-                 (* VERI-only cost = pair cost minus the same run's AGG *)
-                 let op = Run.pair ~graph:g ~failures ~params ~seed:s () in
-                 let oa = Run.agg ~graph:g ~failures ~params ~seed:s () in
-                 float_of_int
-                   (max 0
-                      (Metrics.cc op.Run.common.Run.metrics - Metrics.cc oa.Run.common.Run.metrics)))
-             seeds)
-      in
-      let budget = budget_of params in
-      let rounds, round_bound =
-        match which with
-        | `Agg -> ((7 * Params.cd params) + 4, (7 * Params.cd params) + 4)
-        | `Veri -> ((5 * Params.cd params) + 3, (5 * Params.cd params) + 3)
-      in
-      Table.add_row table
-        [
-          string_of_int t;
-          Printf.sprintf "%.0f" cc;
-          string_of_int budget;
-          Printf.sprintf "%.2f" (cc /. float_of_int budget);
-          string_of_int rounds;
-          string_of_int round_bound;
-        ])
-    [ 0; 2; 4; 8; 16 ];
-  Table.print table;
-  Printf.printf
-    "CC grows linearly in t and never exceeds the threshold (the protocols abort /\n\
-     overflow at it by construction); the round count is fixed by the phase layout.\n"
-
-let e3 () = agg_veri_costs ~which:`Agg ()
-let e4 () = agg_veri_costs ~which:`Veri ()
-
-(* ------------------------------------------------------------------ *)
-(* E5 — Theorem 1: Algorithm 1's CC envelope in f and N                *)
-(* ------------------------------------------------------------------ *)
-
-let e5 () =
-  header "E5 | Theorem 1 — Algorithm 1 CC = O(f/b*log^2 N + log^2 N), TC <= b";
-  let b = 126 in
-  let run_one ~n ~f ~s =
-    let g = Gen.grid n in
-    let params = Params.make ~c:2 ~graph:g ~inputs:(Array.make n 3) () in
-    let failures =
-      Failure.random g ~rng:(Prng.create s) ~budget:f ~max_round:(b * params.Params.d)
-    in
-    let o = Run.tradeoff ~graph:g ~failures ~params ~b ~f ~seed:s () in
-    (float_of_int (Metrics.cc o.Run.common.Run.metrics), o.Run.common.Run.correct)
-  in
-  let sweep title rows run bound =
-    let table =
-      Table.create ~title
-        [
-          ("param", Table.Right);
-          ("measured CC", Table.Right);
-          ("Thm1 bound", Table.Right);
-          ("ratio", Table.Right);
-          ("all correct", Table.Right);
-        ]
-    in
-    List.iter
-      (fun v ->
-        let ccs, oks = List.split (Sweep.map (fun s -> run v s) seeds) in
-        let cc = mean ccs in
-        let bd = bound v in
-        Table.add_row table
-          [
-            string_of_int v;
-            Printf.sprintf "%.0f" cc;
-            Printf.sprintf "%.0f" bd;
-            Printf.sprintf "%.1f" (cc /. bd);
-            string_of_bool (List.for_all Fun.id oks);
-          ])
-      rows;
-    Table.print table
-  in
-  sweep
-    (Printf.sprintf "sweep f at N = 64, b = %d" b)
-    [ 0; 4; 8; 16; 32 ]
-    (fun f s -> run_one ~n:64 ~f ~s)
-    (fun f -> Bounds.sum_upper_bound ~n:64 ~f ~b);
-  sweep
-    (Printf.sprintf "sweep N at f = 8, b = %d" b)
-    [ 25; 49; 100; 196 ]
-    (fun n s -> run_one ~n ~f:8 ~s)
-    (fun n -> Bounds.sum_upper_bound ~n ~f:8 ~b);
-  Printf.printf
-    "The measured/bound ratio stays roughly flat across both sweeps (the implied\n\
-     constant), confirming the f/b*log^2 N + log^2 N envelope; every run is correct.\n"
-
-(* ------------------------------------------------------------------ *)
-(* E6 / E7 — §7: UNIONSIZECP and the EQUALITYCP reduction              *)
-(* ------------------------------------------------------------------ *)
-
-let e6 () =
-  header "E6 | Theorem 12 & [4] — UNIONSIZECP: measured CC between the two bounds";
-  let table =
-    Table.create
-      [
-        ("n", Table.Right);
-        ("q", Table.Right);
-        ("measured bits", Table.Right);
-        ("upper n/q*logn+logq", Table.Right);
-        ("lower n/q-logn", Table.Right);
-        ("answers ok", Table.Right);
-      ]
-  in
-  List.iter
-    (fun (n, q) ->
-      let rng = Prng.create (n + (17 * q)) in
-      let runs =
-        List.init 5 (fun _ ->
-            let inst = Cycle_promise.random ~rng ~n ~q () in
-            let o = Unionsize.solve inst in
-            ( float_of_int o.Unionsize.total_bits,
-              o.Unionsize.answer = Cycle_promise.union_size inst ))
-      in
-      let bits, oks = List.split runs in
-      Table.add_row table
-        [
-          string_of_int n;
-          string_of_int q;
-          Printf.sprintf "%.0f" (mean bits);
-          Printf.sprintf "%.0f" (Bounds.unionsize_upper ~n ~q);
-          Printf.sprintf "%.0f" (Bounds.unionsize_lower ~n ~q);
-          string_of_bool (List.for_all Fun.id oks);
-        ])
-    [
-      (1000, 2); (1000, 8); (1000, 32); (10000, 8); (10000, 64); (10000, 512);
-      (100000, 32); (100000, 1024);
-    ];
-  Table.print table;
-  Printf.printf
-    "Measured bits track the n/q*logn upper curve and sit above the n/q-logn lower\n\
-     bound — the near-tight regime Theorem 12 establishes.\n"
-
-let e7 () =
-  header "E7 | Theorem 8 — EQUALITYCP <= UNIONSIZECP + O(log q) + O(log n)";
-  let table =
-    Table.create
-      [
-        ("n", Table.Right);
-        ("q", Table.Right);
-        ("oracle bits", Table.Right);
-        ("overhead bits", Table.Right);
-        ("logn+logq", Table.Right);
-        ("trivial baseline", Table.Right);
-        ("verdicts ok", Table.Right);
-      ]
-  in
-  List.iter
-    (fun (n, q) ->
-      let rng = Prng.create (3 * (n + q)) in
-      let runs =
-        List.init 6 (fun i ->
-            let inst =
-              if i mod 2 = 0 then Cycle_promise.random ~rng ~n ~q ~force_equal:true ()
-              else Cycle_promise.random ~rng ~n ~q ()
-            in
-            let o = Equality.solve inst in
-            let triv = Equality.solve_trivial inst in
-            ((o, triv), o.Equality.equal = Cycle_promise.equal inst
-                        && triv.Equality.equal = Cycle_promise.equal inst))
-      in
-      let ok = List.for_all snd runs in
-      let oracle = mean (List.map (fun ((o, _), _) -> float_of_int o.Equality.oracle_bits) runs) in
-      let over = mean (List.map (fun ((o, _), _) -> float_of_int o.Equality.overhead_bits) runs) in
-      let triv = mean (List.map (fun ((_, t), _) -> float_of_int t.Equality.total_bits) runs) in
-      Table.add_row table
-        [
-          string_of_int n;
-          string_of_int q;
-          Printf.sprintf "%.0f" oracle;
-          Printf.sprintf "%.0f" over;
-          Printf.sprintf "%.0f" (Bounds.log2 (float_of_int n) +. Bounds.log2 (float_of_int q));
-          Printf.sprintf "%.0f" triv;
-          string_of_bool ok;
-        ])
-    [ (1000, 8); (10000, 16); (10000, 256); (100000, 64) ];
-  Table.print table;
-  Printf.printf "The reduction's own cost stays within a few log factors — Theorem 8's form.\n"
-
-(* ------------------------------------------------------------------ *)
-(* E8 — Lemma 11: rank(M) = q−1 and the implied lower bound            *)
-(* ------------------------------------------------------------------ *)
-
-let e8 () =
-  header "E8 | Lemma 11 / Theorem 9 — Sperner rank certificate";
-  let table =
-    Table.create
-      [
-        ("q", Table.Right);
-        ("rank(M)", Table.Right);
-        ("q-1", Table.Right);
-        ("rows sum 0", Table.Right);
-        ("R0 >= n*log2(q/(q-1)): per-n bits", Table.Right);
-      ]
-  in
-  List.iter
-    (fun q ->
-      let rank = Sperner.lemma11_rank q in
-      Table.add_row table
-        [
-          string_of_int q;
-          string_of_int rank;
-          string_of_int (q - 1);
-          string_of_bool (Sperner.rows_sum_to_zero (Sperner.lemma11_matrix q));
-          Printf.sprintf "%.5f" (Sperner.equality_lower_bound ~n:1 ~q);
-        ])
-    [ 3; 4; 5; 8; 16; 32; 64; 128 ];
-  Table.print table;
-  Printf.printf
-    "rank(M) = q-1 exactly (certified over Q by the modular rank + zero row sum),\n\
-     giving R0^pri(EQUALITYCP) >= n/(q-1) — the engine of the new f/(b*log b) term.\n"
-
-(* ------------------------------------------------------------------ *)
-(* E9 — unknown f: early termination of the doubling protocol          *)
-(* ------------------------------------------------------------------ *)
-
-let e9 () =
-  header "E9 | Unknown-f doubling trick — CC tracks the actual failure count";
-  let n = 64 in
-  let g = Gen.grid n in
-  let params = Params.make ~c:2 ~graph:g ~inputs:(Array.make n 3) () in
-  let table =
-    Table.create
-      [
-        ("injected edge failures", Table.Right);
-        ("accepting slot (t=2^g)", Table.Right);
-        ("measured CC", Table.Right);
-        ("rounds", Table.Right);
-        ("all correct", Table.Right);
-      ]
-  in
-  List.iter
-    (fun budget ->
-      let runs =
-        Sweep.map
-          (fun s ->
-            let failures =
-              Failure.random g ~rng:(Prng.create (s + budget)) ~budget ~max_round:400
-            in
-            Run.unknown_f ~graph:g ~failures ~params ~seed:s ())
-          seeds
-      in
-      let slot o =
-        match o.Run.how with
-        | Unknown_f.Via_slot gx -> float_of_int gx
-        | Unknown_f.Via_brute_force -> nan
-      in
-      Table.add_row table
-        [
-          string_of_int budget;
-          Printf.sprintf "%.1f" (mean (List.map slot runs));
-          Printf.sprintf "%.0f"
-            (mean (List.map (fun o -> float_of_int (Metrics.cc o.Run.common.Run.metrics)) runs));
-          Printf.sprintf "%.0f"
-            (mean (List.map (fun o -> float_of_int o.Run.common.Run.rounds) runs));
-          string_of_bool (List.for_all (fun o -> o.Run.common.Run.correct) runs);
-        ])
-    [ 0; 1; 2; 4; 8; 16 ];
-  Table.print table;
-  Printf.printf
-    "With few actual failures the protocol accepts in an early slot: cost rises with\n\
-     what actually happened, not with a worst-case f — the early-termination property.\n"
-
-(* ------------------------------------------------------------------ *)
-(* E10 — CAAF generality (§2)                                          *)
-(* ------------------------------------------------------------------ *)
-
-let e10 () =
-  header "E10 | §2 — the same Algorithm 1 computes any CAAF";
-  let n = 49 in
-  let g = Gen.grid n in
-  let rng = Prng.create 77 in
-  let table =
-    Table.create
-      [
-        ("CAAF", Table.Left);
-        ("failure-free value", Table.Right);
-        ("reference fold", Table.Right);
-        ("under failures correct", Table.Right);
-        ("CC", Table.Right);
-      ]
-  in
-  List.iter
-    (fun (caaf : Caaf.t) ->
-      let inputs =
-        match caaf.Caaf.name with
-        | "or" | "and" -> Array.init n (fun i -> i mod 2)
-        | name when String.length name >= 6 && String.sub name 0 6 = "modsum" ->
-          Array.init n (fun i -> i * 13 mod 97)
-        | _ -> Array.init n (fun i -> (i * 7 mod 50) + 1)
-      in
-      let params = Params.make ~c:2 ~caaf ~graph:g ~inputs () in
-      let clean =
-        Run.tradeoff ~graph:g ~failures:(Failure.none ~n) ~params ~b:63 ~f:4 ~seed:1 ()
-      in
-      let faulty =
-        let failures = Failure.random g ~rng ~budget:4 ~max_round:500 in
-        Run.tradeoff ~graph:g ~failures ~params ~b:63 ~f:4 ~seed:2 ()
-      in
-      Table.add_row table
-        [
-          caaf.Caaf.name;
-          string_of_int (Run.value_exn clean.Run.result);
-          string_of_int (Caaf.aggregate caaf (Array.to_list inputs));
-          string_of_bool faulty.Run.common.Run.correct;
-          string_of_int (Metrics.cc faulty.Run.common.Run.metrics);
-        ])
-    Instances.all;
-  Table.print table;
-  Printf.printf
-    "Generalising needed no protocol change: only the operator was swapped (§2).\n"
-
-(* ------------------------------------------------------------------ *)
-(* E11 — ablations: why speculation and witnesses are necessary        *)
-(* ------------------------------------------------------------------ *)
-
-let e11 () =
-  header "E11 | Ablations — removing §4.2 speculation or §4.3 witnesses breaks AGG";
-  let n = 20 in
-  let g = Gen.ring n in
-  let inputs = Array.init n (fun i -> i + 1) in
-  let params = Params.make ~c:2 ~t:4 ~graph:g ~inputs () in
-  let cd = Params.cd params in
-  let spec_base = (4 * cd) + 2 in
-  let schedules =
-    [
-      ( "overlap (kill 1 @ spec start)",
-        Failure.kill_nodes ~n ~nodes:[ 1 ] ~round:(spec_base + 1) );
-      ( "cascade (kill 1 mid-agg, 2 pre-flood)",
-        Failure.of_list ~n [ (1, (2 * cd) + 10); (2, spec_base + 2 + cd) ] );
-      ("clean", Failure.none ~n);
-    ]
-  in
-  let table =
-    Table.create
-      [
-        ("schedule", Table.Left);
-        ("variant", Table.Left);
-        ("result", Table.Right);
-        ("correct", Table.Right);
-        ("CC", Table.Right);
-      ]
-  in
-  let first = ref true in
-  List.iter
-    (fun (sname, failures) ->
-      if not !first then Table.add_rule table;
-      first := false;
-      List.iter
-        (fun (vname, ablation) ->
-          let o = Run.agg ?ablation ~graph:g ~failures ~params ~seed:3 () in
-          let result =
-            match o.Run.result with
-            | Agg.Value v -> string_of_int v
-            | Agg.Aborted -> "abort"
-          in
-          Table.add_row table
-            [
-              sname;
-              vname;
-              result;
-              string_of_bool o.Run.common.Run.correct;
-              string_of_int (Metrics.cc o.Run.common.Run.metrics);
-            ])
-        [
-          ("full protocol", None);
-          ("no speculation", Some Agg.No_speculation);
-          ("no witnesses", Some Agg.No_witnesses);
-        ])
-    schedules;
-  Table.print table;
-  Printf.printf
-    "Reference total = %d.  'no witnesses' double-counts on the overlap schedule;\n\
-     'no speculation' loses live inputs on the cascade schedule; the full protocol\n\
-     stays correct on all of them.\n"
-    (Array.fold_left ( + ) 0 inputs)
-
-(* ------------------------------------------------------------------ *)
-(* E12 — zero-error vs approximate aggregation (related work [8],[14]) *)
-(* ------------------------------------------------------------------ *)
-
-let e12 () =
-  header
-    "E12 | Zero-error vs approximate aggregation\n\
-     Algorithm 1 (this paper) vs push-sum gossip [8] and synopsis diffusion [14]";
-  let n = 64 in
-  let g = Gen.grid n in
-  let inputs = Array.make n 10 in
-  let truth = Array.fold_left ( + ) 0 inputs in
-  let params = Params.make ~c:2 ~graph:g ~inputs () in
-  let d = params.Params.d in
-  let b = 63 in
-  let table =
-    Table.create
-      ~title:(Printf.sprintf "SUM of %d on an 8x8 grid; adversary = 8 edge failures mid-run" truth)
-      [
-        ("protocol", Table.Left);
-        ("guarantee", Table.Left);
-        ("estimate", Table.Right);
-        ("rel. error", Table.Right);
-        ("CC (bits)", Table.Right);
-        ("rounds", Table.Right);
-      ]
-  in
-  let failures s = Failure.random g ~rng:(Prng.create s) ~budget:8 ~max_round:(b * d) in
-  (* zero-error: Algorithm 1 *)
-  let tr_cc, tr_rounds, tr_vals =
-    let runs = Sweep.map (fun s -> Run.tradeoff ~graph:g ~failures:(failures s) ~params ~b ~f:8 ~seed:s ()) seeds in
-    ( mean (List.map (fun (o : Run.tradeoff_outcome) -> float_of_int (Metrics.cc o.Run.common.Run.metrics)) runs),
-      mean (List.map (fun (o : Run.tradeoff_outcome) -> float_of_int o.Run.common.Run.rounds) runs),
-      mean (List.map (fun (o : Run.tradeoff_outcome) -> float_of_int (Run.value_exn o.Run.result)) runs) )
-  in
-  Table.add_row table
-    [
-      "Algorithm 1";
-      "zero-error interval";
-      Printf.sprintf "%.0f" tr_vals;
-      Printf.sprintf "%.4f" (Float.abs (tr_vals -. float_of_int truth) /. float_of_int truth);
-      Printf.sprintf "%.0f" tr_cc;
-      Printf.sprintf "%.0f" tr_rounds;
-    ];
-  (* push-sum gossip with the same round budget *)
-  let go_runs =
-    Sweep.map
-      (fun s -> Gossip.run ~graph:g ~failures:(failures s) ~params ~rounds:(b * d) ~seed:s ())
-      seeds
-  in
-  let est o = match o.Backend.result with
-    | Backend.Estimate { value; _ } -> value
-    | Backend.Exact _ -> nan
-  in
-  let rel o = match o.Backend.result with
-    | Backend.Estimate { relative_error; _ } -> relative_error
-    | Backend.Exact _ -> nan
-  in
-  Table.add_row table
-    [
-      "push-sum gossip [8]";
-      "approximate, degrades";
-      Printf.sprintf "%.1f" (mean (List.map est go_runs));
-      Printf.sprintf "%.4f" (mean (List.map rel go_runs));
-      Printf.sprintf "%.0f"
-        (mean (List.map (fun o -> float_of_int (Metrics.cc o.Backend.common.Backend.metrics)) go_runs));
-      string_of_int (b * d);
-    ];
-  (* synopsis diffusion, d+2 rounds *)
-  let sy_runs =
-    Sweep.map (fun s -> Synopsis.run_sum ~graph:g ~failures:(failures s) ~inputs ~k:32 ~rounds:(d + 2) ~seed:s) seeds
-  in
-  Table.add_row table
-    [
-      "synopsis diffusion [14]";
-      "(1 +/- eps), multipath-robust";
-      Printf.sprintf "%.1f" (mean (List.map (fun o -> o.Synopsis.estimate) sy_runs));
-      Printf.sprintf "%.4f" (mean (List.map (fun o -> o.Synopsis.relative_error) sy_runs));
-      Printf.sprintf "%.0f" (mean (List.map (fun o -> float_of_int o.Synopsis.cc) sy_runs));
-      string_of_int (d + 2);
-    ];
-  Table.print table;
-  Printf.printf
-    "Only the zero-error protocol is guaranteed inside the correctness interval; the\n\
-     approximate schemes trade that guarantee for simplicity (and, for synopsis, CC\n\
-     independence from f) — the contrast the paper's problem statement draws (section 1).\n"
-
-(* ------------------------------------------------------------------ *)
-(* E13 — the cut-simulation transcript (lower-bound structure)         *)
-(* ------------------------------------------------------------------ *)
-
-let e13 () =
-  header
-    "E13 | Partition argument — two-party transcripts of Algorithm 1 across cuts";
-  let table =
-    Table.create
-      [
-        ("topology", Table.Left);
-        ("cut", Table.Left);
-        ("cut edges", Table.Right);
-        ("transcript bits", Table.Right);
-        ("protocol CC", Table.Right);
-        ("transcript/CC", Table.Right);
-      ]
-  in
-  let cases =
-    [
-      ("path n=40", Gen.path 40, `Halves);
-      ("ring n=40", Gen.ring 40, `Halves);
-      ("grid n=64", Gen.grid 64, `Halves);
-      ("grid n=64", Gen.grid 64, `Last);
-    ]
-  in
-  List.iter
-    (fun (name, g, which) ->
-      let n = Graph.n g in
-      let params = Params.make ~c:2 ~graph:g ~inputs:(Array.make n 3) () in
-      let cut =
-        match which with
-        | `Halves -> Cut_sim.halves g
-        | `Last -> Cut_sim.partition g ~alice:(fun u -> u < n - 1)
-      in
-      let tr =
-        Cut_sim.sum_transcript ~graph:g ~failures:(Failure.none ~n) ~params ~b:63 ~f:4
-          ~seed:1 ~cut
-      in
-      Table.add_row table
-        [
-          name;
-          (match which with `Halves -> "half/half" | `Last -> "single node");
-          string_of_int cut.Cut_sim.cut_edges;
-          string_of_int tr.Cut_sim.total_bits;
-          string_of_int tr.Cut_sim.protocol_cc;
-          Printf.sprintf "%.1f" (float_of_int tr.Cut_sim.total_bits /. float_of_int tr.Cut_sim.protocol_cc);
-        ])
-    cases;
-  Table.print table;
-  Printf.printf
-    "Any two-party problem embeddable across a cut costs at most the transcript —\n\
-     narrow cuts squeeze it toward a small multiple of one node's CC, which is what\n\
-     the paper's lower-bound topologies exploit (section 7).\n"
-
-(* ------------------------------------------------------------------ *)
-(* E14 — the FT0 landscape: worst case over topology x adversary       *)
-(* ------------------------------------------------------------------ *)
-
-let e14 () =
-  header
-    "E14 | FT0 landscape — Algorithm 1's worst measured CC over\n\
-     topology families x adversary schedules (N = 48, f = 10, b = 63)";
-  let land_ = Worstcase.sweep_tradeoff ~n:48 ~f:10 ~b:63 ~seed:3 () in
-  (* per-family maxima as a bar chart *)
-  let families =
-    List.sort_uniq compare (List.map (fun c -> c.Worstcase.family) land_.Worstcase.cells)
-  in
-  let series =
-    List.map
-      (fun fam ->
-        let cc =
-          List.fold_left
-            (fun acc c -> if c.Worstcase.family = fam then max acc c.Worstcase.cc else acc)
-            0 land_.Worstcase.cells
-        in
-        (fam, float_of_int cc))
-      families
-  in
-  print_string (Chart.bars ~title:"worst CC per topology family (bits)" series);
-  let all_correct = List.for_all (fun c -> c.Worstcase.correct) land_.Worstcase.cells in
-  Printf.printf
-    "\nglobal worst cell: %s x %s -> CC %d bits in %d flooding rounds\n\
-     every cell correct: %b (Theorem 1 holds across the whole landscape)\n"
-    land_.Worstcase.worst.Worstcase.family land_.Worstcase.worst.Worstcase.adversary
-    land_.Worstcase.worst.Worstcase.cc land_.Worstcase.worst.Worstcase.flooding_rounds
-    all_correct
-
-(* ------------------------------------------------------------------ *)
-(* E15 — what the private coins buy: sampled vs sequential intervals   *)
-(* ------------------------------------------------------------------ *)
-
-let e15 () =
-  header
-    "E15 | Derandomization ablation — Algorithm 1's sampled intervals vs a\n\
-     sequential scan, under per-interval LFC chains";
-  (* 8x8 grid; the BFS tree hangs columns from the top row, so killing a
-     vertical run of t nodes in a fresh column during interval j's
-     aggregation phase plants an LFC (live descendants below, reattached
-     through the neighbouring columns) that makes that interval's pair
-     fail.  The sequential scan must pay for every dirty interval; the
-     sampled strategy skips most of them. *)
-  let n = 64 in
-  let w = 8 in
-  let g = Gen.grid n in
-  let params = Params.make ~c:2 ~graph:g ~inputs:(Array.make n 3) () in
-  let b = 764 in
-  let x = Tradeoff.intervals params ~b in
-  let interval_len = 19 * Params.cd params in
-  let t_pair f = Tradeoff.pair_t params ~b ~f in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf "N = %d, b = %d (x = %d intervals), one LFC chain per dirty interval"
-           n b x)
-      [
-        ("dirty intervals", Table.Right);
-        ("f", Table.Right);
-        ("sampled CC", Table.Right);
-        ("sequential CC", Table.Right);
-        ("seq/sampled", Table.Right);
-        ("both correct", Table.Right);
-      ]
-  in
-  List.iter
-    (fun dirty ->
-      let f = 50 in
-      let t = t_pair f in
-      let chain_kills =
-        List.concat_map
-          (fun j ->
-            (* interval j (1-based): kill rows 1..t of column j *)
-            let round = ((j - 1) * interval_len) + (2 * Params.cd params) + 5 in
-            List.init t (fun r -> (((r + 1) * w) + j, round)))
-          (List.init dirty (fun j -> j + 1))
-      in
-      let failures = Failure.of_list ~n chain_kills in
-      let run strategy s = Run.tradeoff ~strategy ~graph:g ~failures ~params ~b ~f ~seed:s () in
-      let sampled = Sweep.map (run Tradeoff.Sampled) seeds in
-      let sequential = [ run Tradeoff.Sequential 1 ] in
-      let cc runs = mean (List.map (fun (o : Run.tradeoff_outcome) -> float_of_int (Metrics.cc o.Run.common.Run.metrics)) runs) in
-      let ok runs = List.for_all (fun (o : Run.tradeoff_outcome) -> o.Run.common.Run.correct) runs in
-      let cs = cc sampled and cq = cc sequential in
-      Table.add_row table
-        [
-          string_of_int dirty;
-          string_of_int f;
-          Printf.sprintf "%.0f" cs;
-          Printf.sprintf "%.0f" cq;
-          Printf.sprintf "%.2f" (cq /. cs);
-          string_of_bool (ok sampled && ok sequential);
-        ])
-    [ 1; 2; 3; 4 ];
-  Table.print table;
-  Printf.printf
-    "Each dirty interval costs the sequential scan a full rejected AGG+VERI pair;\n\
-     the sampled strategy lands on a clean interval after ~1 extra try regardless —\n\
-     the gap the paper's private-coin interval selection creates.\n"
-
-(* ------------------------------------------------------------------ *)
-(* E16 — out-of-model exploration: lossy links break the guarantees    *)
-(* ------------------------------------------------------------------ *)
-
-let e16 () =
-  header
-    "E16 | Out-of-model exploration — the crash-only guarantees do not\n\
-     survive lossy links (the paper's model assumes reliable broadcast)";
-  let n = 36 in
-  let g = Gen.grid n in
-  let params = Params.make ~c:2 ~t:3 ~graph:g ~inputs:(Array.init n (fun i -> i + 1)) () in
-  let truth = n * (n + 1) / 2 in
-  let run_pair ~loss ~seed =
-    let states, _ =
-      Engine.run ~loss ~graph:g ~failures:(Failure.none ~n)
-        ~max_rounds:(Pair.duration params) ~seed (Pair.protocol params)
-    in
-    Pair.root_verdict states.(Graph.root)
-  in
-  let trials = 10 in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf "AGG+VERI pairs, no crashes, per-edge delivery loss; truth = %d" truth)
-      [
-        ("loss prob", Table.Right);
-        ("exact results", Table.Right);
-        ("in-interval", Table.Right);
-        ("aborts", Table.Right);
-        ("VERI accepts a wrong value", Table.Right);
-      ]
-  in
-  List.iter
-    (fun loss ->
-      let exact = ref 0 and ok = ref 0 and aborts = ref 0 and bad_accept = ref 0 in
-      for seed = 1 to trials do
-        match run_pair ~loss ~seed with
-        | { Pair.result = Agg.Aborted; _ } -> incr aborts
-        | { Pair.result = Agg.Value v; veri_ok } ->
-          if v = truth then incr exact;
-          (* with no crashes the only correct value is the exact total *)
-          if v = truth then incr ok
-          else if veri_ok then incr bad_accept
-      done;
-      Table.add_row table
-        [
-          Printf.sprintf "%.3f" loss;
-          Printf.sprintf "%d/%d" !exact trials;
-          Printf.sprintf "%d/%d" !ok trials;
-          string_of_int !aborts;
-          string_of_int !bad_accept;
-        ])
-    [ 0.0; 0.002; 0.01; 0.05 ];
-  Table.print table;
-  Printf.printf
-    "With reliable links every run is exact.  Even small per-edge loss lets VERI\n\
-     accept under-counted results: the §4/§5 machinery is sound for crash failures\n\
-     only, exactly as the paper's model states — loss needs different techniques.\n"
-
-let e17 () =
-  header
-    "E17 | Chaos campaign — adaptive (traffic-aware) adversaries vs the paper's\n\
-     oblivious schedules at the same edge-failure budget, plus the\n\
-     duplication/delay fault boundary (extending E16's loss boundary)";
-  let n = 30 and t = 3 in
-  let fams =
-    [ ("grid", Gen.Grid); ("caterpillar", Gen.Caterpillar); ("regular4", Gen.Random_regular 4) ]
-  in
-  let advs =
-    [
-      Adversary.random;
-      Adversary.high_degree;
-      Adversary.Adaptive Adversary.Top_talkers;
-      Adversary.Adaptive Adversary.First_speakers;
-      Adversary.Adaptive Adversary.Random_online;
-    ]
-  in
-  let scenario fam seed =
-    {
-      Incident.family = fam;
-      n;
-      topo_seed = 11;
-      run_seed = seed;
-      c = 2;
-      t;
-      inputs = Array.init n (fun k -> (k mod 10) + 1);
-      schedule = [];
-      faults = Engine.no_faults;
-      kind = Incident.Pair_run;
-      bit_cap = None;
-    }
-  in
-  (* --- Table 2 cells: same budget, oblivious vs adaptive placement --- *)
-  List.iter
-    (fun budget ->
-      let table =
-        Table.create
-          ~title:
-            (Printf.sprintf
-               "AGG+VERI pairs, n=%d, t=%d, edge-failure budget %d, %d seeds — Table 2 cell \
-                outcomes under a live watchdog"
-               n t budget (List.length seeds))
-          [
-            ("family", Table.Left);
-            ("adversary", Table.Left);
-            ("s1/s2/s3", Table.Right);
-            ("accepted", Table.Right);
-            ("aborted", Table.Right);
-            ("VERI rejects", Table.Right);
-            ("violations", Table.Right);
-          ]
-      in
-      List.iter
-        (fun (fname, fam) ->
-          List.iter
-            (fun adv ->
-              let s1 = ref 0 and s2 = ref 0 and s3 = ref 0 in
-              let accept = ref 0 and abort = ref 0 and reject = ref 0 and viol = ref 0 in
-              List.iter
-                (fun seed ->
-                  let sc = scenario fam seed in
-                  let graph = Campaign.graph_of sc in
-                  let params = Campaign.params_of sc graph in
-                  let base, online =
-                    Adversary.instantiate adv graph
-                      ~rng:(Prng.create ((seed * 97) + budget))
-                      ~budget ~window:(Pair.duration params)
-                  in
-                  let sc = { sc with Incident.schedule = Failure.to_list base } in
-                  let r = Campaign.run_pair ?online sc in
-                  if r.Campaign.edge_failures <= t then incr s1
-                  else if not r.Campaign.lfc then incr s2
-                  else incr s3;
-                  (match r.Campaign.verdict with
-                  | Some { Pair.result = Agg.Value _; veri_ok = true } -> incr accept
-                  | Some { Pair.result = Agg.Value _; veri_ok = false } -> incr reject
-                  | Some { Pair.result = Agg.Aborted; _ } -> incr abort
-                  | None -> ());
-                  if r.Campaign.violation <> None then incr viol)
-                seeds;
-              Table.add_row table
-                [
-                  fname;
-                  Adversary.name adv;
-                  Printf.sprintf "%d/%d/%d" !s1 !s2 !s3;
-                  string_of_int !accept;
-                  string_of_int !abort;
-                  string_of_int !reject;
-                  string_of_int !viol;
-                ])
-            advs)
-        fams;
-      Table.print table)
-    [ 3; 10 ];
-  Printf.printf
-    "Every cell lands where Table 2 says it must and the watchdog stays silent:\n\
-     AGG/VERI are deterministic, so an adaptive crash placement is just some\n\
-     oblivious schedule the theorems already cover — watching the traffic buys\n\
-     the adversary nothing beyond concentrating failures (more scenario 2/3\n\
-     runs per budget than random placement).\n\n";
-  (* --- the dup/delay boundary, no crashes (cf. E16's loss boundary) --- *)
-  let truth = Array.fold_left ( + ) 0 (scenario Gen.Grid 1).Incident.inputs in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "grid n=%d, no crashes, per-edge duplication / one-round delay; truth = %d, %d seeds"
-           n truth (List.length seeds))
-      [
-        ("fault", Table.Left);
-        ("p", Table.Right);
-        ("exact accepts", Table.Right);
-        ("aborts", Table.Right);
-        ("VERI rejects", Table.Right);
-        ("watchdog violations", Table.Right);
-        ("first violated invariant", Table.Left);
-      ]
-  in
-  List.iter
-    (fun (fault_name, mk_faults) ->
-      List.iter
-        (fun p ->
-          let exact = ref 0 and abort = ref 0 and reject = ref 0 and viol = ref 0 in
-          let first_invariant = ref "-" in
-          List.iter
-            (fun seed ->
-              let sc = { (scenario Gen.Grid seed) with Incident.faults = mk_faults p } in
-              let r = Campaign.run_pair sc in
-              (match r.Campaign.verdict with
-              | Some { Pair.result = Agg.Value v; veri_ok = true } when v = truth -> incr exact
-              | Some { Pair.result = Agg.Value _; veri_ok = false } -> incr reject
-              | Some { Pair.result = Agg.Aborted; _ } -> incr abort
-              | _ -> ());
-              match r.Campaign.violation with
-              | Some v ->
-                incr viol;
-                if !first_invariant = "-" then first_invariant := v.Engine.invariant
-              | None -> ())
-            seeds;
-          Table.add_row table
-            [
-              fault_name;
-              Printf.sprintf "%.2f" p;
-              Printf.sprintf "%d/%d" !exact (List.length seeds);
-              string_of_int !abort;
-              string_of_int !reject;
-              string_of_int !viol;
-              !first_invariant;
-            ])
-        [ 0.0; 0.01; 0.05; 0.2 ])
-    [
-      ("dup", fun p -> { Engine.loss = 0.0; dup = p; delay = 0.0 });
-      ("delay", fun p -> { Engine.loss = 0.0; dup = 0.0; delay = p });
-    ];
-  Table.print table;
-  Printf.printf
-    "Like E16's loss boundary, this maps where the model's assumptions end:\n\
-     duplicated or delayed deliveries leave the §2 model, and the watchdog\n\
-     reports the first invariant each fault class actually breaks.\n"
-
-(* ------------------------------------------------------------------ *)
-(* timing — bechamel wall-clock micro-benchmarks                       *)
-(* ------------------------------------------------------------------ *)
-
-let timing () =
-  header "timing | bechamel wall-clock micro-benchmarks";
-  let open Bechamel in
-  let open Toolkit in
-  let g36 = Gen.grid 36 in
-  let params36 = Params.make ~c:2 ~t:3 ~graph:g36 ~inputs:(Array.make 36 2) () in
-  let g100 = Gen.grid 100 in
-  let params100 = Params.make ~c:2 ~graph:g100 ~inputs:(Array.make 100 2) () in
-  let mk name f = Test.make ~name (Staged.stage f) in
-  let tests =
-    Test.make_grouped ~name:"ftagg"
-      [
-        mk "pair: AGG+VERI, N=36 grid" (fun () ->
-            ignore
-              (Run.pair ~graph:g36 ~failures:(Failure.none ~n:36) ~params:params36 ~seed:1 ()));
-        mk "tradeoff: Algorithm 1, N=100 grid, b=63" (fun () ->
-            ignore
-              (Run.tradeoff ~graph:g100
-                 ~failures:(Failure.none ~n:100)
-                 ~params:params100 ~b:63 ~f:8 ~seed:1 ()));
-        mk "brute force: N=100 grid" (fun () ->
-            ignore
-              (Run.brute_force ~graph:g100
-                 ~failures:(Failure.none ~n:100)
-                 ~params:params100 ~seed:1 ()));
-        mk "unionsize: n=10000, q=64" (fun () ->
-            let rng = Prng.create 1 in
-            let inst = Cycle_promise.random ~rng ~n:10000 ~q:64 () in
-            ignore (Unionsize.solve inst));
-        mk "sperner rank: q=64" (fun () -> ignore (Sperner.lemma11_rank 64));
-      ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~kde:(Some 500) () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let table = Table.create [ ("benchmark", Table.Left); ("time/run", Table.Right) ] in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let est =
-        match Analyze.OLS.estimates ols_result with
-        | Some [ e ] -> Printf.sprintf "%.3f ms" (e /. 1e6)
-        | _ -> "n/a"
-      in
-      rows := (name, est) :: !rows)
-    results;
-  List.iter
-    (fun (name, est) -> Table.add_row table [ name; est ])
-    (List.sort compare !rows);
-  Table.print table
-
-(* ------------------------------------------------------------------ *)
-(* perf — engine hot-path benchmark: seed pipeline vs the CSR engine    *)
-(* ------------------------------------------------------------------ *)
-
-(* The seed hot path, reconstructed exactly: the list-based reference
-   engine driving AGG through the exec-tagged message boxing the
-   pre-overhaul Run used (filter_map on intake, map on emit, exec-aware
-   bit accounting). *)
-let perf_seed_proto params =
-  {
-    Engine.init = (fun u ~rng:_ -> Agg.create params ~me:u);
-    step =
-      (fun ~round ~me:_ ~state ~inbox ->
-        let inbox =
-          List.filter_map
-            (fun (s, m) -> if m.Message.exec = 0 then Some (s, m.Message.body) else None)
-            inbox
-        in
-        let out = Agg.step state ~rr:round ~inbox in
-        (state, List.map (fun body -> Message.{ exec = 0; body }) out));
-    msg_bits = Message.msg_bits params;
-    root_done = (fun _ -> false);
-    wake = Engine.every_round;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* E18 — telemetry: phase-level bit breakdown of Algorithm 1 across b   *)
-(* ------------------------------------------------------------------ *)
-
-let e18 () =
-  header
-    "E18 | Telemetry — where Algorithm 1's bits go, by protocol phase\n\
-     256-node grid, f=16, b swept; spans attribute every broadcast to the\n\
-     AGG/VERI phase (or tradeoff fallback) active at the sender";
-  let n = 256 in
-  let g = Gen.grid n in
-  let inputs = Array.init n (fun k -> (k mod 10) + 1) in
-  let params = Params.make ~c:2 ~graph:g ~inputs () in
-  let f = 16 in
-  let bs = [ 42; 63; 126; 252 ] in
-  let runs =
-    List.map
-      (fun b ->
-        let obs = Obs.create ~name:(Printf.sprintf "e18-b%d" b) () in
-        let failures =
-          Failure.random g ~rng:(Prng.create 5) ~budget:f ~max_round:(b * params.Params.d)
-        in
-        let o = Run.tradeoff ~obs ~graph:g ~failures ~params ~b ~f ~seed:1 () in
-        (b, obs, o))
-      bs
-  in
-  let phases =
-    List.sort_uniq compare
-      (List.concat_map (fun (_, obs, _) -> List.map fst (Obs.phase_bits obs)) runs)
-  in
-  let table =
-    Table.create
-      ~title:(Printf.sprintf "bits per phase, grid n=%d, f=%d (SUM, seed 1)" n f)
-      (("phase", Table.Left) :: List.map (fun b -> (Printf.sprintf "b=%d" b, Table.Right)) bs)
-  in
-  List.iter
-    (fun phase ->
-      Table.add_row table
-        (phase
-        :: List.map
-             (fun (_, obs, _) ->
-               match List.assoc_opt phase (Obs.phase_bits obs) with
-               | Some bits -> string_of_int bits
-               | None -> "-")
-             runs))
-    phases;
-  Table.add_rule table;
-  (* The phase column must account for every bit the engine charged:
-     sum-over-phases = Metrics.total_bits (test_obs.ml locks this in). *)
-  Table.add_row table
-    ("sum over phases"
-    :: List.map
-         (fun (_, obs, _) ->
-           string_of_int (List.fold_left (fun acc (_, b) -> acc + b) 0 (Obs.phase_bits obs)))
-         runs);
-  Table.add_row table
-    ("engine total_bits"
-    :: List.map
-         (fun (_, _, (o : Run.tradeoff_outcome)) ->
-           string_of_int (Metrics.total_bits o.Run.common.Run.metrics))
-         runs);
-  Table.print table;
-  List.iter
-    (fun (b, _, (o : Run.tradeoff_outcome)) ->
-      Printf.printf "b=%-4d CC %6d bits, %5d rounds, correct %b\n" b
-        (Metrics.cc o.Run.common.Run.metrics) o.Run.common.Run.rounds o.Run.common.Run.correct)
-    runs
-
-(* Round benchmark floats before serialising: sub-tenth-of-a-permille
-   wall-clock jitter used to churn every digit of BENCH_engine.json on
-   each regeneration. *)
-let q4 x = Float.round (x *. 1e4) /. 1e4
-let q2 x = Float.round (x *. 1e2) /. 1e2
-
-(* BENCH_engine.json is shared by [perf] (the top-level engine fields),
-   [e19] ("service_throughput"), [e20] ("cross_protocol"), [e21]
-   ("update_lag"), [e22] ("fleet") and [e23] ("scale"): each regenerates
-   only its own keys and preserves the others'. *)
-let bench_engine_others keys =
-  match Bench_io.read_file ~path:"BENCH_engine.json" with
-  | Ok (Bench_io.Obj old) -> List.filter (fun (k, _) -> not (List.mem k keys)) old
-  | _ -> []
-
-(* [perf]'s workload, which [guard] re-runs: AGG on a failure-free
-   256-node grid, 424 rounds per run. *)
-let perf_workload () =
-  let n = 256 in
-  let g = Gen.grid n in
-  let params = Params.make ~c:2 ~graph:g ~inputs:(Array.make n 3) () in
-  (g, params, Failure.none ~n, Agg.duration params)
-
-(* [perf]'s pair workload, which [guard] re-counts: one AGG+VERI pair at
-   t = 3 on a failure-free 100-node grid, 439 rounds per run — the run
-   whose step count test_engine_perf.ml pins. *)
-let perf_pair_workload () =
-  let n = 100 in
-  let g = Gen.grid n in
-  let params = Params.make ~c:2 ~t:3 ~graph:g ~inputs:(Array.init n (fun i -> i + 1)) () in
-  (g, params, Failure.none ~n, Pair.duration params)
-
-let perf_reps = List.concat_map (fun s -> [ s; s + 100; s + 200 ]) seeds
-
-(* [perf]'s timed sweep ([run] on each of [perf_reps]), after one warm-up
-   run: the fastest of five sweeps, as (wall, rounds/sec).  Host-noise
-   episodes only ever slow a sweep down, so the fastest is the steadiest
-   estimate of the code's speed, for the baseline and for [guard]. *)
-let perf_sweep ~dur run =
-  ignore (run 0);
-  let best = ref infinity in
-  for _ = 1 to 5 do
-    let (), wall = Bench_io.timed (fun () -> List.iter (fun s -> ignore (run s)) perf_reps) in
-    best := Float.min !best wall
-  done;
-  (!best, float_of_int (List.length perf_reps * dur) /. !best)
-
-(* How many times one run calls [step]: the kernel's work as a count
-   that does not depend on the host. *)
-let node_steps run proto =
-  let steps = ref 0 in
-  let step ~round ~me ~state ~inbox =
-    incr steps;
-    proto.Engine.step ~round ~me ~state ~inbox
-  in
-  ignore (run { proto with Engine.step });
-  !steps
-
-let perf () =
-  header
-    "PERF | engine hot path — reference (seed) pipeline vs CSR engine, every round vs frontier\n\
-     256-node grid, AGG, and 100-node grid, AGG+VERI pair; identical metrics required;\n\
-     JSON to BENCH_engine.json";
-  let g, params, failures, dur = perf_workload () in
-  let every = { (Agg.protocol params) with Engine.wake = Engine.every_round } in
-  let reference seed proto = Engine.run_reference ~graph:g ~failures ~max_rounds:dur ~seed proto in
-  let csr seed proto = Engine.run ~graph:g ~failures ~max_rounds:dur ~seed proto in
-  let run_seed s = reference s (perf_seed_proto params)
-  and run_every s = csr s every
-  and run_fast s = csr s (Agg.protocol params) in
-  (* Equivalence gate: identical CC and rounds on every seed before any
-     timing is reported (test_engine_perf.ml checks states too). *)
-  let identical =
-    List.for_all
-      (fun s ->
-        let _, m_ref = run_seed s and _, m_every = run_every s and _, m_new = run_fast s in
-        List.for_all
-          (fun m -> Metrics.cc m_ref = Metrics.cc m && Metrics.rounds m_ref = Metrics.rounds m)
-          [ m_every; m_new ])
-      seeds
-  in
-  if not identical then failwith "perf: CSR engine diverged from the reference pipeline";
-  let seed_wall, seed_rps = perf_sweep ~dur run_seed in
-  let every_wall, every_rps = perf_sweep ~dur run_every in
-  let fast_wall, fast_rps = perf_sweep ~dur run_fast in
-  let seed_steps = node_steps (reference 1) (perf_seed_proto params)
-  and every_steps = node_steps (csr 1) every
-  and fast_steps = node_steps (csr 1) (Agg.protocol params) in
-  let speedup = fast_rps /. seed_rps and frontier_speedup = fast_rps /. every_rps in
-  (* The same every-round vs frontier contrast on the AGG+VERI pair. *)
-  let pg, pparams, pfailures, pdur = perf_pair_workload () in
-  let pair_csr seed proto = Engine.run ~graph:pg ~failures:pfailures ~max_rounds:pdur ~seed proto in
-  let pair_every = { (Pair.protocol pparams) with Engine.wake = Engine.every_round } in
-  let pair_identical =
-    List.for_all
-      (fun s ->
-        let _, m_every = pair_csr s pair_every and _, m_new = pair_csr s (Pair.protocol pparams) in
-        Metrics.cc m_every = Metrics.cc m_new && Metrics.rounds m_every = Metrics.rounds m_new)
-      seeds
-  in
-  if not pair_identical then failwith "perf: the pair's frontier diverged from every-round stepping";
-  let pair_every_wall, pair_every_rps = perf_sweep ~dur:pdur (fun s -> pair_csr s pair_every) in
-  let pair_fast_wall, pair_fast_rps =
-    perf_sweep ~dur:pdur (fun s -> pair_csr s (Pair.protocol pparams))
-  in
-  let pair_every_steps = node_steps (pair_csr 1) pair_every
-  and pair_fast_steps = node_steps (pair_csr 1) (Pair.protocol pparams) in
-  let pair_speedup = pair_fast_rps /. pair_every_rps in
-  (* Multicore scaling: the same fast-engine sweep fanned over domains. *)
-  let domains = Sweep.default_domains () in
-  let (), sweep_wall =
-    Bench_io.timed (fun () -> ignore (Sweep.map ~domains (fun s -> run_fast s) perf_reps))
-  in
-  let cores = Domain.recommended_domain_count () in
-  List.iter
-    (fun (name, wall, rps, steps) ->
-      Printf.printf "%-34s %8.3f s  %9.0f rounds/sec  %7d node steps/run\n" name wall rps steps)
-    [
-      ("seed pipeline (reference engine)", seed_wall, seed_rps, seed_steps);
-      ("CSR engine, every round", every_wall, every_rps, every_steps);
-      ("CSR engine, frontier rounds", fast_wall, fast_rps, fast_steps);
-      ("pair, every round", pair_every_wall, pair_every_rps, pair_every_steps);
-      ("pair, frontier rounds", pair_fast_wall, pair_fast_rps, pair_fast_steps);
-    ];
-  Printf.printf "%-34s %8.2fx\n" "speedup (frontier vs seed)" speedup;
-  Printf.printf "%-34s %8.2fx\n" "speedup (frontier vs every round)" frontier_speedup;
-  Printf.printf "%-34s %8.2fx\n" "pair speedup (frontier vs every)" pair_speedup;
-  Printf.printf "%-34s %8.3f s  (%d domains, %.2fx vs serial; %d core(s))\n"
-    "fast pipeline via Sweep" sweep_wall domains (fast_wall /. sweep_wall) cores;
-  Printf.printf "metrics identical across %d seeds: %b\n" (List.length seeds) identical;
-  let row engine wall rps steps =
-    Bench_io.(
-      Obj
-        [
-          ("engine", String engine);
-          ("wall_s", Float (q4 wall));
-          ("rounds_per_sec", Int (int_of_float (Float.round rps)));
-          ("node_steps_per_run", Int steps);
-        ])
-  in
-  let json =
-    Bench_io.(
-      Obj
-        [
-          ("benchmark", String "engine-hot-path");
-          ("graph", String "grid");
-          ("n", Int (Graph.n g));
-          ("protocol", String "AGG");
-          ("rounds_per_run", Int dur);
-          ("runs_timed", Int (List.length perf_reps));
-          ("timing", String "fastest of 5 sweeps after a warm-up run");
-          ("cores", Int cores);
-          ("metrics_identical", Bool identical);
-          ( "seed_pipeline",
-            row "reference (list-based), exec-tagged messages" seed_wall seed_rps seed_steps );
-          ( "every_round_pipeline",
-            row "CSR delivery loop, raw message bodies, wake = every_round" every_wall every_rps
-              every_steps );
-          ( "overhauled_pipeline",
-            row "CSR delivery loop, raw message bodies, AGG's wake (frontier rounds)" fast_wall
-              fast_rps fast_steps );
-          ("speedup", Float (q2 speedup));
-          ("frontier_speedup", Float (q2 frontier_speedup));
-          ( "pair",
-            Obj
-              [
-                ("graph", String "grid");
-                ("n", Int (Graph.n pg));
-                ("protocol", String "AGG+VERI pair, t=3");
-                ("rounds_per_run", Int pdur);
-                ("runs_timed", Int (List.length perf_reps));
-                ("cores", Int cores);
-                ("metrics_identical", Bool pair_identical);
-                ( "every_round",
-                  row "CSR delivery loop, wake = every_round" pair_every_wall pair_every_rps
-                    pair_every_steps );
-                ( "frontier",
-                  row "CSR delivery loop, Pair.wake (frontier rounds)" pair_fast_wall
-                    pair_fast_rps pair_fast_steps );
-                ("frontier_speedup", Float (q2 pair_speedup));
-              ] );
-          ( "sweep",
-            Obj
-              [
-                ("domains", Int domains);
-                ("wall_s", Float (q4 sweep_wall));
-                ("speedup_vs_serial", Float (q2 (fast_wall /. sweep_wall)));
-              ] );
-        ])
-  in
-  let fields = match json with Bench_io.Obj f -> f | _ -> assert false in
-  Bench_io.write_file ~path:"BENCH_engine.json"
-    (Bench_io.Obj (fields @ bench_engine_others (List.map fst fields)));
-  Printf.printf "wrote BENCH_engine.json\n";
-  if speedup < 3.0 then
-    Printf.printf "WARNING: speedup %.2fx is below the 3x target for this benchmark\n" speedup
-
-(* ------------------------------------------------------------------ *)
-(* E19 — service throughput: jobs/sec and cache hit rate vs queue      *)
-(* depth and domain count (lib/service end to end, no process layer)   *)
-(* ------------------------------------------------------------------ *)
-
-let e19 () =
-  header
-    "E19 | service throughput — jobs/sec and cache hit rate\n\
-     60 jobs (20 distinct x 3 tenants) through the scheduler, swept over\n\
-     queue capacity and domain count; JSON to BENCH_engine.json";
-  let module S = Service.Scheduler in
-  let module R = Service.Reconfig in
-  let n = 36 in
-  let distinct = 20 and copies = 3 in
-  let job ~tenant ~seed =
-    {
-      Service.Job.tenant;
-      family = Gen.Grid;
-      n;
-      topo_seed = seed;
-      inputs = Array.init n (fun i -> (i + seed) mod 50);
-      c = 2;
-      t = 2;
-      caaf = "sum";
-      protocol = Service.Job.Tradeoff { b = 63; f = 1 };
-      failures = Service.Job.Generated { mode = "none"; budget = 0 };
-      seed;
-      generation = 0;
-      deadline = None;
-      priority = Service.Job.Normal;
-    }
-  in
-  (* Interleave tenants so duplicates of a spec land apart in the feed:
-     every distinct question is asked once per tenant. *)
-  let jobs =
-    List.concat_map
-      (fun k -> List.init copies (fun t -> job ~tenant:(Printf.sprintf "t%d" t) ~seed:k))
-      (List.init distinct (fun k -> k + 1))
-  in
-  let total = List.length jobs in
-  let run ~queue ~domains =
-    let settings =
-      {
-        R.default with
-        R.queue_capacity = queue;
-        cache_capacity = 64;
-        tick_batch = queue;
-        checkpoint_every = 0;
-        domains;
-      }
-    in
-    let sched = S.create ~settings () in
-    let (), wall =
-      Bench_io.timed (fun () ->
-          (* Feed with backpressure: a rejected submission ticks the
-             scheduler (draining a batch) and retries — the shape of any
-             real producer loop against a bounded queue. *)
-          List.iter
-            (fun spec ->
-              let rec admit () =
-                match S.submit sched spec with
-                | Ok _ -> ()
-                | Error _ ->
-                  ignore (S.tick sched ());
-                  admit ()
-              in
-              admit ())
-            jobs;
-          ignore (S.drain sched))
-    in
-    let stats = S.cache_stats sched in
-    let lookups = stats.Service.Cache.hits + stats.Service.Cache.misses in
-    let hit_rate = float_of_int stats.Service.Cache.hits /. float_of_int (max 1 lookups) in
-    (wall, float_of_int total /. wall, hit_rate, S.completed_count sched)
-  in
-  let domain_counts = List.sort_uniq compare [ 1; Sweep.default_domains () ] in
-  let queues = [ 4; 16; 64 ] in
-  let cells =
-    List.concat_map
-      (fun domains ->
-        List.map
-          (fun queue ->
-            let wall, jps, hit_rate, completed = run ~queue ~domains in
-            Printf.printf
-              "queue %-3d domains %-2d  %6.3f s  %7.1f jobs/sec  hit rate %.2f  (%d completed)\n"
-              queue domains wall jps hit_rate completed;
-            assert (completed = total);
-            Bench_io.(
-              Obj
-                [
-                  ("queue_capacity", Int queue);
-                  ("domains", Int domains);
-                  ("wall_s", Float (q4 wall));
-                  ("jobs_per_sec", Float (q2 jps));
-                  ("cache_hit_rate", Float (q4 hit_rate));
-                ]))
-          queues)
-      domain_counts
-  in
-  let payload =
-    Bench_io.(
-      Obj
-        [
-          ("jobs", Int total);
-          ("distinct_specs", Int distinct);
-          ("tenants", Int copies);
-          ("graph", String "grid");
-          ("n", Int n);
-          ("cells", List cells);
-        ])
-  in
-  Bench_io.write_file ~path:"BENCH_engine.json"
-    (Bench_io.Obj (bench_engine_others [ "service_throughput" ] @ [ ("service_throughput", payload) ]));
-  Printf.printf "wrote BENCH_engine.json (service_throughput)\n"
-
-(* ------------------------------------------------------------------ *)
-(* E20 — cross-protocol matrix over the backend registry               *)
-(* ------------------------------------------------------------------ *)
-
-let q6 x = Float.round (x *. 1e6) /. 1e6
-
-(* Every registered backend on the same topology, inputs, budget and
-   crash schedule: correctness guarantee x CC x TC in one table.  The
-   headline contrast is the crash rows — flow-updating's crash-reset
-   flows recover the routed mass, so its error re-converges toward zero,
-   while push-sum's destroyed mass leaves a permanent bias.  That strict
-   inequality is asserted here and re-checked by [guard] against the
-   committed BENCH_engine.json. *)
-let e20 () =
-  header
-    "E20 | Cross-protocol matrix — correctness guarantee x CC x TC per backend\n\
-     same topology, inputs, budget and crash schedule for every backend;\n\
-     JSON to BENCH_engine.json (cross_protocol)";
-  let n = 36 in
-  let g = Gen.grid n in
-  let inputs = Array.make n 10 in
-  let truth = float_of_int (Array.fold_left ( + ) 0 inputs) in
-  let params = Params.make ~c:2 ~graph:g ~inputs () in
-  let d = params.Params.d in
-  let b = 40 and f = 4 in
-  let scenarios =
-    [
-      ("none", Failure.none ~n, false);
-      ("crash-early", Failure.kill_nodes ~n ~nodes:[ 5; 6; 7 ] ~round:5, true);
-      ("crash-mid", Failure.kill_nodes ~n ~nodes:[ 11; 17; 23 ] ~round:30, true);
-    ]
-  in
-  let backend_names = [ "agg"; "flood"; "folklore"; "pushsum"; "flowupdating" ] in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf "SUM of %.0f on a 6x6 grid; b = %d flooding rounds (d = %d), f = %d"
-           truth b d f)
-      [
-        ("scenario", Table.Left);
-        ("backend", Table.Left);
-        ("result", Table.Right);
-        ("rel. error", Table.Right);
-        ("correct", Table.Left);
-        ("CC (bits)", Table.Right);
-        ("TC (rounds)", Table.Right);
-      ]
-  in
-  let rows =
-    List.concat_map
-      (fun (sname, failures, crashy) ->
-        List.map
-          (fun bname ->
-            let backend = Option.get (Run.backend_of_string bname) in
-            let o = Run.exec ~backend ~graph:g ~failures ~params ~b ~f ~seed:1 () in
-            let shown, rel =
-              match o.Backend.result with
-              | Backend.Exact (Agg.Value v) ->
-                (string_of_int v, Float.abs (float_of_int v -. truth) /. truth)
-              | Backend.Exact Agg.Aborted -> ("<aborted>", nan)
-              | Backend.Estimate { value; relative_error } ->
-                (Printf.sprintf "%.1f" value, relative_error)
-            in
-            Table.add_row table
-              [
-                sname;
-                bname;
-                shown;
-                (if Float.is_finite rel then Printf.sprintf "%.6f" rel else "-");
-                string_of_bool o.Backend.common.Backend.correct;
-                string_of_int (Metrics.cc o.Backend.common.Backend.metrics);
-                string_of_int o.Backend.common.Backend.rounds;
-              ];
-            (sname, bname, crashy, o, rel))
-          backend_names)
-      scenarios
-  in
-  Table.print table;
-  (* The mass-conservation contrast, asserted: under crashes the
-     flow-updating estimate must beat push-sum's strictly. *)
-  let err sname bname =
-    let _, _, _, _, rel =
-      List.find (fun (s, bk, _, _, _) -> s = sname && bk = bname) rows
-    in
-    rel
-  in
-  List.iter
-    (fun (sname, _, crashy) ->
-      if crashy then begin
-        let fu = err sname "flowupdating" and ps = err sname "pushsum" in
-        Printf.printf "%-12s flow-updating rel err %.3g vs push-sum %.3g\n" sname fu ps;
-        assert (fu < ps)
-      end)
-    scenarios;
-  Printf.printf
-    "Under crashes, push-sum's destroyed (s, w) mass leaves a permanent bias while\n\
-     flow-updating's crash-reset flows recover the routed mass — only the zero-error\n\
-     backends keep the paper's interval guarantee, at the CC the theorems charge for it.\n";
-  let payload =
-    Bench_io.(
-      Obj
-        [
-          ("graph", String "grid");
-          ("n", Int n);
-          ("b", Int b);
-          ("f", Int f);
-          ( "rows",
-            List
-              (List.map
-                 (fun (sname, bname, crashy, (o : Backend.outcome), rel) ->
-                   Obj
-                     [
-                       ("scenario", String sname);
-                       ("backend", String bname);
-                       ("crash", Bool crashy);
-                       ("correct", Bool o.Backend.common.Backend.correct);
-                       ("relative_error", if Float.is_finite rel then Float (q6 rel) else Null);
-                       ("cc", Int (Metrics.cc o.Backend.common.Backend.metrics));
-                       ("rounds", Int o.Backend.common.Backend.rounds);
-                     ])
-                 rows) );
-        ])
-  in
-  Bench_io.write_file ~path:"BENCH_engine.json"
-    (Bench_io.Obj (bench_engine_others [ "cross_protocol" ] @ [ ("cross_protocol", payload) ]));
-  Printf.printf "wrote BENCH_engine.json (cross_protocol)\n"
-
-(* ------------------------------------------------------------------ *)
-(* E21 — update lag: client-observed latency through a live handoff    *)
-(* ------------------------------------------------------------------ *)
-
-(* Sustained request load from a resilient client session while the
-   server hands off to a successor mid-stream, both legs of the
-   mechanism: fd-pass over a unix socket and unlink-and-rebind over TCP.
-   Everything runs in-process on one thread (the session's [pump] drives
-   the listeners' poll loops), so the percentiles measure the transport
-   and handoff machinery, not process scheduling.  The headline numbers
-   are the client-observed per-request latencies — the handoff shows up
-   as the tail (the request that rides retry/backoff across the gap) and
-   [failed_requests] must stay 0: zero downtime as the client sees it. *)
-let e21 () =
-  header
-    "E21 | update lag — client-observed latency through a live handoff\n\
-     sustained load, takeover mid-stream (fd-pass and rebind legs);\n\
-     per-request percentiles to BENCH_engine.json (update_lag)";
-  let module L = Transport.Listener in
-  let module C = Transport.Client in
-  let module H = Transport.Handoff in
-  let module Srv = Service.Server in
-  let settings =
-    {
-      Service.Reconfig.default with
-      Service.Reconfig.queue_capacity = 64;
-      cache_capacity = 128;
-      tick_batch = 8;
-      checkpoint_every = 0;
-    }
-  in
-  let mk_server ckpt =
-    Srv.create { Srv.settings; checkpoint_path = Some ckpt; store_dir = None; name = "bench-e21" }
-  in
-  let submit seed =
-    Printf.sprintf
-      {|{"op":"submit","job":{"family":"grid","n":16,"seed":%d,"failures":"none"}}|} seed
-  in
-  let requests_per_leg = 300 in
-  let handoff_at = requests_per_leg / 3 in
-  let percentile sorted p =
-    let n = Array.length sorted in
-    sorted.(min (n - 1) (max 0 (int_of_float (ceil (p /. 100. *. float_of_int n)) - 1)))
-  in
-  let fresh_path suffix =
-    let p = Filename.temp_file "ftagg-e21" suffix in
-    Sys.remove p;
-    p
-  in
-  let leg ~name ~address ~ctl ~mode =
-    let ckpt = fresh_path ".ckpt.json" in
-    let t1 =
-      match L.create (L.config ~ctl address) (mk_server ckpt) with
-      | Ok t -> t
-      | Error e -> failwith e
-    in
-    let live = ref [ t1 ] in
-    let pump () = List.iter (fun l -> ignore (L.poll l)) !live in
-    (* resolve an ephemeral TCP port to what the kernel assigned *)
-    let address =
-      match address with
-      | L.Tcp (h, 0) -> L.Tcp (h, Option.get (L.port t1))
-      | a -> a
-    in
-    let retry = C.retry ~attempts:12 ~backoff_ms:2 ~max_backoff_ms:16 ~timeout_ms:8000 () in
-    let s = C.session ~retry ~pump address in
-    let lat = Array.make requests_per_leg 0. in
-    let failed = ref 0 in
-    let handoff_wall = ref 0. in
-    let bounded msg pred =
-      let budget = ref 1_000_000 in
-      while not (pred ()) do
-        decr budget;
-        if !budget <= 0 then failwith ("e21: " ^ msg);
-        pump ()
-      done
-    in
-    let do_handoff () =
-      let (), wall =
-        Bench_io.timed (fun () ->
-            let tk =
-              match H.Takeover.start ~mode ~ctl () with Ok tk -> tk | Error e -> failwith e
-            in
-            let outcome = ref None in
-            bounded "takeover stuck" (fun () ->
-                match H.Takeover.step tk with
-                | `Ready o ->
-                  outcome := Some o;
-                  true
-                | `Failed msg -> failwith ("e21: takeover failed: " ^ msg)
-                | `Pending -> false);
-            let outcome = Option.get !outcome in
-            let t2 =
-              match
-                L.create ?adopted_fd:outcome.H.Takeover.fd (L.config ~ctl address)
-                  (mk_server ckpt)
-              with
-              | Ok t -> t
-              | Error e -> failwith e
-            in
-            live := [ t1; t2 ];
-            H.Takeover.confirm tk;
-            bounded "incumbent never saw the ack" (fun () -> L.handed_off t1);
-            L.drain t1;
-            live := [ t2 ])
-      in
-      handoff_wall := wall
-    in
-    for k = 0 to requests_per_leg - 1 do
-      if k = handoff_at then do_handoff ();
-      (* mostly submits (seeds recycle, so the warm cache matters), with
-         a periodic drain so the queue never backpressures the feed *)
-      let line = if k mod 10 = 9 then {|{"op":"drain"}|} else submit (k mod 40) in
-      let (), wall =
-        Bench_io.timed (fun () ->
-            match C.srequest s line with Ok _ -> () | Error _ -> incr failed)
-      in
-      lat.(k) <- wall *. 1000.
-    done;
-    let reconnects = C.reconnects s in
-    C.sclose s;
-    List.iter L.drain !live;
-    List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ ckpt; ctl ];
-    (match address with
-    | L.Unix_sock p when Sys.file_exists p -> Sys.remove p
-    | _ -> ());
-    let sorted = Array.copy lat in
-    Array.sort compare sorted;
-    let p50 = percentile sorted 50.
-    and p95 = percentile sorted 95.
-    and p99 = percentile sorted 99.
-    and mx = sorted.(requests_per_leg - 1) in
-    Printf.printf
-      "%-12s  %d requests, %d failed, %d reconnect(s)  p50 %6.3f ms  p95 %6.3f ms  p99 %6.3f \
-       ms  max %7.3f ms  (handoff %.1f ms)\n"
-      name requests_per_leg !failed reconnects p50 p95 p99 mx (!handoff_wall *. 1000.);
-    Bench_io.(
-      Obj
-        [
-          ("leg", String name);
-          ("requests", Int requests_per_leg);
-          ("failed_requests", Int !failed);
-          ("reconnects", Int reconnects);
-          ("p50_ms", Float (q4 p50));
-          ("p95_ms", Float (q4 p95));
-          ("p99_ms", Float (q4 p99));
-          ("max_ms", Float (q4 mx));
-          ("handoff_ms", Float (q2 (!handoff_wall *. 1000.)));
-        ])
-  in
-  let sock = fresh_path ".sock" in
-  let legs =
-    [
-      leg ~name:"unix_fd_pass" ~address:(L.Unix_sock sock) ~ctl:(sock ^ ".ctl") ~mode:H.Fd_pass;
-      leg ~name:"tcp_rebind" ~address:(L.Tcp ("127.0.0.1", 0)) ~ctl:(fresh_path ".ctl")
-        ~mode:H.Rebind;
-    ]
-  in
-  let payload =
-    Bench_io.(
-      Obj
-        [
-          ("requests_per_leg", Int requests_per_leg);
-          ("handoff_at", Int handoff_at);
-          ("legs", List legs);
-        ])
-  in
-  Bench_io.write_file ~path:"BENCH_engine.json"
-    (Bench_io.Obj (bench_engine_others [ "update_lag" ] @ [ ("update_lag", payload) ]));
-  Printf.printf "wrote BENCH_engine.json (update_lag)\n"
-
-(* ------------------------------------------------------------------ *)
-(* E22 — fleet scaling: jobs/sec vs server process count, cold vs      *)
-(* warm, over real forked servers sharing one on-disk outcome store    *)
-(* ------------------------------------------------------------------ *)
-
-let e22 () =
-  header
-    "E22 | fleet scaling — jobs/sec vs process count, cold vs warm\n\
-     forked server processes on unix sockets sharing one outcome store,\n\
-     driven by the consistent-hash fan-out client; JSON to BENCH_engine.json (fleet)";
-  let module L = Transport.Listener in
-  let module C = Transport.Client in
-  let module Srv = Service.Server in
-  let n_jobs = 96 in
-  let jobs =
-    List.init n_jobs (fun i ->
-        match
-          Bench_io.of_string
-            (Printf.sprintf
-               {|{"family":"grid","n":100,"seed":%d,"tenant":"bench","failures":"none"}|}
-               (1000 + i))
-        with
-        | Ok j -> j
-        | Error e -> failwith ("e22: bad job json: " ^ e))
-  in
-  let settings =
-    {
-      Service.Reconfig.default with
-      Service.Reconfig.queue_capacity = 256;
-      cache_capacity = 256;
-      tick_batch = 16;
-      checkpoint_every = 0;
-      domains = 1;
-    }
-  in
-  let fresh_path suffix =
-    let p = Filename.temp_file "ftagg-e22" suffix in
-    Sys.remove p;
-    p
-  in
-  let rm_rf d =
-    if Sys.file_exists d then begin
-      Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
-      Unix.rmdir d
-    end
-  in
-  (* one forked server process: serve on [path] until SIGTERM, then
-     drain and exit.  The child prints nothing and leaves through
-     [_exit] so the parent's buffered output is not flushed twice. *)
-  let spawn_member ~store_dir path =
-    match Unix.fork () with
-    | 0 ->
-      let code =
-        let server =
-          Srv.create
-            { Srv.settings; checkpoint_path = None; store_dir = Some store_dir; name = "bench-e22" }
-        in
-        match L.create (L.config (L.Unix_sock path)) server with
-        | Ok l -> L.run l
-        | Error _ -> 1
-      in
-      Unix._exit code
-    | pid -> pid
-  in
-  (* [Unix.fork] is illegal once any domain has been spawned, and
-     [Fleet.run] drives each endpoint from its own domain — so every
-     fleet (one per process count, each with its own store) is forked
-     up front, before the first drive.  Undriven fleets just idle. *)
-  let setup processes =
-    let store_dir = fresh_path ".store" in
-    let socks = List.init processes (fun _ -> fresh_path ".sock") in
-    let pids = List.map (spawn_member ~store_dir) socks in
-    (processes, store_dir, socks, pids)
-  in
-  let fleets = List.map setup [ 1; 2; 4 ] in
-  List.iter
-    (fun (_, _, socks, _) ->
-      List.iter
-        (fun p ->
-          let budget = ref 2000 in
-          while not (C.probe (L.Unix_sock p)) do
-            decr budget;
-            if !budget <= 0 then failwith "e22: a fleet member never came up";
-            Unix.sleepf 0.005
-          done)
-        socks)
-    fleets;
-  let row (processes, store_dir, socks, pids) =
-    let endpoints = List.map (fun p -> "unix:" ^ p) socks in
-    let drive label =
-      let result = ref None in
-      let (), wall =
-        Bench_io.timed (fun () -> result := Some (Fleet.run ~endpoints ~jobs ()))
-      in
-      match !result with
-      | Some (Ok report) ->
-        if report.Fleet.r_failed > 0 then
-          failwith (Printf.sprintf "e22: %s pass lost %d job(s)" label report.Fleet.r_failed);
-        (report, wall)
-      | Some (Error e) -> failwith ("e22: " ^ e)
-      | None -> assert false
-    in
-    let cold, cold_wall = drive "cold" in
-    let warm, warm_wall = drive "warm" in
-    List.iter (fun pid -> Unix.kill pid Sys.sigterm) pids;
-    List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
-    List.iter (fun p -> if Sys.file_exists p then Sys.remove p) socks;
-    rm_rf store_dir;
-    let cold_jps = float_of_int n_jobs /. cold_wall in
-    let warm_jps = float_of_int n_jobs /. warm_wall in
-    Printf.printf
-      "%d process(es)  cold %7.3f s (%6.1f jobs/s)  warm %7.3f s (%6.1f jobs/s)  warm cached \
-       %d/%d\n\
-       %!"
-      processes cold_wall cold_jps warm_wall warm_jps warm.Fleet.r_cached n_jobs;
-    Bench_io.(
-      Obj
-        [
-          ("processes", Int processes);
-          ("cold_wall_s", Float (q4 cold_wall));
-          ("cold_jobs_per_sec", Float (q2 cold_jps));
-          ("warm_wall_s", Float (q4 warm_wall));
-          ("warm_jobs_per_sec", Float (q2 warm_jps));
-          ("cold_failed", Int cold.Fleet.r_failed);
-          ("warm_failed", Int warm.Fleet.r_failed);
-          ("warm_cached", Int warm.Fleet.r_cached);
-        ])
-  in
-  let rows = List.map row fleets in
-  let payload =
-    Bench_io.(Obj [ ("jobs", Int n_jobs); ("distinct", Int n_jobs); ("rows", List rows) ])
-  in
-  Bench_io.write_file ~path:"BENCH_engine.json"
-    (Bench_io.Obj (bench_engine_others [ "fleet" ] @ [ ("fleet", payload) ]));
-  Printf.printf "wrote BENCH_engine.json (fleet)\n"
-
-(* ------------------------------------------------------------------ *)
-(* E23 — N-scaling: AGG through the massive-scale executor             *)
-(* ------------------------------------------------------------------ *)
-
-(* AGG on streamed random-regular(4) CSR graphs at N = 1k..1M through
-   lib/scale: rounds/sec, live bytes/node and peak RSS per size, a
-   domain sweep at the largest mid-size N, and a differential pin at
-   N = 1k (byte-identical to Engine.run_reference).  FTAGG_E23_MAX_N caps the
-   sweep for constrained environments (CI smoke).  JSON under the
-   "scale" key of BENCH_engine.json; [guard_scale] re-checks it. *)
-let e23 () =
-  header
-    "E23 | N-scaling — AGG on streamed graphs through the scale executor\n\
-     random-regular(4) at N = 1k / 10k / 100k / 1M, rounds/sec and\n\
-     bytes/node per size; domain sweep at 100k; pin at 1k; JSON to\n\
-     BENCH_engine.json";
-  let seed = 7 in
-  let max_n =
-    match Option.bind (Sys.getenv_opt "FTAGG_E23_MAX_N") int_of_string_opt with
-    | Some cap -> cap
-    | None -> 1_000_000
-  in
-  let ns = List.filter (fun n -> n <= max_n) [ 1_000; 10_000; 100_000; 1_000_000 ] in
-  if List.length ns < 4 then
-    Printf.printf "NOTE: FTAGG_E23_MAX_N=%d drops %d of 4 sizes from the sweep\n" max_n
-      (4 - List.length ns);
-  let spec = Bigraph.Random_regular 4 in
-  let exec ?(domains = 1) bg params =
-    let n = Ftagg.Params.(params.n) in
-    let registry = Registry.create () in
-    let meter = Scale_mem.create ~registry ~n () in
-    let o, wall =
-      Bench_io.timed (fun () ->
-          Scale_run.agg ~domains ~meter ~registry ~graph:bg ~failures:(Failure.none ~n) ~params
-            ~seed ())
-    in
-    (o, wall, registry)
-  in
-  let row n =
-    let bg, build_s = Bench_io.timed (fun () -> Bigraph.build spec ~n ~seed) in
-    (match Bigraph.validate ~spec bg with
-    | Ok () -> ()
-    | Error e -> failwith (Printf.sprintf "e23: generated graph invalid at n=%d: %s" n e));
-    (* Unit inputs keep the message width flat across sizes, so the sweep
-       measures the executor, not int-width growth. *)
-    let params = Scale_run.params ~graph:bg ~inputs:(Array.make n 1) () in
-    let o, wall, registry = exec bg params in
-    let correct = o.Scale_run.result = Agg.Value (Scale_run.expected_sum params) in
-    if not correct then failwith (Printf.sprintf "e23: wrong AGG result at n=%d" n);
-    let gauge name = Option.value (Registry.gauge registry name) ~default:0.0 in
-    let rps = float_of_int o.Scale_run.rounds /. Float.max wall 1e-9 in
-    let bytes_per_node = gauge "scale_bytes_per_node" in
-    let peak_rss_kb = int_of_float (gauge "scale_peak_rss_kb") in
-    Printf.printf
-      "N=%-9d d=%-3d build %6.2f s  %4d rounds in %7.2f s (%8.1f rounds/s)  %8.1f bytes/node  \
-       RSS %6.1f MiB\n\
-       %!"
-      n Ftagg.Params.(params.d) build_s o.Scale_run.rounds wall rps bytes_per_node
-      (float_of_int peak_rss_kb /. 1024.0);
-    ( (n, rps),
-      Bench_io.(
-        Obj
-          [
-            ("n", Int n);
-            ("pseudo_diameter", Int Ftagg.Params.(params.d));
-            ("build_s", Float (q4 build_s));
-            ("rounds", Int o.Scale_run.rounds);
-            ("wall_s", Float (q4 wall));
-            ("rounds_per_sec", Float (q2 rps));
-            ("bytes_per_node", Float (q2 bytes_per_node));
-            ("peak_live_mib", Float (q2 (gauge "scale_peak_live_bytes" /. (1024.0 *. 1024.0))));
-            ("peak_rss_kb", Int peak_rss_kb);
-            ("correct", Bool correct);
-          ]) )
-  in
-  let rows = List.map row ns in
-  (* Domain sweep at the largest size <= 100k in the sweep. *)
-  let sweep_n = List.fold_left (fun acc n -> if n <= 100_000 then n else acc) (List.hd ns) ns in
-  let bg = Bigraph.build spec ~n:sweep_n ~seed in
-  let params = Scale_run.params ~graph:bg ~inputs:(Array.make sweep_n 1) () in
-  let base_rps = ref 0.0 in
-  let sweep_rows =
-    List.map
-      (fun domains ->
-        let o, wall, _ = exec ~domains bg params in
-        let rps = float_of_int o.Scale_run.rounds /. Float.max wall 1e-9 in
-        if domains = 1 then base_rps := rps;
-        let speedup = rps /. Float.max !base_rps 1e-9 in
-        Printf.printf "domains=%d at N=%d: %8.1f rounds/s (%.2fx vs 1 domain)\n%!" domains sweep_n
-          rps speedup;
-        Bench_io.(
-          Obj
-            [
-              ("domains", Int domains);
-              ("rounds_per_sec", Float (q2 rps));
-              ("speedup", Float (q2 speedup));
-            ]))
-      [ 1; 2; 4 ]
-  in
-  (* Differential pin at N = 1k: materialise the same topology and compare
-     against the every-node reference engine, bit for bit. *)
-  let pin_n = 1_000 in
-  let pin_bg = Bigraph.build spec ~n:pin_n ~seed in
-  let pin_params = Scale_run.params ~graph:pin_bg ~inputs:(Array.make pin_n 1) () in
-  let pin_o, _, _ = exec pin_bg pin_params in
-  let ref_o =
-    Scale_run.reference ~graph:(Bigraph.to_graph pin_bg) ~failures:(Failure.none ~n:pin_n)
-      ~params:pin_params ~seed
-  in
-  let pin_ok = Scale_run.agrees ref_o pin_o in
-  if not pin_ok then failwith "e23: executor diverged from Engine.run_reference at N=1000";
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "pin at N=%d: OK (byte-identical to Engine.run_reference); %d core(s) available\n"
-    pin_n cores;
-  let payload =
-    Bench_io.(
-      Obj
-        [
-          ("graph", String (Bigraph.spec_name spec));
-          ("cores", Int cores);
-          ("pin_ok", Bool pin_ok);
-          ("sweep_n", Int sweep_n);
-          ("rows", List (List.map snd rows));
-          ("domain_sweep", List sweep_rows);
-        ])
-  in
-  Bench_io.write_file ~path:"BENCH_engine.json"
-    (Bench_io.Obj (bench_engine_others [ "scale" ] @ [ ("scale", payload) ]));
-  Printf.printf "wrote BENCH_engine.json (scale)\n"
-
-(* ------------------------------------------------------------------ *)
-(* E24 — churn & elasticity: the scenario matrix                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Every churn schedule x {agg, flowupdating} on an evolving grid:
-   latency-to-90/95/99/100% completion and p95 per-node bandwidth from
-   the lib/obs histograms.  Deterministic from the seed (equal seeds →
-   identical join/crash schedules and identical percentile tables), so
-   the JSON payload is a stable committed baseline; [guard_scenarios]
-   re-checks it. *)
-let e24 () =
-  header
-    "E24 | churn & elasticity — scenario matrix over topology generations\n\
-     4 schedules x {agg, flowupdating}, 5 generations x 3 runs on an evolving grid;\n\
-     percentile completion + p95 per-node bandwidth; JSON to BENCH_engine.json";
-  let spec = Scenario.default in
-  let reports = Scenario.run spec in
-  Table.print (Scenario.table reports);
-  let expected_runs = spec.Scenario.generations * spec.Scenario.runs_per_generation in
-  List.iter
-    (fun (r : Scenario.report) ->
-      if r.Scenario.r_runs <> expected_runs then
-        failwith
-          (Printf.sprintf "e24: %s/%s ran %d of %d runs" r.Scenario.r_schedule
-             r.Scenario.r_backend r.Scenario.r_runs expected_runs);
-      if r.Scenario.r_schedule = "clear_skies" && r.Scenario.r_completed <> r.Scenario.r_runs then
-        failwith
-          (Printf.sprintf "e24: clear skies yet %s completed only %d/%d" r.Scenario.r_backend
-             r.Scenario.r_completed r.Scenario.r_runs))
-    reports;
-  let payload =
-    Bench_io.Obj
-      [
-        ("family", Bench_io.String "grid");
-        ("n", Bench_io.Int spec.Scenario.n);
-        ("generations", Bench_io.Int spec.Scenario.generations);
-        ("runs_per_generation", Bench_io.Int spec.Scenario.runs_per_generation);
-        ("budget", Bench_io.Int spec.Scenario.budget);
-        ("b", Bench_io.Int spec.Scenario.b);
-        ("f", Bench_io.Int spec.Scenario.f);
-        ("seed", Bench_io.Int spec.Scenario.seed);
-        ("rows", Bench_io.List (List.map Scenario.report_to_json reports));
-      ]
-  in
-  Bench_io.write_file ~path:"BENCH_engine.json"
-    (Bench_io.Obj (bench_engine_others [ "scenarios" ] @ [ ("scenarios", payload) ]));
-  Printf.printf "\nwrote scenario matrix (%d rows) to BENCH_engine.json\n" (List.length reports)
-
-(* ------------------------------------------------------------------ *)
-(* guard — CI regression gate on the engine hot path                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Re-checking the committed baseline.  Every sub-guard reads its own
-   key of BENCH_engine.json through [committed] and the typed getters
-   below; any shape mismatch raises [Guard_failed], which [guard] reports
-   under the sub-guard's name. *)
-exception Guard_failed of string
-
-let fail fmt = Printf.ksprintf (fun msg -> raise (Guard_failed msg)) fmt
-
-(* The experiment that writes each committed key. *)
-let baseline_writers =
-  [
-    ("overhauled_pipeline", "perf"); ("pair", "perf"); ("cross_protocol", "e20");
-    ("update_lag", "e21");
-    ("fleet", "e22"); ("scale", "e23"); ("scenarios", "e24");
-  ]
-
-let committed key =
-  match Bench_io.read_file ~path:"BENCH_engine.json" with
-  | exception Sys_error e -> fail "%s" e
-  | Error e -> fail "%s" e
-  | Ok json -> (
-    match Bench_io.member key json with
-    | Some sub -> sub
-    | None ->
-      fail "no %s object in BENCH_engine.json (run bench %s)" key
-        (List.assoc key baseline_writers))
-
-let field conv what k j =
-  match Option.bind (Bench_io.member k j) conv with
-  | Some v -> v
-  | None -> fail "missing %s %s" what k
-
-let get_int = field Bench_io.to_int "integer"
-let get_float = field Bench_io.to_float "number"
-let get_str = field Bench_io.to_string_v "string"
-let get_bool = field Bench_io.to_bool "boolean"
-let get_list = field Bench_io.to_list "list"
-let get_obj = field Option.some "object"
-
-(* The frontier's work as a count, independent of host speed: [perf]'s
-   AGG run must step no more nodes than the committed
-   [overhauled_pipeline.node_steps_per_run], and its pair run no more
-   than [pair.frontier.node_steps_per_run]. *)
-let guard_frontier_steps () =
-  let committed_agg = get_int "node_steps_per_run" (committed "overhauled_pipeline") in
-  let g, params, failures, dur = perf_workload () in
-  let steps =
-    node_steps (Engine.run ~graph:g ~failures ~max_rounds:dur ~seed:1) (Agg.protocol params)
-  in
-  if steps > committed_agg then
-    fail "AGG steps %d nodes per run, more than the committed %d" steps committed_agg;
-  Printf.printf "frontier     %d node steps per run <= committed %d  OK\n" steps committed_agg;
-  let committed_pair =
-    get_int "node_steps_per_run" (get_obj "frontier" (committed "pair"))
-  in
-  let g, params, failures, dur = perf_pair_workload () in
-  let steps =
-    node_steps (Engine.run ~graph:g ~failures ~max_rounds:dur ~seed:1) (Pair.protocol params)
-  in
-  if steps > committed_pair then
-    fail "the pair steps %d nodes per run, more than the committed %d" steps committed_pair;
-  Printf.printf "frontier     pair %d node steps per run <= committed %d  OK\n" steps
-    committed_pair
-
-(* The committed E20 matrix must exist, cover the registry, and keep the
-   mass-conservation contrast: on every crash row set, flow-updating's
-   relative error strictly below push-sum's. *)
-let guard_cross_protocol () =
-  let rows = get_list "rows" (committed "cross_protocol") in
-  List.iter
-    (fun bk ->
-      if not (List.exists (fun r -> get_str "backend" r = bk) rows) then
-        fail "backend %S missing from the matrix" bk)
-    [ "agg"; "flood"; "folklore"; "pushsum"; "flowupdating" ];
-  let crash_scenarios =
-    List.sort_uniq compare
-      (List.filter_map
-         (fun r ->
-           match Bench_io.member "crash" r with
-           | Some (Bench_io.Bool true) -> Some (get_str "scenario" r)
-           | _ -> None)
-         rows)
-  in
-  if crash_scenarios = [] then fail "no crash scenarios in the matrix";
-  List.iter
-    (fun sname ->
-      let err bk =
-        match
-          List.find_opt (fun r -> get_str "scenario" r = sname && get_str "backend" r = bk) rows
-        with
-        | Some r -> Option.bind (Bench_io.member "relative_error" r) Bench_io.to_float
-        | None -> fail "%s: no %s row" sname bk
-      in
-      match (err "flowupdating", err "pushsum") with
-      | Some fu, Some ps when fu < ps ->
-        Printf.printf "cross_protocol %-12s flowupdating %.3g < pushsum %.3g  OK\n" sname fu ps
-      | Some fu, Some ps ->
-        fail "%s: flow-updating (%.3g) no longer beats push-sum (%.3g)" sname fu ps
-      | _ -> fail "%s: missing relative_error" sname)
-    crash_scenarios
-
-(* The committed E21 update-lag table must exist, cover both handoff
-   legs, and keep the zero-downtime contract: no failed requests, sane
-   (ordered) percentiles, and at least one client reconnect per leg —
-   proof a handoff actually happened mid-stream.  Machine-dependent
-   absolute timings are deliberately not gated. *)
-let guard_update_lag () =
-  let legs = get_list "legs" (committed "update_lag") in
-  List.iter
-    (fun name ->
-      let l =
-        match
-          List.find_opt (fun l -> Bench_io.member "leg" l = Some (Bench_io.String name)) legs
-        with
-        | Some l -> l
-        | None -> fail "leg %S missing (run bench e21)" name
-      in
-      if get_int "requests" l < 100 then fail "%s: too few requests to mean anything" name;
-      if get_int "failed_requests" l <> 0 then
-        fail "%s: failed requests through the handoff — downtime is visible" name;
-      if get_int "reconnects" l < 1 then
-        fail "%s: no reconnect recorded — did the handoff happen?" name;
-      let p50 = get_float "p50_ms" l
-      and p95 = get_float "p95_ms" l
-      and p99 = get_float "p99_ms" l
-      and mx = get_float "max_ms" l in
-      if not (p50 <= p95 && p95 <= p99 && p99 <= mx) then fail "%s: percentiles out of order" name;
-      if get_float "handoff_ms" l <= 0. then fail "%s: non-positive handoff wall time" name;
-      Printf.printf
-        "update_lag %-12s 0 failed, p50 %.3f <= p95 %.3f <= p99 %.3f <= max %.3f ms  OK\n" name
-        p50 p95 p99 mx)
-    [ "unix_fd_pass"; "tcp_rebind" ]
-
-let guard_fleet () =
-  let sub = committed "fleet" in
-  let jobs = get_int "jobs" sub in
-  let rows = get_list "rows" sub in
-  let get_row p =
-    match List.find_opt (fun r -> get_int "processes" r = p) rows with
-    | Some r -> r
-    | None -> fail "no row for %d process(es) (run bench e22)" p
-  in
-  let prev_cold = ref 0. in
-  List.iter
-    (fun p ->
-      let r = get_row p in
-      if get_int "cold_failed" r <> 0 || get_int "warm_failed" r <> 0 then
-        fail "%d process(es): failed jobs recorded" p;
-      if get_int "warm_cached" r <> jobs then
-        fail "%d process(es): warm pass was not fully cache-served" p;
-      let cold = get_float "cold_jobs_per_sec" r in
-      if cold <= !prev_cold then
-        fail "cold jobs/sec does not increase with process count (%d procs: %.2f <= %.2f)" p cold
-          !prev_cold;
-      prev_cold := cold)
-    [ 1; 2; 4 ];
-  let warm1 = get_float "warm_jobs_per_sec" (get_row 1) in
-  let warm4 = get_float "warm_jobs_per_sec" (get_row 4) in
-  if warm4 < 1.5 *. warm1 then
-    fail "warm fleet %.2f jobs/s is not >= 1.5x warm single-process %.2f" warm4 warm1;
-  Printf.printf
-    "fleet        cold scales with process count, warm 4-proc %.0f >= 1.5x single %.0f jobs/s  \
-     OK\n"
-    warm4 warm1
-
-(* Re-checks the committed E23 scale matrix: every size present and
-   correct, rounds/sec strictly decreasing with N (bigger graphs must
-   not mysteriously get faster — that means the sweep was truncated or
-   the workload changed), the 1M footprint under the 4 GiB ceiling, the
-   1k differential pin green, and — only when the committed run had >= 4
-   cores — the 4-domain sweep at least 2x the single-domain rate. *)
-let guard_scale () =
-  let sub = committed "scale" in
-  if not (get_bool "pin_ok" sub) then
-    fail "pin_ok is not true (executor diverged from Engine.run_reference)";
-  let rows = get_list "rows" sub in
-  let row_for n =
-    match List.find_opt (fun r -> get_int "n" r = n) rows with
-    | Some r -> r
-    | None -> fail "no row for N=%d (run bench e23 uncapped)" n
-  in
-  let prev_rps = ref infinity in
-  List.iter
-    (fun n ->
-      let r = row_for n in
-      if not (get_bool "correct" r) then fail "N=%d: AGG result not correct" n;
-      let rps = get_float "rounds_per_sec" r in
-      if rps >= !prev_rps then
-        fail "rounds/sec does not decrease with N (N=%d: %.1f >= %.1f)" n rps !prev_rps;
-      prev_rps := rps)
-    [ 1_000; 10_000; 100_000; 1_000_000 ];
-  let m = row_for 1_000_000 in
-  let footprint_mib =
-    Float.max
-      (get_float "bytes_per_node" m *. 1e6 /. (1024.0 *. 1024.0))
-      (float_of_int (get_int "peak_rss_kb" m) /. 1024.0)
-  in
-  if footprint_mib >= 4096.0 then
-    fail "1M-node footprint %.0f MiB breaches the 4 GiB ceiling" footprint_mib;
-  let cores = get_int "cores" sub in
-  let sweep = get_list "domain_sweep" sub in
-  if cores >= 4 then begin
-    let rps_at d =
-      match List.find_opt (fun r -> get_int "domains" r = d) sweep with
-      | Some r -> get_float "rounds_per_sec" r
-      | None -> fail "domain sweep has no row for %d domains" d
-    in
-    let r1 = rps_at 1 and r4 = rps_at 4 in
-    if r4 < 2.0 *. r1 then
-      fail "4 domains %.1f rounds/s is not >= 2x single-domain %.1f (%d cores)" r4 r1 cores
-  end
-  else
-    Printf.printf
-      "scale        domain-speedup gate skipped (baseline committed with %d core(s))\n" cores;
-  Printf.printf
-    "scale        rounds/sec monotone over 1k..1M, 1M footprint %.0f MiB < 4 GiB, pin OK\n"
-    footprint_mib
-
-(* The committed E24 scenario matrix must exist, cover every
-   schedule x backend cell, keep clear skies at 100% completion with
-   ordered latency percentiles everywhere, and keep flow-updating's
-   worst relative error under churn bounded. *)
-let guard_scenarios () =
-  let rows = get_list "rows" (committed "scenarios") in
-  let row s bk =
-    match List.find_opt (fun r -> get_str "schedule" r = s && get_str "backend" r = bk) rows with
-    | Some r -> r
-    | None -> fail "no row for %s/%s (run bench e24)" s bk
-  in
-  List.iter
-    (fun s ->
-      List.iter
-        (fun bk ->
-          let r = row s bk in
-          let runs = get_int "runs" r and completed = get_int "completed" r in
-          if runs <= 0 then fail "%s/%s: empty cell" s bk;
-          if s = "clear_skies" && completed <> runs then
-            fail "%s/%s: clear skies completed only %d/%d" s bk completed runs;
-          if completed > 0 then begin
-            let p90 = get_float "latency_p90" r
-            and p95 = get_float "latency_p95" r
-            and p99 = get_float "latency_p99" r
-            and p100 = get_float "latency_p100" r in
-            if not (p90 <= p95 && p95 <= p99 && p99 <= p100) then
-              fail "%s/%s: latency percentiles out of order" s bk;
-            let rel = get_float "max_rel_err" r in
-            if bk = "agg" && s = "clear_skies" && rel <> 0.0 then
-              fail "%s/%s: exact backend with rel err %.3g" s bk rel;
-            if bk = "flowupdating" && rel > 0.25 then
-              fail "%s/%s: flow-updating rel err %.3g under churn exceeds the 0.25 bound" s bk rel
-          end)
-        [ "agg"; "flowupdating" ])
-    [ "clear_skies"; "steady_churn"; "burst_failure"; "adversarial" ];
-  Printf.printf
-    "scenarios    %d cells: clear skies 100%%, percentiles ordered, flow-updating rel err \
-     bounded  OK\n"
-    (List.length rows)
-
-(* Re-times the fast engine on [perf]'s exact config and compares
-   rounds/sec against the committed BENCH_engine.json.  More than a 30%
-   drop fails the process (exit 1) — the CI gate for accidental
-   de-optimisation of the CSR delivery loop.  Also re-counts the
-   frontier's node steps ([guard_frontier_steps]) and re-validates the
-   committed E20-E24 tables ([guard_cross_protocol] and the rest).  Unlike
-   [perf]/[e20] it never rewrites the baseline, and it is not part of the
-   default experiment list: run it explicitly as `bench/main.exe -- guard`. *)
-let guard () =
-  header
-    "GUARD | bench regression gate — fast engine vs committed BENCH_engine.json\n\
-     fails (exit 1) if rounds/sec drops more than 30% below the baseline or\n\
-     the frontier (AGG or the pair) steps more nodes than the committed count";
-  match get_float "rounds_per_sec" (committed "overhauled_pipeline") with
-  | exception Guard_failed e ->
-    Printf.eprintf "guard: cannot read the committed baseline: %s\n" e;
-    exit 3
-  | baseline_rps ->
-    let g, params, failures, dur = perf_workload () in
-    let run_fast s =
-      Engine.run ~graph:g ~failures ~max_rounds:dur ~seed:s (Agg.protocol params)
-    in
-    let wall, rps = perf_sweep ~dur run_fast in
-    let ratio = rps /. baseline_rps in
-    Printf.printf "baseline  %9.0f rounds/sec (BENCH_engine.json)\n" baseline_rps;
-    Printf.printf "measured  %9.0f rounds/sec (%.3f s, fastest of 5 sweeps)\n" rps wall;
-    Printf.printf "ratio     %9.2fx (gate: >= 0.70)\n" ratio;
-    if ratio < 0.7 then begin
-      Printf.printf "guard: FAIL — hot path regressed more than 30%% vs the committed baseline\n";
-      exit 1
-    end
-    else begin
-      (* Sub-guards raise [Guard_failed] with a reason on every expected
-         shape mismatch or failed check; this wrapper reports it, and
-         turns anything they did not anticipate (a malformed or
-         pre-upgrade committed baseline) into the same clear failure
-         instead of a raw backtrace. *)
-      let subguard name f =
-        try f () with
-        | Guard_failed msg ->
-          Printf.eprintf "guard: %s — %s\n" name msg;
-          exit 1
-        | e ->
-          Printf.eprintf
-            "guard: %s — unexpected error re-checking the committed baseline: %s\n\
-             (BENCH_engine.json stale or malformed? regenerate it with bench/main.exe)\n"
-            name (Printexc.to_string e);
-          exit 1
-      in
-      subguard "frontier_steps" guard_frontier_steps;
-      subguard "cross_protocol" guard_cross_protocol;
-      subguard "update_lag" guard_update_lag;
-      subguard "fleet" guard_fleet;
-      subguard "scale" guard_scale;
-      subguard "scenarios" guard_scenarios;
-      Printf.printf "guard: OK\n"
-    end
-
-let all_experiments =
-  [
-    ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
-    ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
-    ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15); ("e16", e16);
-    ("e17", e17); ("e18", e18); ("e19", e19); ("e20", e20); ("e21", e21);
-    ("e22", e22); ("e23", e23); ("e24", e24); ("timing", timing); ("perf", perf);
-  ]
-
-(* Runnable only by name — never part of the no-args "run everything"
-   sweep (guard exits nonzero by design, and must not overwrite
-   timings). *)
-let on_request_only = [ ("guard", guard) ]
+open Experiments
 
 let () =
   let requested =
