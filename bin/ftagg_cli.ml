@@ -52,15 +52,9 @@ let topology_conv =
 
 let caaf_conv =
   let parse s =
-    match String.lowercase_ascii s with
-    | "sum" -> Ok Instances.sum
-    | "count" -> Ok Instances.count
-    | "max" -> Ok Instances.max_
-    | "min" -> Ok Instances.min_
-    | "or" -> Ok Instances.bool_or
-    | "and" -> Ok Instances.bool_and
-    | "gcd" -> Ok Instances.gcd
-    | other -> Error (`Msg (Printf.sprintf "unknown aggregate %S" other))
+    match Instances.of_name s with
+    | Some c -> Ok c
+    | None -> Error (`Msg (Printf.sprintf "unknown aggregate %S" (String.lowercase_ascii s)))
   in
   Arg.conv (parse, fun ppf (c : Caaf.t) -> Format.pp_print_string ppf c.Caaf.name)
 
@@ -72,23 +66,30 @@ let nodes = Arg.(value & opt int 64 & info [ "n"; "nodes" ] ~doc:"Number of node
 let seed = Arg.(value & opt int 1 & info [ "s"; "seed" ] ~doc:"Random seed.")
 
 let make_failures graph ~mode ~budget ~seed ~window =
-  let n = Graph.n graph in
-  match String.lowercase_ascii mode with
-  | "none" -> Failure.none ~n
-  | "random" -> Failure.random graph ~rng:(Prng.create seed) ~budget ~max_round:window
-  | "burst" -> Failure.burst graph ~rng:(Prng.create seed) ~budget ~round:(window / 3)
-  | "chain" -> Failure.chain ~n ~first:1 ~len:(min budget (n - 2)) ~round:(window / 3)
-  | "neighborhood" -> Failure.neighborhood graph ~center:(n / 2) ~round:(window / 3)
-  | other ->
-    Printf.eprintf "ftagg: unknown failure mode %S\n" other;
+  match Failure.generate graph ~mode ~budget ~seed ~window with
+  | Some failures -> failures
+  | None ->
+    Printf.eprintf "ftagg: unknown failure mode %S\n" (String.lowercase_ascii mode);
     exit 3
+
+(* The run that run/trace/stats set up: a generated topology, seeded
+   inputs, [t] defaulting to 2f, and the named adversary over a
+   [b]-flooding-round window. *)
+let setup ?caaf ?(max_input = 50) ~topology ~n ~seed ~tol ~b ~f ~fmode ~budget () =
+  let graph = Gen.build topology ~n ~seed in
+  let inputs = Params.random_inputs ~rng:(Prng.create (seed + 17)) ~n ~max_input in
+  let t = Option.value tol ~default:(max 1 (2 * f)) in
+  let params = Params.make ~c:2 ~t ?caaf ~graph ~inputs () in
+  let window = b * params.Params.d in
+  (graph, params, make_failures graph ~mode:fmode ~budget ~seed:(seed + 3) ~window)
+
+let names view = String.concat ", " (List.map fst view)
 
 let protocol_arg =
   Arg.(
     value
     & opt string "tradeoff"
-    & info [ "p"; "protocol" ]
-        ~doc:"One of: tradeoff, brute, folklore, naive, unknown-f, pair, agg.")
+    & info [ "p"; "protocol" ] ~doc:(Printf.sprintf "One of: %s." (names Run.protocols)))
 
 let b_arg = Arg.(value & opt int 63 & info [ "b" ] ~doc:"Time budget in flooding rounds.")
 let f_arg = Arg.(value & opt int 8 & info [ "f" ] ~doc:"Edge-failure budget.")
@@ -98,69 +99,38 @@ let failures_arg =
   Arg.(
     value
     & opt string "random"
-    & info [ "failures" ] ~doc:"Adversary: none, random, burst, chain, neighborhood.")
+    & info [ "failures" ]
+        ~doc:(Printf.sprintf "Adversary: %s." (String.concat ", " Failure.modes)))
 
 let budget_arg =
   Arg.(value & opt (some int) None & info [ "budget" ] ~doc:"Edge failures to inject (default f).")
 
-(* Run one protocol by name, with a telemetry sink when [obs] is given.
-   Returns the label [run] prints, the rendered root value, the exit code
-   (0 ok, 2 protocol abort), the run's common outcome and the protocol's
-   evidence as (key, value) lines. *)
-let exec_protocol ?obs ~protocol ~graph ~failures ~params ~b ~f ~seed () =
-  let value = function
-    | Agg.Value v -> (string_of_int v, 0)
-    | Agg.Aborted -> ("<aborted>", 2)
-  in
-  match String.lowercase_ascii protocol with
-  | "tradeoff" ->
-    let o = Run.tradeoff ?obs ~graph ~failures ~params ~b ~f ~seed () in
-    let v, code = value o.Run.result in
-    let via =
-      match o.Run.how with
-      | Tradeoff.Via_pair y -> Printf.sprintf "AGG+VERI pair in interval %d" y
-      | Tradeoff.Via_brute_force -> "brute-force fallback"
-    in
-    ("tradeoff", v, code, o.Run.common, [ ("via", via) ])
-  | "brute" ->
-    let o = Run.brute_force ?obs ~graph ~failures ~params ~seed () in
-    let v, code = value o.Run.result in
-    ("brute", v, code, o.Run.common, [])
-  | ("folklore" | "naive") as name ->
-    let naive = name = "naive" in
-    let mode = if naive then Folklore.Naive else Folklore.Retry (f + 1) in
-    let o = Run.folklore ?obs ~graph ~failures ~params ~mode ~seed () in
-    let v, code =
-      match o.Run.f_result with
-      | Folklore.Value v -> (string_of_int v, 0)
-      | Folklore.No_clean_epoch -> ("<no clean epoch>", 2)
-    in
-    if naive then ("naive-TAG", v, code, o.Run.common, [])
-    else ("folklore", v, code, o.Run.common, [ ("epochs", string_of_int o.Run.epochs) ])
-  | "unknown-f" | "unknown_f" ->
-    let o = Run.unknown_f ?obs ~graph ~failures ~params ~seed () in
-    let v, code = value o.Run.result in
-    let via =
-      match o.Run.how with
-      | Unknown_f.Via_slot g -> Printf.sprintf "slot %d (t = %d)" g (1 lsl g)
-      | Unknown_f.Via_brute_force -> "brute-force fallback"
-    in
-    ("unknown-f", v, code, o.Run.common, [ ("via", via) ])
-  | "pair" ->
-    let o = Run.pair ?obs ~graph ~failures ~params ~seed () in
-    let v, code = value o.Run.result in
-    let veri =
-      Printf.sprintf "%b   (ground truth: LFC = %b, %d edge failures in window)"
-        o.Run.verdict.Pair.veri_ok o.Run.lfc o.Run.edge_failures
-    in
-    ("AGG+VERI", v, code, o.Run.common, [ ("VERI says", veri) ])
-  | "agg" ->
-    let o = Run.agg ?obs ~graph ~failures ~params ~seed () in
-    let v, code = value o.Run.result in
-    ("AGG", v, code, o.Run.common, [])
-  | other ->
-    Printf.eprintf "ftagg: unknown protocol %S\n" other;
+(* The printed answer and the exit code: 2 on a protocol abort. *)
+let render = function
+  | Backend.Exact (Agg.Value v) -> (string_of_int v, 0)
+  | Backend.Exact Agg.Aborted -> ("<aborted>", 2)
+  | Backend.Estimate { value; relative_error } ->
+    (Printf.sprintf "%.6g (relative error %.3g)" value relative_error, 0)
+
+(* The one dispatch path of run/trace/stats: look [name] up in a view of
+   Run's rows and run that row, with a telemetry sink when [obs] is
+   given.  An unknown name, or an input the row rejects (a budget below
+   Algorithm 1's minimum), prints one line and exits 3.  Returns the
+   view key, the row, its outcome and {!render}'s value and exit
+   code. *)
+let exec_row ?obs ~what ~view ~name ~graph ~failures ~params ~b ~f ~seed () =
+  match Run.find view name with
+  | None ->
+    Printf.eprintf "ftagg: unknown %s %S (have: %s)\n" what name (names view);
     exit 3
+  | Some (key, backend) -> (
+    match Backend.exec ?obs ~backend ~graph ~failures ~params ~b ~f ~seed () with
+    | exception Invalid_argument reason ->
+      Printf.eprintf "ftagg: %s\n" reason;
+      exit 3
+    | o ->
+      let value, code = render o.Backend.result in
+      (key, backend, o, value, code))
 
 let print_evidence = List.iter (fun (k, v) -> Printf.printf "%-11s: %s\n" k v)
 
@@ -219,11 +189,7 @@ let run_scale ~topology ~n ~seed ~tol ~fmode ~budget ~max_input ~domains ~mem_li
     | o ->
       let wall = Unix.gettimeofday () -. t0 in
       let failure_free = Failure.crashed_nodes failures = [] in
-      let v, code =
-        match o.Scale_run.result with
-        | Agg.Value v -> (string_of_int v, 0)
-        | Agg.Aborted -> ("<aborted>", 2)
-      in
+      let v, code = render (Backend.Exact o.Scale_run.result) in
       let gauge name = Option.value (Registry.gauge registry name) ~default:0.0 in
       Printf.printf "%-10s %s = %s\n" "AGG(scale)" params.Params.caaf.Caaf.name v;
       if failure_free then
@@ -265,9 +231,10 @@ let run_cmd =
       & opt (some string) None
       & info [ "backend" ]
           ~doc:
-            "Run a registered protocol backend (agg, flood, folklore, pushsum, flowupdating, \
-             flowupdating-avg) through the unified Run.exec harness instead of $(b,--protocol). \
-             Exact and approximate backends print the same outcome shape.")
+            (Printf.sprintf
+               "Run a registered protocol backend (%s) instead of $(b,--protocol). Both flags \
+                print the same outcome shape."
+               (names Run.backends)))
   in
   let scale =
     Arg.(
@@ -308,52 +275,28 @@ let run_cmd =
       run_scale ~topology ~n ~seed ~tol ~fmode ~budget:(Option.value budget ~default:f)
         ~max_input ~domains ~mem_limit ~pin
     else begin
-    let graph = Gen.build topology ~n ~seed in
-    let rng = Prng.create (seed + 17) in
-    let inputs = Params.random_inputs ~rng ~n ~max_input in
-    let t = Option.value tol ~default:(max 1 (2 * f)) in
-    let params = Params.make ~c:2 ~t ~caaf ~graph ~inputs () in
-    let d = params.Params.d in
-    let window = b * d in
-    let budget = Option.value budget ~default:f in
-    let failures = make_failures graph ~mode:fmode ~budget ~seed:(seed + 3) ~window in
-    let print_common name value (c : Run.common) =
-      Printf.printf "%-10s %s = %s\n" name params.Params.caaf.Caaf.name value;
-      Printf.printf "correct    : %b\n" c.Run.correct;
-      Printf.printf "CC         : %d bits (busiest node)\n" (Metrics.cc c.Run.metrics);
-      Printf.printf "TC         : %d rounds = %d flooding rounds (d = %d)\n" c.Run.rounds
-        c.Run.flooding_rounds d;
-      Printf.printf "edge fails : %d injected\n" (Failure.edge_failures graph failures)
+    let graph, params, failures =
+      setup ~caaf ~max_input ~topology ~n ~seed ~tol ~b ~f ~fmode
+        ~budget:(Option.value budget ~default:f) ()
     in
-    (* Exit code 2 on a protocol abort (pair/agg [Aborted], folklore
-       [No_clean_epoch]) so scripts and CI can gate on the outcome. *)
-    match backend_opt with
-    | Some bname -> (
-      match Run.backend_of_string bname with
-      | None ->
-        Printf.eprintf "ftagg: unknown backend %S (have: %s)\n" bname
-          (String.concat ", " (List.map fst Run.backends));
-        3
-      | Some backend ->
-        let o = Run.exec ~backend ~graph ~failures ~params ~b ~f ~seed () in
-        let v, code =
-          match o.Backend.result with
-          | Backend.Exact (Agg.Value v) -> (string_of_int v, 0)
-          | Backend.Exact Agg.Aborted -> ("<aborted>", 2)
-          | Backend.Estimate { value; relative_error } ->
-            (Printf.sprintf "%.6g (relative error %.3g)" value relative_error, 0)
-        in
-        print_common (Backend.name backend) v o.Backend.common;
-        Printf.printf "guarantee  : %s\n" (Backend.guarantee backend);
-        print_evidence o.Backend.evidence;
-        code)
-    | None ->
-      let label, v, code, common, evidence =
-        exec_protocol ~protocol ~graph ~failures ~params ~b ~f ~seed ()
-      in
-      print_common label v common;
-      print_evidence evidence;
-      code
+    let what, view, name =
+      match backend_opt with
+      | Some bname -> ("backend", Run.backends, bname)
+      | None -> ("protocol", Run.protocols, protocol)
+    in
+    let label, backend, o, value, code =
+      exec_row ~what ~view ~name ~graph ~failures ~params ~b ~f ~seed ()
+    in
+    let c = o.Backend.common in
+    Printf.printf "%-10s %s = %s\n" label params.Params.caaf.Caaf.name value;
+    Printf.printf "correct    : %b\n" c.Backend.correct;
+    Printf.printf "CC         : %d bits (busiest node)\n" (Metrics.cc c.Backend.metrics);
+    Printf.printf "TC         : %d rounds = %d flooding rounds (d = %d)\n" c.Backend.rounds
+      c.Backend.flooding_rounds params.Params.d;
+    Printf.printf "edge fails : %d injected\n" (Failure.edge_failures graph failures);
+    Printf.printf "guarantee  : %s\n" (Backend.guarantee backend);
+    print_evidence o.Backend.evidence;
+    code
     end
   in
   Cmd.v
@@ -463,18 +406,15 @@ let trace_cmd =
   in
   let limit = Arg.(value & opt int 12 & info [ "limit" ] ~doc:"Broadcast events to echo.") in
   let run protocol topology n seed b f tol fmode budget out jsonl limit =
-    let graph = Gen.build topology ~n ~seed in
-    let rng = Prng.create (seed + 17) in
-    let inputs = Params.random_inputs ~rng ~n ~max_input:50 in
-    let t = Option.value tol ~default:(max 1 (2 * f)) in
-    let params = Params.make ~c:2 ~t ~graph ~inputs () in
-    let window = b * params.Params.d in
-    let budget = Option.value budget ~default:f in
-    let failures = make_failures graph ~mode:fmode ~budget ~seed:(seed + 3) ~window in
-    let obs = Obs.create ~name:(Printf.sprintf "%s-%s-n%d" protocol (Gen.family_name topology) n) () in
-    let _, value, code, common, _ =
-      exec_protocol ~obs ~protocol ~graph ~failures ~params ~b ~f ~seed ()
+    let graph, params, failures =
+      setup ~topology ~n ~seed ~tol ~b ~f ~fmode ~budget:(Option.value budget ~default:f) ()
     in
+    let obs = Obs.create ~name:(Printf.sprintf "%s-%s-n%d" protocol (Gen.family_name topology) n) () in
+    let _, _, o, value, code =
+      exec_row ~obs ~what:"protocol" ~view:Run.protocols ~name:protocol ~graph ~failures ~params
+        ~b ~f ~seed ()
+    in
+    let common = o.Backend.common in
     Printf.printf "%s on %s (N=%d, seed %d): %s = %s, correct %b\n" protocol
       (Gen.family_name topology) n seed params.Params.caaf.Caaf.name value common.Run.correct;
     Printf.printf "CC %d bits, TC %d rounds = %d flooding rounds\n"
@@ -604,25 +544,17 @@ let stats_cmd =
             Scale_run.agg ~domains ~meter ~registry ~graph:bg ~failures:(Failure.none ~n) ~params
               ~seed ()
           in
-          let value, code =
-            match o.Scale_run.result with
-            | Agg.Value v -> (string_of_int v, 0)
-            | Agg.Aborted -> ("<aborted>", 2)
-          in
+          let value, code = render (Backend.Exact o.Scale_run.result) in
           ("agg(scale)", value, code, Metrics.cc o.Scale_run.metrics, o.Scale_run.rounds, registry)
       end
       else begin
-        let graph = Gen.build topology ~n ~seed in
-        let rng = Prng.create (seed + 17) in
-        let inputs = Params.random_inputs ~rng ~n ~max_input:50 in
-        let t = Option.value tol ~default:(max 1 (2 * f)) in
-        let params = Params.make ~c:2 ~t ~graph ~inputs () in
-        let window = b * params.Params.d in
-        let failures = make_failures graph ~mode:fmode ~budget:f ~seed:(seed + 3) ~window in
+        let graph, params, failures = setup ~topology ~n ~seed ~tol ~b ~f ~fmode ~budget:f () in
         let obs = Obs.create ~name:protocol () in
-        let _, value, code, common, _ =
-          exec_protocol ~obs ~protocol ~graph ~failures ~params ~b ~f ~seed ()
+        let _, _, o, value, code =
+          exec_row ~obs ~what:"protocol" ~view:Run.protocols ~name:protocol ~graph ~failures
+            ~params ~b ~f ~seed ()
         in
+        let common = o.Backend.common in
         ( protocol, value, code, Metrics.cc common.Run.metrics, common.Run.rounds,
           Obs.registry obs )
       end
@@ -707,14 +639,15 @@ let chaos_cmd =
       & opt string "agg"
       & info [ "backend" ]
           ~doc:
-            "Protocol backend the trials run (agg, flood, folklore, pushsum, flowupdating, \
-             flowupdating-avg). Every random draw is backend-independent, so equal seeds \
-             subject every backend to the same adversary schedules.")
+            (Printf.sprintf
+               "Protocol backend the trials run (%s). Every random draw is \
+                backend-independent, so equal seeds subject every backend to the same \
+                adversary schedules."
+               (names Run.backends)))
   in
   let run trials seed out bit_cap max_n quiet backend =
     if Run.backend_of_string backend = None then begin
-      Printf.eprintf "ftagg: unknown backend %S (have: %s)\n" backend
-        (String.concat ", " (List.map fst Run.backends));
+      Printf.eprintf "ftagg: unknown backend %S (have: %s)\n" backend (names Run.backends);
       exit 3
     end;
     (match out with
@@ -800,9 +733,7 @@ let scenarios_cmd =
       value
       & opt (list string) [ "agg"; "flowupdating" ]
       & info [ "backends" ] ~docv:"B1,B2,.."
-          ~doc:
-            "Protocol backends to matrix (agg, flood, folklore, pushsum, flowupdating, \
-             flowupdating-avg).")
+          ~doc:(Printf.sprintf "Protocol backends to matrix (%s)." (names Run.backends)))
   in
   let schedules =
     Arg.(
@@ -836,7 +767,7 @@ let scenarios_cmd =
     let bad fmt = Printf.ksprintf (fun m -> Printf.eprintf "ftagg: %s\n" m; exit 3) fmt in
     List.iter
       (fun name -> if Run.backend_of_string name = None then
-          bad "unknown backend %S (have: %s)" name (String.concat ", " (List.map fst Run.backends)))
+          bad "unknown backend %S (have: %s)" name (names Run.backends))
       backends;
     let schedules =
       match schedules with

@@ -110,3 +110,7 @@ let packed2 ~bits (a : Caaf.t) (b : Caaf.t) =
   }
 
 let all = [ sum; count; max_; min_; bool_or; bool_and; gcd; modsum 97 ]
+
+let of_name name =
+  let name = String.lowercase_ascii name in
+  List.find_opt (fun c -> c.Caaf.name = name) [ sum; count; max_; min_; bool_or; bool_and; gcd ]

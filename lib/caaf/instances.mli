@@ -48,3 +48,7 @@ val unpack2 : bits:int -> int -> int * int
 
 val all : Caaf.t list
 (** The instances above (with [modsum 97] for the modular one). *)
+
+val of_name : string -> Caaf.t option
+(** [sum], [count], [max], [min], [or], [and] or [gcd] in any case: the
+    names of the CLI's [--aggregate] and a job's ["caaf"]. *)

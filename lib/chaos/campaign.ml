@@ -8,6 +8,7 @@ module Pair = Ftagg_proto.Pair
 module Checker = Ftagg_proto.Checker
 module Run = Ftagg_proto.Run
 module Backend = Ftagg_proto.Backend
+module Watchdog = Ftagg_proto.Watchdog
 module Obs = Ftagg_obs.Obs
 module Bench_io = Ftagg_runner.Bench_io
 
@@ -85,7 +86,7 @@ let run_backend ?online ?obs (sc : Incident.scenario) =
   let params = params_of sc graph in
   let failures = Failure.of_list ~n:sc.Incident.n sc.Incident.schedule in
   let ch =
-    Run.exec_chaos ?obs ~faults:sc.Incident.faults ?online ?bit_cap:sc.Incident.bit_cap
+    Backend.exec_chaos ?obs ~faults:sc.Incident.faults ?online ?bit_cap:sc.Incident.bit_cap
       ~backend ~graph ~failures ~params ~b ~f ~seed:sc.Incident.run_seed ()
   in
   {

@@ -3,7 +3,7 @@
 
     The oracle at the centre, {!check}, executes a {!Incident.scenario}
     deterministically (pair runs through {!Ftagg_sim.Engine.run_chaos}
-    with a {!Watchdog.pair_watch}; tradeoff runs through
+    with a {!Ftagg_proto.Watchdog.pair_watch}; tradeoff runs through
     {!Ftagg_proto.Run.tradeoff} with Theorem 1 post-checks) and reports
     the first violation.  Everything else — the randomized campaign, the
     shrinker, CLI replay, the fuzzer — funnels through it, so a scenario
@@ -51,7 +51,7 @@ val run_backend :
 (** One watched run of a registered backend.  The scenario's [kind] must
     be {!Incident.Backend_run} (raises [Invalid_argument] otherwise);
     the backend is resolved via {!Ftagg_proto.Run.backend_of_string} and
-    driven through {!Ftagg_proto.Run.exec_chaos} under its own watchdog
+    driven through {!Ftagg_proto.Backend.exec_chaos} under its own watchdog
     (which honours the scenario's planted [bit_cap]). *)
 
 val check : Incident.scenario -> Ftagg_sim.Engine.violation option
@@ -84,7 +84,7 @@ type config = {
   out_dir : string option;  (** where to write incident JSON, if anywhere *)
   bit_cap : int option;
       (** watchdog bit-cap override applied to every trial — lower it
-          below {!Watchdog.pair_bit_cap} to plant a violation and watch
+          below {!Ftagg_proto.Watchdog.pair_bit_cap} to plant a violation and watch
           the pipeline catch, shrink, and report it *)
   max_n : int;  (** largest system size drawn (smallest is 10) *)
   log : string -> unit;  (** progress sink (e.g. [print_endline]) *)

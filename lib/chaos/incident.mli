@@ -14,7 +14,7 @@ type kind =
   | Tradeoff_run of { b : int; f : int }  (** Algorithm 1 with budget [b] *)
   | Backend_run of { backend : string; b : int; f : int }
       (** any registered {!Ftagg_proto.Run.backends} entry, driven through
-          {!Ftagg_proto.Run.exec_chaos} under its own watchdog *)
+          {!Ftagg_proto.Backend.exec_chaos} under its own watchdog *)
 
 type scenario = {
   family : Ftagg_graph.Gen.family;

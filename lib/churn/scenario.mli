@@ -41,7 +41,7 @@ type spec = {
   generations : int;
   runs_per_generation : int;
   budget : int;  (** per-run edge-failure budget handed to the schedule *)
-  b : int;  (** TC budget in flooding rounds, as [Run.exec] *)
+  b : int;  (** TC budget in flooding rounds, as [Backend.exec] *)
   f : int;
   seed : int;
 }

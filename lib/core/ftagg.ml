@@ -71,7 +71,7 @@ module Worstcase = Ftagg_proto.Worstcase
 (** {1 Chaos: adaptive adversaries, watchdogs, shrinking incident reports} *)
 
 module Adversary = Ftagg_chaos.Adversary
-module Watchdog = Ftagg_chaos.Watchdog
+module Watchdog = Ftagg_proto.Watchdog
 module Incident = Ftagg_chaos.Incident
 module Shrink = Ftagg_chaos.Shrink
 module Campaign = Ftagg_chaos.Campaign

@@ -93,6 +93,21 @@ let bits_watch ~bit_cap view =
 let cap_watch ?bit_cap ~params:_ ~graph:_ () =
   Option.map (fun cap -> bits_watch ~bit_cap:cap) bit_cap
 
+let make (type s m) ~name ?(exact = true) ~guarantee ?(watch = cap_watch) ~protocol ~max_rounds
+    finish : t =
+  (module struct
+    type state = s
+    type msg = m
+
+    let name = name
+    let exact = exact
+    let guarantee = guarantee
+    let protocol = protocol
+    let max_rounds = max_rounds
+    let finish = finish
+    let watch = watch
+  end)
+
 let exec ?loss ?obs ~backend ~graph ~failures ~params ~b ~f ~seed () =
   let module B = (val backend : S) in
   let proto = B.protocol ~graph ~params ~b ~f in

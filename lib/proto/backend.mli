@@ -8,8 +8,10 @@
     by first-class module ({!t} = [(module S)]) so heterogeneous
     protocols (zero-error AGG+VERI next to approximate push-sum and
     flow-updating) ride the same harness: {!exec} for plain runs,
-    {!exec_chaos} for watched chaos runs, {!Run.backends} for the
-    registry the CLI and the chaos campaign dispatch on.
+    {!exec_chaos} for watched chaos runs.  Every runnable automaton is
+    one row built by {!make}; {!Run.protocols} and {!Run.backends} are
+    the two name views over those rows that the CLI, the service and the
+    chaos campaign dispatch on.
 
     The exact backends answer with {!Exact} (possibly [Agg.Aborted]);
     the gossip backends answer with {!Estimate}.  [common.correct] is
@@ -139,6 +141,19 @@ val cap_watch :
 (** An {!S.watch} that honours a planted cap with {!bits_watch} and
     checks nothing else — the watch of every backend without invariants
     of its own. *)
+
+val make :
+  name:string -> ?exact:bool -> guarantee:string ->
+  ?watch:(?bit_cap:int -> params:Params.t -> graph:Ftagg_graph.Graph.t -> unit ->
+          'state Ftagg_sim.Engine.watch option) ->
+  protocol:(graph:Ftagg_graph.Graph.t -> params:Params.t -> b:int -> f:int ->
+            ('state, 'msg) Ftagg_sim.Engine.protocol) ->
+  max_rounds:(params:Params.t -> b:int -> f:int -> int) ->
+  (graph:Ftagg_graph.Graph.t -> failures:Ftagg_sim.Failure.t -> params:Params.t -> b:int ->
+   f:int -> states:'state array -> metrics:Metrics.t -> outcome) ->
+  t
+(** A row from its {!S} fields, the last one [finish]; [exact] defaults
+    to [true] and [watch] to {!cap_watch}. *)
 
 val exec :
   ?loss:float ->

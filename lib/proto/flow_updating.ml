@@ -190,34 +190,21 @@ let finite_watch (view : state Engine.view) =
   in
   go 0
 
-let make_backend bname mode : Backend.t =
-  (module struct
-    type nonrec state = state
-    type nonrec msg = msg
-
-    let name = bname
-    let exact = false
-
-    let guarantee =
+let make_backend name mode =
+  Backend.make ~name ~exact:false
+    ~guarantee:
       "approximate; mass-conserving: crash-reset flows return routed mass, estimates \
        re-converge to the survivors' average"
-
-    let protocol ~graph ~params ~b:_ ~f:_ = protocol ~mode ~graph ~params ()
-    let max_rounds ~params ~b ~f:_ = b * params.Params.d
-
-    let finish ~graph ~failures ~params ~b:_ ~f:_ ~states ~metrics =
-      finish ~mode ~graph ~failures ~params ~states ~metrics
-
-    let watch ?bit_cap ~params:_ ~graph:_ () =
+    ~watch:(fun ?bit_cap ~params:_ ~graph:_ () ->
       Some
         (fun view ->
-          match bit_cap with
-          | Some cap -> (
-            match Backend.bits_watch ~bit_cap:cap view with
-            | Some v -> Some v
-            | None -> finite_watch view)
-          | None -> finite_watch view)
-  end)
+          match Option.bind bit_cap (fun cap -> Backend.bits_watch ~bit_cap:cap view) with
+          | Some v -> Some v
+          | None -> finite_watch view))
+    ~protocol:(fun ~graph ~params ~b:_ ~f:_ -> protocol ~mode ~graph ~params ())
+    ~max_rounds:(fun ~params ~b ~f:_ -> b * params.Params.d)
+    (fun ~graph ~failures ~params ~b:_ ~f:_ ~states ~metrics ->
+      finish ~mode ~graph ~failures ~params ~states ~metrics)
 
 let backend = make_backend "flowupdating" Sum
 let avg_backend = make_backend "flowupdating-avg" Avg

@@ -75,25 +75,13 @@ let run ?loss ?obs ~graph ~failures ~params ~rounds ~seed () =
   in
   package ~graph ~failures ~params ~states ~metrics
 
-let backend : Backend.t =
-  (module struct
-    type nonrec state = state
-    type nonrec msg = msg
-
-    let name = "pushsum"
-    let exact = false
-
-    let guarantee =
+let backend =
+  Backend.make ~name:"pushsum" ~exact:false
+    ~guarantee:
       "approximate; mass held by a crashed node is destroyed, so the estimate keeps a \
        permanent error after crashes"
-
-    let protocol ~graph ~params ~b:_ ~f:_ =
-      push_sum_protocol ~graph ~inputs:params.Params.inputs
-
-    let max_rounds ~params ~b ~f:_ = b * params.Params.d
-
-    let finish ~graph ~failures ~params ~b:_ ~f:_ ~states ~metrics =
-      package ~graph ~failures ~params ~states ~metrics
-
-    let watch = Backend.cap_watch
-  end)
+    ~protocol:(fun ~graph ~params ~b:_ ~f:_ ->
+      push_sum_protocol ~graph ~inputs:params.Params.inputs)
+    ~max_rounds:(fun ~params ~b ~f:_ -> b * params.Params.d)
+    (fun ~graph ~failures ~params ~b:_ ~f:_ ~states ~metrics ->
+      package ~graph ~failures ~params ~states ~metrics)

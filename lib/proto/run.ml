@@ -25,7 +25,6 @@ type pair_outcome = {
   result : Agg.result;
   verdict : Pair.verdict;
   trace : Checker.agg_trace;
-  veri_end : int;
   lfc : bool;
   edge_failures : int;
   common : common;
@@ -40,9 +39,8 @@ let finish_pair ~graph ~failures ~params ~states ~metrics =
   (truth, mk_common ~params ~metrics ~correct:truth.Checker.correct)
 
 let pair ?ablation ?loss ?obs ~graph ~failures ~params ~seed () =
-  let duration = Pair.duration params in
   let states, metrics =
-    Engine.run ?obs ?loss ~graph ~failures ~max_rounds:duration ~seed
+    Engine.run ?obs ?loss ~graph ~failures ~max_rounds:(Pair.duration params) ~seed
       (Pair.protocol ?ablation params)
   in
   let truth, common = finish_pair ~graph ~failures ~params ~states ~metrics in
@@ -53,7 +51,6 @@ let pair ?ablation ?loss ?obs ~graph ~failures ~params ~seed () =
     result = verdict.Pair.result;
     verdict;
     trace = truth.Checker.trace;
-    veri_end = duration;
     lfc = truth.Checker.lfc;
     edge_failures = truth.Checker.edge_failures;
     common;
@@ -65,12 +62,7 @@ type agg_outcome = {
   common : common;
 }
 
-let agg ?ablation ?loss ?obs ~graph ~failures ~params ~seed () =
-  let duration = Agg.duration params in
-  let states, metrics =
-    Engine.run ?obs ?loss ~graph ~failures ~max_rounds:duration ~seed
-      (Agg.protocol ?ablation params)
-  in
+let finish_agg ~graph ~failures ~params ~states ~metrics =
   let result = Agg.root_result states.(Graph.root) in
   let trace = { Checker.agg_nodes = states; agg_start = 1; failures; params; graph } in
   let correct =
@@ -79,6 +71,13 @@ let agg ?ablation ?loss ?obs ~graph ~failures ~params ~seed () =
     | Agg.Value v -> check_value ~graph ~failures ~params ~metrics v
   in
   { result; trace; common = mk_common ~params ~metrics ~correct }
+
+let agg ?ablation ?loss ?obs ~graph ~failures ~params ~seed () =
+  let states, metrics =
+    Engine.run ?obs ?loss ~graph ~failures ~max_rounds:(Agg.duration params) ~seed
+      (Agg.protocol ?ablation params)
+  in
+  finish_agg ~graph ~failures ~params ~states ~metrics
 
 type value_outcome = {
   result : Agg.result;
@@ -124,12 +123,15 @@ let folklore ?loss ?obs ~graph ~failures ~params ~mode ~seed () =
 
 (* Algorithm 1 and unknown-f are two plans of one interval driver; both
    always output a value (the brute-force fallback cannot abort). *)
-let run_intervals ?loss ?obs ~graph ~failures ~params ~seed ~max_rounds proto =
-  let states, metrics = Engine.run ?obs ?loss ~graph ~failures ~max_rounds ~seed proto in
+let finish_intervals ~graph ~failures ~params ~states ~metrics =
   let root = states.(Graph.root) in
   let v = Tradeoff.root_result root in
   let correct = check_value ~graph ~failures ~params ~metrics v in
   (root, Agg.Value v, mk_common ~params ~metrics ~correct)
+
+let run_intervals ?loss ?obs ~graph ~failures ~params ~seed ~max_rounds proto =
+  let states, metrics = Engine.run ?obs ?loss ~graph ~failures ~max_rounds ~seed proto in
+  finish_intervals ~graph ~failures ~params ~states ~metrics
 
 type tradeoff_outcome = {
   result : Agg.result;
@@ -159,8 +161,8 @@ let unknown_f ?loss ?obs ~graph ~failures ~params ~seed () =
   { result; how = Unknown_f.root_how root; common }
 
 (* ------------------------------------------------------------------ *)
-(* Protocol backends: the exact protocols above packaged behind the    *)
-(* first-class Backend interface, plus the registry.                   *)
+(* The rows: every runnable automaton as one Backend, finished by the  *)
+(* typed finishers above, and the two name views over them.           *)
 (* ------------------------------------------------------------------ *)
 
 type backend = Backend.t
@@ -174,95 +176,113 @@ let halted_early ~params ~metrics =
     evidence = [ ("halted_early", "true") ];
   }
 
-let agg_backend : backend =
-  (module struct
-    type state = Pair.node
-    type msg = Message.body
+let exact ?(evidence = []) result common =
+  { Backend.result = Backend.Exact result; common; evidence }
 
-    let name = "agg"
-    let exact = true
-
-    let guarantee =
+let pair_row =
+  Backend.make ~name:"agg"
+    ~guarantee:
       "zero-error or abort; with <= t edge failures: correct value, VERI accepts (Table 2)"
-
-    let protocol ~graph:_ ~params ~b:_ ~f:_ = Pair.protocol params
-    let max_rounds ~params ~b:_ ~f:_ = Pair.duration params
-
-    let finish ~graph ~failures ~params ~b:_ ~f:_ ~states ~metrics =
+    ~watch:(fun ?bit_cap ~params ~graph () ->
+      Some (Watchdog.pair_watch ?bit_cap ~params ~graph ()))
+    ~protocol:(fun ~graph:_ ~params ~b:_ ~f:_ -> Pair.protocol params)
+    ~max_rounds:(fun ~params ~b:_ ~f:_ -> Pair.duration params)
+    (fun ~graph ~failures ~params ~b:_ ~f:_ ~states ~metrics ->
       match finish_pair ~graph ~failures ~params ~states ~metrics with
       | { Checker.verdict = None; _ }, _ -> halted_early ~params ~metrics
       | ({ Checker.verdict = Some v; _ } as truth), common ->
-        {
-          Backend.result = Backend.Exact v.Pair.result;
-          common;
-          evidence =
-            [
-              ("veri_ok", string_of_bool v.Pair.veri_ok);
-              ("lfc", string_of_bool truth.Checker.lfc);
-              ("edge_failures", string_of_int truth.Checker.edge_failures);
-            ];
-        }
+        exact v.Pair.result common
+          ~evidence:
+            [ ("veri_ok", string_of_bool v.Pair.veri_ok); ("lfc", string_of_bool truth.Checker.lfc);
+              ("edge_failures", string_of_int truth.Checker.edge_failures) ])
 
-    let watch = Backend.cap_watch
-  end)
+let agg_row =
+  Backend.make ~name:"agg-alone"
+    ~guarantee:"with <= t edge failures: correct value, no abort; unverified beyond t (no VERI)"
+    ~protocol:(fun ~graph:_ ~params ~b:_ ~f:_ -> Agg.protocol params)
+    ~max_rounds:(fun ~params ~b:_ ~f:_ -> Agg.duration params)
+    (fun ~graph ~failures ~params ~b:_ ~f:_ ~states ~metrics ->
+      if Metrics.rounds metrics < Agg.duration params then halted_early ~params ~metrics
+      else
+        let o = finish_agg ~graph ~failures ~params ~states ~metrics in
+        exact o.result o.common)
 
-let flood_backend : backend =
-  (module struct
-    type state = Brute_force.node
-    type msg = Message.body
-
-    let name = "flood"
-    let exact = true
-    let guarantee = "zero-error under any number of crashes; CC O(N log N)"
-    let protocol ~graph:_ ~params ~b:_ ~f:_ = Brute_force.protocol params
-    let max_rounds ~params ~b:_ ~f:_ = Brute_force.duration params
-
-    let finish ~graph ~failures ~params ~b:_ ~f:_ ~states ~metrics =
+let flood_row =
+  Backend.make ~name:"flood" ~guarantee:"zero-error under any number of crashes; CC O(N log N)"
+    ~protocol:(fun ~graph:_ ~params ~b:_ ~f:_ -> Brute_force.protocol params)
+    ~max_rounds:(fun ~params ~b:_ ~f:_ -> Brute_force.duration params)
+    (fun ~graph ~failures ~params ~b:_ ~f:_ ~states ~metrics ->
       if Metrics.rounds metrics < Brute_force.duration params then halted_early ~params ~metrics
       else
         let o = finish_brute_force ~graph ~failures ~params ~states ~metrics in
-        { Backend.result = Backend.Exact o.result; common = o.common; evidence = [] }
+        exact o.result o.common)
 
-    let watch = Backend.cap_watch
-  end)
-
-let folklore_backend : backend =
-  (module struct
-    type state = Folklore.node
-    type msg = Message.t
-
-    let name = "folklore"
-    let exact = true
-
-    let guarantee =
-      "zero-error with f + 1 retry epochs under <= f edge failures; aborts otherwise"
-
-    let protocol ~graph:_ ~params ~b:_ ~f = Folklore.protocol params ~mode:(Folklore.Retry (f + 1))
-    let max_rounds ~params ~b:_ ~f = Folklore.duration params (Folklore.Retry (f + 1))
-
-    let finish ~graph ~failures ~params ~b:_ ~f:_ ~states ~metrics =
+(* Folklore's two modes: the retry with [f + 1] epochs, and naive TAG's
+   single unguarded epoch. *)
+let folklore_row ~name ~guarantee mode =
+  Backend.make ~name ~guarantee
+    ~protocol:(fun ~graph:_ ~params ~b:_ ~f -> Folklore.protocol params ~mode:(mode f))
+    ~max_rounds:(fun ~params ~b:_ ~f -> Folklore.duration params (mode f))
+    (fun ~graph ~failures ~params ~b:_ ~f:_ ~states ~metrics ->
       if not (Folklore.root_done states.(Graph.root)) then halted_early ~params ~metrics
       else
         let o = finish_folklore ~graph ~failures ~params ~states ~metrics in
-        {
-          Backend.result = Backend.Exact o.result;
-          common = o.common;
-          evidence = [ ("epochs", string_of_int o.epochs) ];
-        }
+        exact o.result o.common ~evidence:[ ("epochs", string_of_int o.epochs) ])
 
-    let watch = Backend.cap_watch
-  end)
+let retry_row =
+  folklore_row ~name:"folklore"
+    ~guarantee:"zero-error with f + 1 retry epochs under <= f edge failures; aborts otherwise"
+    (fun f -> Folklore.Retry (f + 1))
+
+let naive_row =
+  folklore_row ~name:"naive"
+    ~guarantee:"none: one TAG epoch; a crash silently drops the inputs routed through it"
+    (fun _ -> Folklore.Naive)
+
+(* The interval driver's two plans; [via] renders how the root got its
+   value. *)
+let intervals_row ~name ~guarantee ~protocol ~max_rounds via =
+  Backend.make ~name ~guarantee ~protocol ~max_rounds
+    (fun ~graph ~failures ~params ~b:_ ~f:_ ~states ~metrics ->
+      if not (Tradeoff.root_done states.(Graph.root)) then halted_early ~params ~metrics
+      else
+        let root, result, common = finish_intervals ~graph ~failures ~params ~states ~metrics in
+        exact result common ~evidence:[ ("via", via root) ])
+
+let tradeoff_row =
+  intervals_row ~name:"tradeoff"
+    ~guarantee:
+      "zero-error within b flooding rounds; CC O(f/b log^2 N + log^2 N) under <= f edge \
+       failures (Theorem 1)"
+    ~protocol:(fun ~graph:_ ~params ~b ~f -> Tradeoff.protocol params ~b ~f)
+    ~max_rounds:(fun ~params ~b ~f:_ -> Tradeoff.max_rounds params ~b)
+    (fun root ->
+      match Tradeoff.root_how root with
+      | Tradeoff.Via_pair y -> Printf.sprintf "pair interval %d" y
+      | Tradeoff.Via_brute_force -> "brute-force fallback")
+
+let unknown_f_row =
+  intervals_row ~name:"unknown-f"
+    ~guarantee:"zero-error without knowing f: pairs at doubling t, then brute-force fallback"
+    ~protocol:(fun ~graph:_ ~params ~b:_ ~f:_ -> Unknown_f.protocol params)
+    ~max_rounds:(fun ~params ~b:_ ~f:_ -> Unknown_f.max_rounds params)
+    (fun root ->
+      match Unknown_f.root_how root with
+      | Unknown_f.Via_slot g -> Printf.sprintf "slot %d" g
+      | Unknown_f.Via_brute_force -> "brute-force fallback")
+
+let protocols =
+  [ ("tradeoff", tradeoff_row); ("brute", flood_row); ("folklore", retry_row);
+    ("naive", naive_row); ("unknown-f", unknown_f_row); ("pair", pair_row); ("agg", agg_row) ]
 
 let backends =
-  [
-    ("agg", agg_backend);
-    ("flood", flood_backend);
-    ("folklore", folklore_backend);
-    ("pushsum", Gossip.backend);
-    ("flowupdating", Flow_updating.backend);
-    ("flowupdating-avg", Flow_updating.avg_backend);
-  ]
+  [ ("agg", pair_row); ("flood", flood_row); ("folklore", retry_row);
+    ("pushsum", Gossip.backend); ("flowupdating", Flow_updating.backend);
+    ("flowupdating-avg", Flow_updating.avg_backend) ]
 
-let backend_of_string name = List.assoc_opt (String.lowercase_ascii name) backends
-let exec = Backend.exec
-let exec_chaos = Backend.exec_chaos
+let find view name =
+  let key = match String.lowercase_ascii name with "unknown_f" -> "unknown-f" | k -> k in
+  Option.map (fun row -> (key, row)) (List.assoc_opt key view)
+
+let backend_of_string name = Option.map snd (find backends name)
+let protocol_of_string name = Option.map snd (find protocols name)

@@ -85,6 +85,9 @@ val pair_t : Params.t -> b:int -> f:int -> int
 val interval_len : Params.t -> int
 (** [19cd] rounds. *)
 
+val root_done : node -> bool
+(** Whether the root has output — the driver halts once it has. *)
+
 val root_result : node -> int
 val root_how : node -> how
 val selected_intervals : node -> int list

@@ -10,8 +10,7 @@ module Params = Ftagg_proto.Params
 module Agg = Ftagg_proto.Agg
 module Pair = Ftagg_proto.Pair
 module Run = Ftagg_proto.Run
-module Tradeoff = Ftagg_proto.Tradeoff
-module Unknown_f = Ftagg_proto.Unknown_f
+module Backend = Ftagg_proto.Backend
 module Bench_io = Ftagg_runner.Bench_io
 module Incident = Ftagg_chaos.Incident
 module Campaign = Ftagg_chaos.Campaign
@@ -67,19 +66,6 @@ type outcome = {
 
 type executed = { outcome : outcome; report : Campaign.pair_report option }
 
-let caaf_of_name name =
-  match String.lowercase_ascii name with
-  | "sum" -> Some Instances.sum
-  | "count" -> Some Instances.count
-  | "max" -> Some Instances.max_
-  | "min" -> Some Instances.min_
-  | "or" -> Some Instances.bool_or
-  | "and" -> Some Instances.bool_and
-  | "gcd" -> Some Instances.gcd
-  | _ -> None
-
-let failure_modes = [ "none"; "random"; "burst"; "chain"; "neighborhood" ]
-
 (* ---- canonical digest ---- *)
 
 let protocol_token = function
@@ -131,6 +117,14 @@ let cache_key spec =
 
 (* ---- JSON codec ---- *)
 
+(* The wire name; for every protocol but [Chaos_pair] it is also the
+   key of the job's row in [Run.protocols]. *)
+let protocol_name = function
+  | Tradeoff _ -> "tradeoff"
+  | Brute -> "brute"
+  | Unknown_f -> "unknown-f"
+  | Chaos_pair _ -> "chaos-pair"
+
 let to_json spec =
   let base =
     [
@@ -142,13 +136,7 @@ let to_json spec =
       ("c", Bench_io.Int spec.c);
       ("t", Bench_io.Int spec.t);
       ("caaf", Bench_io.String spec.caaf);
-      ( "protocol",
-        Bench_io.String
-          (match spec.protocol with
-          | Tradeoff _ -> "tradeoff"
-          | Brute -> "brute"
-          | Unknown_f -> "unknown-f"
-          | Chaos_pair _ -> "chaos-pair") );
+      ("protocol", Bench_io.String (protocol_name spec.protocol));
       ("seed", Bench_io.Int spec.seed);
       ("priority", Bench_io.String (priority_to_string spec.priority));
     ]
@@ -232,7 +220,7 @@ let of_json ~(settings : Reconfig.settings) json =
     in
     let* caaf = field_string json "caaf" "sum" in
     let* () =
-      match caaf_of_name caaf with
+      match Instances.of_name caaf with
       | Some _ -> Ok ()
       | None -> Error (Printf.sprintf "job: unknown aggregate %S" caaf)
     in
@@ -270,7 +258,7 @@ let of_json ~(settings : Reconfig.settings) json =
         let* mode = field_string json "failures" "random" in
         let mode = String.lowercase_ascii mode in
         let* () =
-          if List.mem mode failure_modes then Ok ()
+          if List.mem mode Failure.modes then Ok ()
           else Error (Printf.sprintf "job: unknown failure mode %S" mode)
         in
         let* budget = field_int json "budget" f in
@@ -339,71 +327,37 @@ let outcome_of_json json =
 let materialize_failures spec graph ~window =
   match spec.failures with
   | Explicit schedule -> Failure.of_list ~n:spec.n schedule
-  | Generated { mode; budget } -> (
-    let rng = Prng.create (spec.seed + 3) in
-    match mode with
-    | "none" -> Failure.none ~n:spec.n
-    | "random" -> Failure.random graph ~rng ~budget ~max_round:window
-    | "burst" -> Failure.burst graph ~rng ~budget ~round:(max 1 (window / 3))
-    | "chain" ->
-      Failure.chain ~n:spec.n ~first:1 ~len:(max 0 (min budget (spec.n - 2)))
-        ~round:(max 1 (window / 3))
-    | "neighborhood" -> Failure.neighborhood graph ~center:(spec.n / 2) ~round:(max 1 (window / 3))
-    | other -> failwith (Printf.sprintf "job: unknown failure mode %S" other))
-
-let of_common (c : Run.common) ~value ~via ~violation =
-  {
-    value;
-    correct = c.Run.correct;
-    cc = Metrics.cc c.Run.metrics;
-    rounds = c.Run.rounds;
-    flooding_rounds = c.Run.flooding_rounds;
-    via;
-    violation;
-  }
+  | Generated { mode; budget } ->
+    (* [of_json] admits only the names in [Failure.modes]. *)
+    Option.get (Failure.generate graph ~mode ~budget ~seed:(spec.seed + 3) ~window)
 
 let execute spec =
   let graph = Gen.build spec.family ~n:spec.n ~seed:spec.topo_seed in
-  let caaf = Option.get (caaf_of_name spec.caaf) in
+  let caaf = Option.get (Instances.of_name spec.caaf) in
   let params = Params.make ~c:spec.c ~t:spec.t ~caaf ~graph ~inputs:spec.inputs () in
   let d = params.Params.d in
+  let run ~window ~b ~f =
+    let backend = Option.get (Run.protocol_of_string (protocol_name spec.protocol)) in
+    let failures = materialize_failures spec graph ~window in
+    let o = Backend.exec ~backend ~graph ~failures ~params ~b ~f ~seed:spec.seed () in
+    let c = o.Backend.common in
+    let outcome =
+      {
+        value = (match o.Backend.result with Backend.Exact (Agg.Value v) -> Some v | _ -> None);
+        correct = c.Backend.correct;
+        cc = Metrics.cc c.Backend.metrics;
+        rounds = c.Backend.rounds;
+        flooding_rounds = c.Backend.flooding_rounds;
+        via = Option.value (List.assoc_opt "via" o.Backend.evidence) ~default:"brute-force";
+        violation = None;
+      }
+    in
+    { outcome; report = None }
+  in
   match spec.protocol with
-  | Tradeoff { b; f } ->
-    let failures = materialize_failures spec graph ~window:(b * d) in
-    let o = Run.tradeoff ~graph ~failures ~params ~b ~f ~seed:spec.seed () in
-    let via =
-      match o.Run.how with
-      | Tradeoff.Via_pair y -> Printf.sprintf "pair interval %d" y
-      | Tradeoff.Via_brute_force -> "brute-force fallback"
-    in
-    {
-      outcome =
-        of_common o.Run.common ~value:(Some (Run.value_exn o.Run.result)) ~via ~violation:None;
-      report = None;
-    }
-  | Brute ->
-    let failures = materialize_failures spec graph ~window:(4 * d) in
-    let o = Run.brute_force ~graph ~failures ~params ~seed:spec.seed () in
-    {
-      outcome =
-        of_common o.Run.common
-          ~value:(Some (Run.value_exn o.Run.result))
-          ~via:"brute-force" ~violation:None;
-      report = None;
-    }
-  | Unknown_f ->
-    let failures = materialize_failures spec graph ~window:(63 * d) in
-    let o = Run.unknown_f ~graph ~failures ~params ~seed:spec.seed () in
-    let via =
-      match o.Run.how with
-      | Unknown_f.Via_slot g -> Printf.sprintf "slot %d" g
-      | Unknown_f.Via_brute_force -> "brute-force fallback"
-    in
-    {
-      outcome =
-        of_common o.Run.common ~value:(Some (Run.value_exn o.Run.result)) ~via ~violation:None;
-      report = None;
-    }
+  | Tradeoff { b; f } -> run ~window:(b * d) ~b ~f
+  | Brute -> run ~window:(4 * d) ~b:0 ~f:0
+  | Unknown_f -> run ~window:(63 * d) ~b:0 ~f:0
   | Chaos_pair { bit_cap } ->
     (* A watched AGG+VERI pair through the chaos oracle: the service is
        the campaign's trial transport here (see [Chaos_gate]). *)

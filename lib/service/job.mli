@@ -73,8 +73,6 @@ type executed = {
           serialized (checkpoint-restored cache entries carry [None]) *)
 }
 
-val caaf_of_name : string -> Ftagg_caaf.Caaf.t option
-
 val digest : spec -> string
 (** 16 hex chars, stable across processes and checkpoints.  Deliberately
     {e excludes} the generation — the digest identifies the computation;

@@ -126,6 +126,21 @@ let neighborhood g ~center ~round =
   in
   kill_nodes ~n:(Graph.n g) ~nodes ~round
 
+let modes = [ "none"; "random"; "burst"; "chain"; "neighborhood" ]
+
+let generate g ~mode ~budget ~seed ~window =
+  let n = Graph.n g in
+  (* The one-shot modes strike a third of the way into the window, and
+     never before round 1 however short the window. *)
+  let round = max 1 (window / 3) in
+  match String.lowercase_ascii mode with
+  | "none" -> Some (none ~n)
+  | "random" -> Some (random g ~rng:(Prng.create seed) ~budget ~max_round:window)
+  | "burst" -> Some (burst g ~rng:(Prng.create seed) ~budget ~round)
+  | "chain" -> Some (chain ~n ~first:1 ~len:(max 0 (min budget (n - 2))) ~round)
+  | "neighborhood" -> Some (neighborhood g ~center:(n / 2) ~round)
+  | _ -> None
+
 let pp ppf t =
   Format.fprintf ppf "@[<h>";
   let first = ref true in

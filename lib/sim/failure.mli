@@ -111,3 +111,15 @@ val per_interval :
     receives roughly [budget / intervals] edge failures — the
     evenly-spread regime Algorithm 1's analysis assumes, and the
     schedule that stresses every sampled interval equally. *)
+
+val modes : string list
+(** The named adversaries of the CLI's [--failures] and a job's
+    ["failures"]: [none], [random], [burst], [chain], [neighborhood]. *)
+
+val generate :
+  Ftagg_graph.Graph.t -> mode:string -> budget:int -> seed:int -> window:int -> t option
+(** A named mode's schedule for a [window]-round run ({!random},
+    {!burst}, {!chain} of [min budget (n-2)] nodes from node 1, or the
+    {!neighborhood} of node [n/2]); the one-shot modes strike at round
+    [max 1 (window / 3)].  [None] for a name not in {!modes}, matched
+    case-insensitively. *)

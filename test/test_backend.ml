@@ -1,7 +1,8 @@
-(* The backend interface (lib/proto/backend.ml): registry dispatch,
-   differential pins of Run.exec against hand-driven runs, flow-updating's
-   convergence and crash recovery, and the chaos harness (exec_chaos,
-   campaigns over non-default backends, Backend_run incidents). *)
+(* The backend interface (lib/proto/backend.ml): the rows and their two
+   name views, differential pins of Backend.exec against hand-driven
+   runs, flow-updating's convergence and crash recovery, and the chaos
+   harness (exec_chaos, the pair row's watchdog, campaigns over
+   non-default backends, Backend_run incidents). *)
 
 open Ftagg
 open Helpers
@@ -25,7 +26,24 @@ let test_registry () =
   check_true "pushsum is approximate"
     (not (Backend.exact (Option.get (Run.backend_of_string "pushsum"))))
 
-(* --- Run.exec vs driving the backend by hand: identical outcomes --- *)
+let test_views () =
+  let same a b = Option.get a == Option.get b in
+  check_true "seven protocol names"
+    (List.map fst Run.protocols
+    = [ "tradeoff"; "brute"; "folklore"; "naive"; "unknown-f"; "pair"; "agg" ]);
+  check_true "unknown_f is an alias"
+    (same (Run.protocol_of_string "Unknown_F") (Run.protocol_of_string "unknown-f"));
+  check_true "pair is the agg backend"
+    (same (Run.protocol_of_string "pair") (Run.backend_of_string "agg"));
+  check_true "brute is the flood backend"
+    (same (Run.protocol_of_string "brute") (Run.backend_of_string "flood"));
+  let alone = Option.get (Run.protocol_of_string "agg") in
+  check_true "AGG alone is in no backend view"
+    (not (List.exists (fun (_, b) -> b == alone) Run.backends));
+  check_true "nor shares a backend's name"
+    (Run.backend_of_string (Backend.name alone) = None)
+
+(* --- Backend.exec vs driving the row by hand: identical outcomes --- *)
 
 let test_exec_differential () =
   let n = 25 in
@@ -33,10 +51,11 @@ let test_exec_differential () =
   let inputs = default_inputs n in
   let params = Params.make ~c:2 ~t:2 ~graph:g ~inputs () in
   let failures = Failure.kill_nodes ~n ~nodes:[ 7; 13 ] ~round:9 in
-  let b = 20 and f = 3 and seed = 5 in
+  (* b >= 21c, Algorithm 1's minimum *)
+  let b = 42 and f = 3 and seed = 5 in
   List.iter
     (fun (bk, backend) ->
-      let via_exec = Run.exec ~backend ~graph:g ~failures ~params ~b ~f ~seed () in
+      let via_exec = Backend.exec ~backend ~graph:g ~failures ~params ~b ~f ~seed () in
       let by_hand =
         let module B = (val backend : Backend.S) in
         let states, metrics =
@@ -56,7 +75,26 @@ let test_exec_differential () =
       check_int (bk ^ ": same CC")
         (Metrics.cc by_hand.Backend.common.Backend.metrics)
         (Metrics.cc via_exec.Backend.common.Backend.metrics))
-    Run.backends
+    (Run.backends @ Run.protocols)
+
+(* Every row of both views runs failure-free and correct with the CLI's
+   defaults (b = 63, f = 8, t = 2f) on a 36-node grid. *)
+let test_every_row_failure_free () =
+  let n = 36 in
+  let g = Gen.grid n in
+  let inputs = Params.random_inputs ~rng:(Prng.create 18) ~n ~max_input:100 in
+  let params = Params.make ~c:2 ~t:16 ~graph:g ~inputs () in
+  List.iter
+    (fun (key, backend) ->
+      let o =
+        Backend.exec ~backend ~graph:g ~failures:(Failure.none ~n) ~params ~b:63 ~f:8 ~seed:1 ()
+      in
+      check_true (key ^ ": correct") o.Backend.common.Backend.correct;
+      check_true (key ^ ": an answer")
+        (match o.Backend.result with
+        | Backend.Exact (Agg.Value _) | Backend.Estimate _ -> true
+        | Backend.Exact Agg.Aborted -> false))
+    (Run.protocols @ Run.backends)
 
 (* exec_chaos with every knob at its default is observationally the
    plain exec. *)
@@ -67,8 +105,8 @@ let test_exec_chaos_defaults_match_exec () =
   let failures = Failure.none ~n in
   List.iter
     (fun (bk, backend) ->
-      let plain = Run.exec ~backend ~graph:g ~failures ~params ~b:12 ~f:2 ~seed:3 () in
-      let chaos = Run.exec_chaos ~backend ~graph:g ~failures ~params ~b:12 ~f:2 ~seed:3 () in
+      let plain = Backend.exec ~backend ~graph:g ~failures ~params ~b:12 ~f:2 ~seed:3 () in
+      let chaos = Backend.exec_chaos ~backend ~graph:g ~failures ~params ~b:12 ~f:2 ~seed:3 () in
       check_true (bk ^ ": no violation") (chaos.Backend.c_violation = None);
       check_true (bk ^ ": completed") chaos.Backend.c_completed;
       check_true (bk ^ ": same result")
@@ -87,7 +125,7 @@ let test_exec_chaos_bit_cap_fires () =
   List.iter
     (fun (bk, backend) ->
       let c =
-        Run.exec_chaos ~bit_cap:3 ~backend ~graph:g ~failures ~params ~b:12 ~f:2 ~seed:3 ()
+        Backend.exec_chaos ~bit_cap:3 ~backend ~graph:g ~failures ~params ~b:12 ~f:2 ~seed:3 ()
       in
       match c.Backend.c_violation with
       | Some v ->
@@ -95,6 +133,85 @@ let test_exec_chaos_bit_cap_fires () =
         check_true (bk ^ ": not completed") (not c.Backend.c_completed)
       | None -> Alcotest.failf "%s: a 3-bit cap did not fire" bk)
     Run.backends
+
+(* --- the one watched pair --- *)
+
+(* Light loss, duplication and delay on three of the campaign's
+   families: the pair watchdog fires on some of these runs and not on
+   others. *)
+let light_fault_scenarios =
+  List.concat_map
+    (fun (family, n) ->
+      List.concat_map
+        (fun faults ->
+          List.map
+            (fun seed ->
+              {
+                Incident.family;
+                n;
+                topo_seed = seed;
+                run_seed = seed + 100;
+                c = 2;
+                t = 2;
+                inputs = Array.init n (fun k -> (k * 7 mod 50) + 1);
+                schedule = [];
+                faults;
+                kind = Incident.Pair_run;
+                bit_cap = None;
+              })
+            [ 1; 2; 3 ])
+        [
+          { Engine.loss = 0.05; dup = 0.0; delay = 0.0 };
+          { Engine.loss = 0.0; dup = 0.05; delay = 0.0 };
+          { Engine.loss = 0.0; dup = 0.0; delay = 0.05 };
+        ])
+    [ (Gen.Grid, 25); (Gen.Ring, 16); (Gen.Random_regular 4, 20) ]
+
+(* The "agg" row under chaos reports the first violation, round and
+   detail included, that Campaign.run_pair reports on the same run. *)
+let test_agg_row_watch_is_the_pair_watch () =
+  let agg = Option.get (Run.backend_of_string "agg") in
+  let fired = ref 0 in
+  List.iteri
+    (fun i (sc : Incident.scenario) ->
+      let graph = Campaign.graph_of sc in
+      let params = Campaign.params_of sc graph in
+      let failures = Failure.of_list ~n:sc.Incident.n sc.Incident.schedule in
+      let pair = Campaign.run_pair sc in
+      let row =
+        Backend.exec_chaos ~faults:sc.Incident.faults ~backend:agg ~graph ~failures ~params ~b:40
+          ~f:4 ~seed:sc.Incident.run_seed ()
+      in
+      check_true
+        (Printf.sprintf "scenario %d: same first violation" i)
+        (row.Backend.c_violation = pair.Campaign.violation);
+      if pair.Campaign.violation <> None then incr fired)
+    light_fault_scenarios;
+  check_true "the watch fires on some runs" (!fired > 0);
+  check_true "and stays silent on others" (!fired < List.length light_fault_scenarios)
+
+(* A saved Backend_run incident for "agg" (what `ftagg scenarios -o`
+   writes) replays under the pair watchdog. *)
+let test_agg_backend_incident_replays_pair_watch () =
+  let sc, v =
+    List.find_map
+      (fun sc -> Option.map (fun v -> (sc, v)) (Campaign.run_pair sc).Campaign.violation)
+      light_fault_scenarios
+    |> Option.get
+  in
+  let inc =
+    {
+      Incident.adversary = "schedule:test";
+      scenario =
+        { sc with Incident.kind = Incident.Backend_run { backend = "agg"; b = 40; f = 4 } };
+      violation = v;
+      shrink = None;
+    }
+  in
+  match Incident.of_json (Incident.to_json inc) with
+  | Error e -> Alcotest.fail e
+  | Ok loaded ->
+    check_true "replays the pair watchdog's violation" (Campaign.replay loaded = Some v)
 
 (* --- flow updating --- *)
 
@@ -167,7 +284,7 @@ let test_flow_updating_modes_consistent () =
   let params = Params.make ~graph:g ~inputs:(default_inputs n) () in
   let failures = Failure.none ~n in
   let est backend =
-    Backend.estimate_of (Run.exec ~backend ~graph:g ~failures ~params ~b:25 ~f:0 ~seed:2 ())
+    Backend.estimate_of (Backend.exec ~backend ~graph:g ~failures ~params ~b:25 ~f:0 ~seed:2 ())
   in
   let s = est Flow_updating.backend and a = est Flow_updating.avg_backend in
   check_true "sum = n x avg" (Float.abs (s -. (float_of_int n *. a)) < 1e-6)
@@ -282,10 +399,17 @@ let test_incident_backend_roundtrip () =
 let suite =
   [
     Alcotest.test_case "registry: names, lookup, exactness" `Quick test_registry;
+    Alcotest.test_case "views: protocol names, aliases, shared rows" `Quick test_views;
     Alcotest.test_case "exec == hand-driven run, every backend" `Quick test_exec_differential;
+    Alcotest.test_case "every row of both views failure-free and correct" `Quick
+      test_every_row_failure_free;
     Alcotest.test_case "exec_chaos defaults == exec, every backend" `Quick
       test_exec_chaos_defaults_match_exec;
     Alcotest.test_case "planted bit cap fires, every backend" `Quick test_exec_chaos_bit_cap_fires;
+    Alcotest.test_case "agg row's watch is the pair watchdog" `Quick
+      test_agg_row_watch_is_the_pair_watch;
+    Alcotest.test_case "agg Backend_run incident replays the pair watchdog" `Quick
+      test_agg_backend_incident_replays_pair_watch;
     Alcotest.test_case "flow updating converges failure-free" `Quick test_flow_updating_converges;
     Alcotest.test_case "flow updating conserves mass at the fixed point" `Quick
       test_flow_updating_mass_conservation;
