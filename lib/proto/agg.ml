@@ -23,10 +23,12 @@ type node = {
   mutable tc_send_round : int;  (* when to send our own tree_construct; -1 = never *)
   mutable psum : int;
   mutable max_level : int;
-  child_psums : (int, int * int) Hashtbl.t;  (* child -> (psum, max_level) *)
-  crit : (int, unit) Hashtbl.t;  (* critical-failure ids seen *)
-  psum_sources : (int, int) Hashtbl.t;  (* flooded source -> its partial sum *)
-  compulsory : (int, unit) Hashtbl.t;  (* sources with a ⟨compulsory‖optional⟩ *)
+  (* Int-keyed maps as association lists: newest first, one entry per
+     key, [] until the first write.  Critical failures and compulsory
+     determinations have no set of their own: [flood]'s seen-set answers
+     for them ([saw_crit], [compute_output]). *)
+  mutable child_psums : (int * (int * int)) list;  (* child -> (psum, max_level) *)
+  mutable psum_sources : (int * int) list;  (* flooded source -> its partial sum *)
   mutable parent_flood_ever : bool;  (* used by the No_speculation ablation *)
   mutable sent_bits : int;
   mutable abort_seen : bool;
@@ -73,10 +75,8 @@ let create ?(ablation = Full) (p : Params.t) ~me =
     tc_send_round = (if is_root then 1 else -1);
     psum = p.Params.inputs.(me);
     max_level = (if is_root then 0 else -1);
-    child_psums = Hashtbl.create 4;
-    crit = Hashtbl.create 4;
-    psum_sources = Hashtbl.create 8;
-    compulsory = Hashtbl.create 8;
+    child_psums = [];
+    psum_sources = [];
     parent_flood_ever = false;
     sent_bits = 0;
     abort_seen = false;
@@ -89,13 +89,16 @@ let create ?(ablation = Full) (p : Params.t) ~me =
   }
 
 (* Record the protocol-level consequences of a flood body the node now
-   knows (whether received or self-originated). *)
+   knows (whether received or self-originated).  It runs exactly when
+   [Flood.receive] or [Flood.originate] returns true, so a fact that is
+   only "this body was seen" needs no arm: the seen-set holds it. *)
 let note_flood node = function
-  | Message.Critical_failure v -> Hashtbl.replace node.crit v ()
-  | Message.Flooded_psum { source; psum } -> Hashtbl.replace node.psum_sources source psum
-  | Message.Compulsory source -> Hashtbl.replace node.compulsory source ()
+  | Message.Flooded_psum { source; psum } ->
+    node.psum_sources <- (source, psum) :: List.remove_assoc source node.psum_sources
   | Message.Agg_abort -> node.abort_seen <- true
   | _ -> ()
+
+let saw_crit node v = Flood.seen node.flood (Message.Critical_failure v)
 
 let originate node body = if Flood.originate node.flood body then note_flood node body
 
@@ -126,7 +129,7 @@ let boundary_index node =
     else
       let a = node.ancestors.(j) in
       if a = -1 then None
-      else if a = Ftagg_graph.Graph.root || Hashtbl.mem node.crit a then Some j
+      else if a = Ftagg_graph.Graph.root || saw_crit node a then Some j
       else go (j + 1)
   in
   go 0
@@ -162,8 +165,8 @@ let make_determinations node =
   let t2 = 2 * t in
   let j_opt = boundary_index node in
   let j_bound = match j_opt with Some j -> j | None -> t2 in
-  Hashtbl.iter
-    (fun source _ ->
+  List.iter
+    (fun (source, _) ->
       match ancestor_index node ~bound:t2 source with
       | Some i when i <= t && i <= j_bound ->
         (* I am a witness of [source]. *)
@@ -171,7 +174,8 @@ let make_determinations node =
         let dominated_by_k =
           let rec scan k =
             if k > upper then false
-            else if node.ancestors.(k) <> -1 && Hashtbl.mem node.psum_sources node.ancestors.(k)
+            else if
+              node.ancestors.(k) <> -1 && List.mem_assoc node.ancestors.(k) node.psum_sources
             then true
             else scan (k + 1)
           in
@@ -184,7 +188,7 @@ let make_determinations node =
         in
         originate node determination
       | _ -> ())
-    node.psum_sources
+    (List.rev node.psum_sources)
 
 let compute_output node =
   if node.abort_seen then Aborted
@@ -192,12 +196,12 @@ let compute_output node =
     let caaf = node.p.Params.caaf in
     let acc = ref caaf.Caaf.identity in
     let selected = ref [] in
-    Hashtbl.iter
-      (fun source psum ->
+    List.iter
+      (fun (source, psum) ->
         let keep =
           match node.ablation with
           | No_witnesses -> true
-          | Full | No_speculation -> Hashtbl.mem node.compulsory source
+          | Full | No_speculation -> Flood.seen node.flood (Message.Compulsory source)
         in
         if keep then begin
           acc := caaf.Caaf.combine !acc psum;
@@ -225,7 +229,7 @@ let rec p2p_intake node = function
     | Message.Ack { parent } when parent = node.me ->
       node.children <- sender :: node.children
     | Message.Aggregation { psum; max_level } when List.mem sender node.children ->
-      Hashtbl.replace node.child_psums sender (psum, max_level)
+      node.child_psums <- (sender, (psum, max_level)) :: List.remove_assoc sender node.child_psums
     | Message.Flooded_psum _ when sender = node.parent -> node.parent_flood_ever <- true
     | _ -> ());
     p2p_intake node tl
@@ -300,7 +304,7 @@ let step node ~rr ~inbox =
       if rr = node.agg_action then begin
         List.iter
           (fun child ->
-            match Hashtbl.find_opt node.child_psums child with
+            match List.assoc_opt child node.child_psums with
             | Some (cpsum, cmax) ->
               node.psum <- p.Params.caaf.Caaf.combine node.psum cpsum;
               node.max_level <- max node.max_level cmax
@@ -390,7 +394,5 @@ let children node = node.children
 let ancestor node i = node.ancestors.(i)
 let max_level node = node.max_level
 let psum node = node.psum
-let crit_seen node = Hashtbl.fold (fun v () acc -> v :: acc) node.crit []
-let saw_crit node v = Hashtbl.mem node.crit v
 let selected_sources node = node.selected
 let aborted node = node.abort_seen

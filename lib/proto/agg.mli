@@ -94,11 +94,8 @@ val boundary_index : node -> int option
 val max_level : node -> int
 val psum : node -> int
 
-val crit_seen : node -> int list
-(** Critical-failure ids this node saw. *)
-
 val saw_crit : node -> int -> bool
-(** Whether {!crit_seen} holds the id. *)
+(** Whether this node saw the critical failure of the given id. *)
 
 val selected_sources : node -> int list
 (** Root only: sources whose partial sums entered the output. *)

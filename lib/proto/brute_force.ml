@@ -3,8 +3,7 @@ module Caaf = Ftagg_caaf.Caaf
 type node = {
   p : Params.t;
   me : int;
-  flood : Message.body Flood.t;
-  values : (int, int) Hashtbl.t;  (* source -> input *)
+  flood : Message.body Flood.t;  (* also the values heard: one [Bf_value] per source *)
   mutable started : bool;
   mutable output : int option;
 }
@@ -16,7 +15,6 @@ let create p ~me =
     p;
     me;
     flood = Flood.create ();
-    values = Hashtbl.create 16;
     started = false;
     output = None;
   }
@@ -27,7 +25,6 @@ let step node ~rr ~inbox =
     (fun (_, body) ->
       if Message.is_flood body && Flood.receive node.flood body then
         match body with
-        | Message.Bf_value { source; value } -> Hashtbl.replace node.values source value
         | Message.Bf_init ->
           if not node.started then begin
             node.started <- true;
@@ -43,11 +40,12 @@ let step node ~rr ~inbox =
   end;
   if is_root && rr = duration node.p then begin
     let caaf = node.p.Params.caaf in
-    let acc = ref node.p.Params.inputs.(node.me) in
-    Hashtbl.iter
-      (fun source v -> if source <> node.me then acc := caaf.Caaf.combine !acc v)
-      node.values;
-    node.output <- Some !acc
+    let add body acc =
+      match body with
+      | Message.Bf_value { source; value } when source <> node.me -> caaf.Caaf.combine acc value
+      | _ -> acc
+    in
+    node.output <- Some (Flood.fold_seen add node.flood node.p.Params.inputs.(node.me))
   end;
   Flood.drain node.flood
 

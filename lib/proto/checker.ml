@@ -116,10 +116,7 @@ let has_lfc tr ~veri_end =
   let failed_veri_end = failed_at tr ~round:veri_end in
   let failed u = failed_agg_end u in
   let alive_at_veri_end u = not (failed_veri_end u) in
-  let visible = Hashtbl.create 8 in
-  List.iter
-    (fun v -> Hashtbl.replace visible v ())
-    (Agg.crit_seen tr.agg_nodes.(Graph.root));
+  let visible = Agg.saw_crit tr.agg_nodes.(Graph.root) in
   let activated u = Agg.activated tr.agg_nodes.(u) in
   let parent u = Agg.parent tr.agg_nodes.(u) in
   let children = Array.make n [] in
@@ -136,7 +133,7 @@ let has_lfc tr ~veri_end =
     if len.(u) >= 0 then len.(u)
     else begin
       let above =
-        if Hashtbl.mem visible u then 0
+        if visible u then 0
         else
           let p = parent u in
           if p >= 0 && p <> Graph.root && failed p then chain_len p else 0
@@ -149,7 +146,7 @@ let has_lfc tr ~veri_end =
   let rec live_below u =
     List.exists
       (fun w ->
-        (not (Hashtbl.mem visible w))
+        (not (visible w))
         && (alive_at_veri_end w || live_below w))
       children.(u)
   in

@@ -11,10 +11,10 @@ type node = {
          parent, children, ancestors, max level) and critical failures,
          read in place — frozen once VERI steps *)
   flood : Message.body Flood.t;
-  failed_parents : (int, int) Hashtbl.t;  (* claimed node -> max depth claimed *)
-  failed_children : (int, unit) Hashtbl.t;
-  lfc_tails : (int, unit) Hashtbl.t;
-  not_lfc_tails : (int, unit) Hashtbl.t;
+      (* also the failed children and LFC determinations seen: no set of
+         its own restates them *)
+  mutable failed_parents : (int * int) list;
+      (* claimed node -> max depth claimed, newest first, one entry per node *)
   mutable overflow : bool;
   mutable sent_bits : int;
   mutable verdict : bool option;
@@ -28,22 +28,18 @@ let create (p : Params.t) ~me ~from_agg =
     me;
     tree = from_agg;
     flood = Flood.create ();
-    failed_parents = Hashtbl.create 4;
-    failed_children = Hashtbl.create 4;
-    lfc_tails = Hashtbl.create 4;
-    not_lfc_tails = Hashtbl.create 4;
+    failed_parents = [];
     overflow = false;
     sent_bits = 0;
     verdict = None;
   }
 
+(* Runs exactly on a first receipt (or origination), like
+   [Agg.note_flood]: bodies that only need to have been seen get no arm. *)
 let note_flood node = function
   | Message.Failed_parent { node = v; depth } ->
-    let prev = Option.value (Hashtbl.find_opt node.failed_parents v) ~default:min_int in
-    Hashtbl.replace node.failed_parents v (max prev depth)
-  | Message.Failed_child v -> Hashtbl.replace node.failed_children v ()
-  | Message.Lfc_tail v -> Hashtbl.replace node.lfc_tails v ()
-  | Message.Not_lfc_tail v -> Hashtbl.replace node.not_lfc_tails v ()
+    let prev = Option.value (List.assoc_opt v node.failed_parents) ~default:min_int in
+    node.failed_parents <- (v, max prev depth) :: List.remove_assoc v node.failed_parents
   | Message.Veri_overflow -> node.overflow <- true
   | _ -> ()
 
@@ -56,9 +52,8 @@ let make_determinations node =
   let tree = node.tree in
   let j_opt = Agg.boundary_index tree in
   let j_bound = match j_opt with Some j -> j | None -> t2 in
-  let claims = Hashtbl.fold (fun v _ acc -> v :: acc) node.failed_parents [] in
   List.iter
-    (fun v ->
+    (fun (v, _) ->
       match Agg.ancestor_index tree ~bound:t2 v with
       | Some i when i <= t && i <= j_bound ->
         (* I am a witness of [v]: find the nearest failed child / fragment
@@ -70,7 +65,7 @@ let make_determinations node =
               let a = Agg.ancestor tree k in
               if a = -1 then None
               else if
-                Hashtbl.mem node.failed_children a
+                Flood.seen node.flood (Message.Failed_child a)
                 || a = Ftagg_graph.Graph.root
                 || Agg.saw_crit tree a
               then Some k
@@ -81,7 +76,7 @@ let make_determinations node =
         let is_tail = match k_opt with None -> true | Some k -> k - i + 1 >= t in
         originate node (if is_tail then Message.Lfc_tail v else Message.Not_lfc_tail v)
       | _ -> ())
-    claims
+    (List.rev node.failed_parents)
 
 (* Execution-relative action rounds of an activated node at [level],
    besides failed-parent detection in round level + 1 (round 1 for the
@@ -91,15 +86,18 @@ let fc_action ~cd ~level = (3 * cd) + 2 - level
 let lfc_action ~cd = (4 * cd) + 3
 
 let compute_verdict node =
-  if node.overflow then false
-  else if Hashtbl.length node.lfc_tails > 0 then false
+  let saw_lfc_tail =
+    Flood.fold_seen
+      (fun body saw -> saw || match body with Message.Lfc_tail _ -> true | _ -> false)
+      node.flood false
+  in
+  if node.overflow || saw_lfc_tail then false
   else
     not
-      (Hashtbl.fold
-         (fun v depth bad ->
-           bad
-           || (depth >= node.p.Params.t && not (Hashtbl.mem node.not_lfc_tails v)))
-         node.failed_parents false)
+      (List.exists
+         (fun (v, depth) ->
+           depth >= node.p.Params.t && not (Flood.seen node.flood (Message.Not_lfc_tail v)))
+         node.failed_parents)
 
 (* Telemetry phase marker; range-based for the same reason as
    [Agg.span_phase] (Pair hands us execution-relative rounds). *)

@@ -257,6 +257,39 @@ let test_tradeoff_step_count () =
   check_int "node steps" 568 steps;
   check_true "under 20% of node-rounds" (5 * steps < n * rounds)
 
+(* Live bytes per node of a failure-free run's final states, counting the
+   [Params] record they all share once and leaving it out, as
+   benchmark/scale_agg.ml counts them. *)
+let state_bytes_per_node ~graph ~max_rounds params proto =
+  let n = Graph.n graph in
+  let states, _ = Engine.run ~graph ~failures:(Failure.none ~n) ~max_rounds ~seed:1 proto in
+  let words v = Obj.reachable_words (Obj.repr v) in
+  (Sys.word_size / 8) * (words (states, params) - words params) / n
+
+(* A node keeps only what it learned: AGG at t = 1 on a failure-free
+   100-node grid ends at 464 B/node (1,488 B when every node built its
+   hash tables up front).  A bound, not the exact count, so the compiler
+   versions CI runs agree. *)
+let test_agg_state_bytes () =
+  let n = 100 in
+  let g = Gen.grid n in
+  let params = params_of ~t:1 g ~inputs:(default_inputs n) in
+  let bytes =
+    state_bytes_per_node ~graph:g ~max_rounds:(Agg.duration params) params (Agg.protocol params)
+  in
+  check_true (Printf.sprintf "AGG %d B/node <= 600" bytes) (bytes <= 600)
+
+(* The AGG+VERI pair at t = 3 on the same grid: 689 B/node (2,746 B with
+   eager tables). *)
+let test_pair_state_bytes () =
+  let n = 100 in
+  let g = Gen.grid n in
+  let params = params_of ~t:3 g ~inputs:(default_inputs n) in
+  let bytes =
+    state_bytes_per_node ~graph:g ~max_rounds:(Pair.duration params) params (Pair.protocol params)
+  in
+  check_true (Printf.sprintf "pair %d B/node <= 900" bytes) (bytes <= 900)
+
 let test_sweep_matches_list_map () =
   let xs = List.init 37 (fun i -> i) in
   let f x = (x * x) + 1 in
@@ -349,4 +382,6 @@ let suite =
     QCheck_alcotest.to_alcotest brute_force_wake_soundness;
     Alcotest.test_case "engine: pair frontier step count" `Quick test_pair_step_count;
     Alcotest.test_case "engine: tradeoff frontier step count" `Quick test_tradeoff_step_count;
+    Alcotest.test_case "engine: AGG state bytes per node" `Quick test_agg_state_bytes;
+    Alcotest.test_case "engine: pair state bytes per node" `Quick test_pair_state_bytes;
   ]

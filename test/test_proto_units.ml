@@ -105,6 +105,54 @@ let test_flood_seen_query () =
   check_true "not seen" (not (Flood.seen f (Message.Lfc_tail 5)));
   check_int "fold_seen" 1 (Flood.fold_seen (fun _ acc -> acc + 1) f 0)
 
+(* The seen-set against a reference model (a list of seen bodies and the
+   queue of first receipts), over random receive/originate/drain runs of
+   up to 64 distinct bodies with repeats, so most runs cross from the
+   short list into the table. *)
+let flood_body k =
+  match k mod 4 with
+  | 0 -> Message.Critical_failure k
+  | 1 -> Message.Flooded_psum { source = k; psum = 2 * k }
+  | 2 -> Message.Failed_parent { node = k; depth = k mod 5 }
+  | _ -> Message.Bf_value { source = k; value = k }
+
+let flood_matches_model =
+  QCheck.Test.make ~name:"flood: seen-set matches a list model" ~count:200
+    QCheck.(
+      pair (int_range 1 64)
+        (list_of_size (Gen.int_range 0 200) (pair (int_range 0 2) (int_range 0 63))))
+    (fun (distinct, ops) ->
+      let f = Flood.create () in
+      let seen = ref [] and queue = ref [] and ok = ref true in
+      let expect b = if not b then ok := false in
+      List.iter
+        (fun (op, k) ->
+          let body = flood_body (k mod distinct) in
+          (match op with
+          | 2 ->
+            expect (Flood.drain f = List.rev !queue);
+            queue := [];
+            expect (not (Flood.pending f))
+          | _ ->
+            let first = not (List.mem body !seen) in
+            let got = if op = 0 then Flood.receive f body else Flood.originate f body in
+            expect (got = first);
+            if first then begin
+              seen := body :: !seen;
+              queue := body :: !queue
+            end);
+          expect (Flood.pending f = (!queue <> []));
+          for j = 0 to distinct - 1 do
+            let b = flood_body j in
+            expect (Flood.seen f b = List.mem b !seen)
+          done;
+          expect
+            (List.sort compare (Flood.fold_seen List.cons f []) = List.sort compare !seen))
+        ops;
+      expect (Flood.drain f = List.rev !queue);
+      expect (Flood.drain f = []);
+      !ok)
+
 let test_flood_propagation_bound () =
   (* A flood started at the root must reach every node within diameter
      rounds — measured through the engine with a pure flooding protocol. *)
@@ -177,3 +225,4 @@ let suite =
       ("flood: network propagation within diameter", test_flood_propagation_bound);
       ("params: budgets monotone in t", test_budget_monotone_in_t);
     ]
+  @ [ QCheck_alcotest.to_alcotest flood_matches_model ]
