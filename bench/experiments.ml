@@ -2343,9 +2343,11 @@ let guard_fleet () =
 (* Re-checks the committed E23 scale matrix: every size present and
    correct, rounds/sec strictly decreasing with N (bigger graphs must
    not mysteriously get faster — that means the sweep was truncated or
-   the workload changed), the 1M footprint under the 4 GiB ceiling, the
-   1k differential pin green, and — only when the committed run had >= 4
-   cores — the 4-domain sweep at least 2x the single-domain rate. *)
+   the workload changed), the 1M footprint under the 4 GiB ceiling and
+   its live bytes/node at most 1,000 (~760 with compact node state,
+   ~1,800 with the eager hash tables it replaced), the 1k differential
+   pin green, and — only when the committed run had >= 4 cores — the
+   4-domain sweep at least 2x the single-domain rate. *)
 let guard_scale () =
   let sub = committed "scale" in
   if not (get_bool "pin_ok" sub) then
@@ -2367,9 +2369,12 @@ let guard_scale () =
       prev_rps := rps)
     [ 1_000; 10_000; 100_000; 1_000_000 ];
   let m = row_for 1_000_000 in
+  let bytes_per_node = get_float "bytes_per_node" m in
+  if bytes_per_node > 1000.0 then
+    fail "1M-node state %.0f bytes/node exceeds 1,000" bytes_per_node;
   let footprint_mib =
     Float.max
-      (get_float "bytes_per_node" m *. 1e6 /. (1024.0 *. 1024.0))
+      (bytes_per_node *. 1e6 /. (1024.0 *. 1024.0))
       (float_of_int (get_int "peak_rss_kb" m) /. 1024.0)
   in
   if footprint_mib >= 4096.0 then
@@ -2390,8 +2395,9 @@ let guard_scale () =
     Printf.printf
       "scale        domain-speedup gate skipped (baseline committed with %d core(s))\n" cores;
   Printf.printf
-    "scale        rounds/sec monotone over 1k..1M, 1M footprint %.0f MiB < 4 GiB, pin OK\n"
-    footprint_mib
+    "scale        rounds/sec monotone over 1k..1M, 1M %.0f bytes/node <= 1,000, footprint %.0f \
+     MiB < 4 GiB, pin OK\n"
+    bytes_per_node footprint_mib
 
 (* The committed E24 scenario matrix must exist, cover every
    schedule x backend cell, keep clear skies at 100% completion with
