@@ -709,8 +709,13 @@ let replay_cmd =
     | Ok inc ->
       Printf.printf "incident: %s (found by %s)\n" inc.Incident.violation.Engine.invariant
         inc.Incident.adversary;
-      Format.printf "scenario: %a\n" Incident.pp_scenario inc.Incident.scenario;
+      Format.printf "scenario: %a\n%!" Incident.pp_scenario inc.Incident.scenario;
+      (* An incident the library rejects (a size, schedule, budget or
+         backend it cannot run) is bad input: one line, exit 3. *)
       (match Campaign.replay inc with
+      | exception Invalid_argument reason ->
+        Printf.eprintf "replay: %s: %s\n" file reason;
+        3
       | Some v ->
         Printf.printf "verdict: VIOLATION REPRODUCED — %s at round %d: %s\n" v.Engine.invariant
           v.Engine.at_round v.Engine.detail;

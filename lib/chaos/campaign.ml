@@ -5,10 +5,8 @@ module Failure = Ftagg_sim.Failure
 module Metrics = Ftagg_sim.Metrics
 module Params = Ftagg_proto.Params
 module Pair = Ftagg_proto.Pair
-module Checker = Ftagg_proto.Checker
 module Run = Ftagg_proto.Run
 module Backend = Ftagg_proto.Backend
-module Watchdog = Ftagg_proto.Watchdog
 module Obs = Ftagg_obs.Obs
 module Bench_io = Ftagg_runner.Bench_io
 
@@ -17,21 +15,48 @@ let graph_of (sc : Incident.scenario) = Gen.build sc.Incident.family ~n:sc.Incid
 let params_of (sc : Incident.scenario) graph =
   Params.make ~c:sc.Incident.c ~t:sc.Incident.t ~graph ~inputs:sc.Incident.inputs ()
 
+(* A row by its own name, across both of Run's views: every
+   [Run.backends] key is its row's name, and "tradeoff" names
+   Algorithm 1. *)
 let backend_exn name =
-  match Run.backend_of_string name with
-  | Some b -> b
+  let key = String.lowercase_ascii name in
+  match List.find_opt (fun (_, row) -> Backend.name row = key) (Run.backends @ Run.protocols) with
+  | Some (_, row) -> row
   | None -> invalid_arg (Printf.sprintf "Campaign: unknown backend %S" name)
 
+(* The one reading of a scenario's kind: the row it runs, with b and f. *)
+let row_of (sc : Incident.scenario) =
+  match sc.Incident.kind with
+  | Incident.Pair_run -> (backend_exn "agg", 0, 0)
+  | Incident.Backend_run { backend; b; f } -> (backend_exn backend, b, f)
+
 let max_round_of (sc : Incident.scenario) =
+  let (module B : Backend.S), b, f = row_of sc in
+  B.max_rounds ~params:(params_of sc (graph_of sc)) ~b ~f
+
+type report = {
+  scenario : Incident.scenario;  (** with the materialized schedule *)
+  violation : Engine.violation option;
+  outcome : Backend.outcome;
+}
+
+let exec ?online ?obs (sc : Incident.scenario) =
+  let backend, b, f = row_of sc in
   let graph = graph_of sc in
   let params = params_of sc graph in
-  match sc.Incident.kind with
-  | Incident.Pair_run -> Pair.duration params
-  | Incident.Tradeoff_run { b; _ } -> b * params.Params.d
-  | Incident.Backend_run { backend; b; f } ->
-    let module B = (val backend_exn backend : Backend.S) in
-    B.max_rounds ~params ~b ~f
+  let failures = Failure.of_list ~n:sc.Incident.n sc.Incident.schedule in
+  let ch =
+    Backend.exec_chaos ?obs ~faults:sc.Incident.faults ?online ?bit_cap:sc.Incident.bit_cap
+      ~backend ~graph ~failures ~params ~b ~f ~seed:sc.Incident.run_seed ()
+  in
+  {
+    scenario = { sc with Incident.schedule = Failure.to_list ch.Backend.c_schedule };
+    violation = ch.Backend.c_violation;
+    outcome = ch.Backend.c_outcome;
+  }
 
+(* Defined after [report], so a bare [.scenario] or [.violation] read
+   resolves to this record. *)
 type pair_report = {
   scenario : Incident.scenario;  (** with the materialized schedule *)
   violation : Engine.violation option;
@@ -43,87 +68,34 @@ type pair_report = {
   rounds : int;
 }
 
-let run_pair ?online ?obs (sc : Incident.scenario) =
-  let graph = graph_of sc in
-  let params = params_of sc graph in
-  let failures = Failure.of_list ~n:sc.Incident.n sc.Incident.schedule in
-  let watch = Watchdog.pair_watch ?bit_cap:sc.Incident.bit_cap ~params ~graph () in
-  let res =
-    Engine.run_chaos ?obs ~faults:sc.Incident.faults ?online ~watch ~graph ~failures
-      ~max_rounds:(Pair.duration params) ~seed:sc.Incident.run_seed (Pair.protocol params)
+(* The pair row's outcome, read back into the typed report: its evidence
+   carries the verdict's [veri_ok] (absent when the watchdog halted the
+   run) and the ground truth's [lfc] and [edge_failures] (always). *)
+let run_pair ?online ?obs sc =
+  let (r : report) = exec ?online ?obs sc in
+  let o = r.outcome in
+  let evidence k = List.assoc_opt k o.Backend.evidence in
+  let truth k =
+    match evidence k with
+    | Some v -> v
+    | None -> invalid_arg "Campaign.run_pair: the scenario does not run the pair"
   in
-  let metrics = res.Engine.c_metrics in
-  let failures = res.Engine.c_schedule in
-  let rounds = Metrics.rounds metrics in
-  (* No verdict (and trivial correctness) when the watchdog halted the
-     run before the pair finished — [violation] is authoritative then. *)
-  let truth = Checker.pair_truth ~graph ~failures ~params ~end_round:rounds res.Engine.c_states in
+  let c = o.Backend.common in
   {
-    scenario = { sc with Incident.schedule = Failure.to_list failures };
-    violation = res.Engine.c_violation;
-    verdict = truth.Checker.verdict;
-    correct = truth.Checker.correct;
-    lfc = truth.Checker.lfc;
-    edge_failures = truth.Checker.edge_failures;
-    cc = Metrics.cc metrics;
-    rounds;
+    scenario = r.scenario;
+    violation = r.violation;
+    verdict =
+      (match (o.Backend.result, evidence "veri_ok") with
+      | Backend.Exact result, Some ok -> Some { Pair.result; veri_ok = bool_of_string ok }
+      | _ -> None);
+    correct = c.Backend.correct;
+    lfc = bool_of_string (truth "lfc");
+    edge_failures = int_of_string (truth "edge_failures");
+    cc = Metrics.cc c.Backend.metrics;
+    rounds = c.Backend.rounds;
   }
 
-type backend_report = {
-  b_scenario : Incident.scenario;  (** with the materialized schedule *)
-  b_violation : Engine.violation option;
-  b_outcome : Backend.outcome;
-}
-
-let run_backend ?online ?obs (sc : Incident.scenario) =
-  let bname, b, f =
-    match sc.Incident.kind with
-    | Incident.Backend_run { backend; b; f } -> (backend, b, f)
-    | _ -> invalid_arg "Campaign.run_backend: scenario kind is not Backend_run"
-  in
-  let backend = backend_exn bname in
-  let graph = graph_of sc in
-  let params = params_of sc graph in
-  let failures = Failure.of_list ~n:sc.Incident.n sc.Incident.schedule in
-  let ch =
-    Backend.exec_chaos ?obs ~faults:sc.Incident.faults ?online ?bit_cap:sc.Incident.bit_cap
-      ~backend ~graph ~failures ~params ~b ~f ~seed:sc.Incident.run_seed ()
-  in
-  {
-    b_scenario = { sc with Incident.schedule = Failure.to_list ch.Backend.c_schedule };
-    b_violation = ch.Backend.c_violation;
-    b_outcome = ch.Backend.c_outcome;
-  }
-
-let check_tradeoff (sc : Incident.scenario) ~b ~f =
-  let graph = graph_of sc in
-  let params = params_of sc graph in
-  let failures = Failure.of_list ~n:sc.Incident.n sc.Incident.schedule in
-  let o = Run.tradeoff ~graph ~failures ~params ~b ~f ~seed:sc.Incident.run_seed () in
-  let rounds = o.Run.common.Run.rounds in
-  if not o.Run.common.Run.correct then
-    Some
-      {
-        Engine.at_round = rounds;
-        invariant = "theorem1_correct";
-        detail = "Algorithm 1 value outside the correctness interval";
-      }
-  else if o.Run.common.Run.flooding_rounds > b then
-    Some
-      {
-        Engine.at_round = rounds;
-        invariant = "theorem1_time";
-        detail =
-          Printf.sprintf "Algorithm 1 used %d flooding rounds, over the budget b=%d"
-            o.Run.common.Run.flooding_rounds b;
-      }
-  else None
-
-let check (sc : Incident.scenario) =
-  match sc.Incident.kind with
-  | Incident.Pair_run -> (run_pair sc).violation
-  | Incident.Tradeoff_run { b; f } -> check_tradeoff sc ~b ~f
-  | Incident.Backend_run _ -> (run_backend sc).b_violation
+let check sc = (exec sc).violation
 
 let shrink ?obs (sc : Incident.scenario) (v : Engine.violation) =
   (* Every accepted shrink step goes to the telemetry sink, so an
@@ -167,7 +139,7 @@ type config = {
   max_n : int;
   log : string -> unit;
   obs : Obs.t option;
-  via : (Incident.scenario -> pair_report option) option;
+  via : (Incident.scenario -> Engine.violation option option) option;
   backend : string;
 }
 
@@ -218,13 +190,6 @@ let random_scenario rng ~bit_cap ~max_n =
 let sanitize s =
   String.map (fun c -> match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' -> c | _ -> '_') s
 
-(* What the trial loop needs from any backend's run: the materialized
-   scenario and the first violation. *)
-type trial = {
-  t_scenario : Incident.scenario;
-  t_violation : Engine.violation option;
-}
-
 let run config =
   (* Resolve the backend once, failing fast on a typo before burning
      trials; branch on the registry's own name, so any spelling of "agg"
@@ -269,27 +234,22 @@ let run config =
        the trial is counted and skipped, never silently retried.  The
        transport speaks pair scenarios only, so it applies to the "agg"
        backend; other backends run in-process. *)
-    let report =
-      if not pair then begin
-        let r = run_backend ?online ?obs:config.obs sc0 in
-        Some { t_scenario = r.b_scenario; t_violation = r.b_violation }
-      end
-      else
-        match config.via with
-        | None ->
-          let r = run_pair ?online ?obs:config.obs sc0 in
-          Some { t_scenario = r.scenario; t_violation = r.violation }
-        | Some transport ->
-          Option.map
-            (fun (r : pair_report) -> { t_scenario = r.scenario; t_violation = r.violation })
-            (transport sc0)
+    let ran =
+      match config.via with
+      | Some transport when pair ->
+        (* The transport runs [sc0] without the online adversary, so
+           [sc0] is the scenario it ran. *)
+        Option.map (fun v -> (sc0, v)) (transport sc0)
+      | _ ->
+        let (r : report) = exec ?online ?obs:config.obs sc0 in
+        Some (r.scenario, r.violation)
     in
-    match report with
+    match ran with
     | None ->
       incr rejected;
       config.log (Printf.sprintf "trial %d (%s): rejected by transport" i (Adversary.name adversary))
-    | Some report ->
-    (match report.t_violation with
+    | Some (scenario, violation) ->
+    (match violation with
     | None -> ()
     | Some v ->
       incr violating;
@@ -309,7 +269,7 @@ let run config =
       if not (Hashtbl.mem seen v.Engine.invariant) then begin
         Hashtbl.replace seen v.Engine.invariant ();
         let inc =
-          to_incident ?obs:config.obs ~adversary:(Adversary.name adversary) report.t_scenario v
+          to_incident ?obs:config.obs ~adversary:(Adversary.name adversary) scenario v
         in
         (match config.obs with
         | Some o ->

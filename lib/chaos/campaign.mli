@@ -1,24 +1,47 @@
 (** Chaos campaigns: randomized runs under adversaries and watchdogs,
     with automatic shrinking of anything that violates a guarantee.
 
-    The oracle at the centre, {!check}, executes a {!Incident.scenario}
-    deterministically (pair runs through {!Ftagg_sim.Engine.run_chaos}
-    with a {!Ftagg_proto.Watchdog.pair_watch}; tradeoff runs through
-    {!Ftagg_proto.Run.tradeoff} with Theorem 1 post-checks) and reports
-    the first violation.  Everything else — the randomized campaign, the
-    shrinker, CLI replay, the fuzzer — funnels through it, so a scenario
-    file means the same thing everywhere. *)
+    One runner sits at the centre: {!exec} runs the {!Ftagg_proto.Run}
+    row a {!Incident.scenario} names through
+    {!Ftagg_proto.Backend.exec_chaos}, under that row's own watch (Table 2
+    for the pair, Theorem 1 for Algorithm 1, a planted bit cap for every
+    row).  The oracle {!check}, the randomized campaign, the shrinker,
+    CLI replay and the fuzzer all go through it, so a scenario file means
+    the same thing everywhere. *)
 
 val graph_of : Incident.scenario -> Ftagg_graph.Graph.t
 val params_of : Incident.scenario -> Ftagg_graph.Graph.t -> Ftagg_proto.Params.t
 
 val max_round_of : Incident.scenario -> int
-(** The scenario's run duration — the shrinker's crash-delay bound. *)
+(** The scenario's run duration, its row's [max_rounds] — the shrinker's
+    crash-delay bound. *)
 
-type pair_report = {
+type report = {
   scenario : Incident.scenario;
       (** input scenario with the {e materialized} schedule: the oblivious
           part plus every crash the online adversary decided *)
+  violation : Ftagg_sim.Engine.violation option;
+  outcome : Ftagg_proto.Backend.outcome;
+      (** the row's packaged outcome (from truncated states when
+          [violation] halted the run — the violation is authoritative
+          then) *)
+}
+
+val exec : ?online:Ftagg_sim.Engine.online -> ?obs:Ftagg_obs.Obs.t -> Incident.scenario -> report
+(** One watched run of the row the scenario's kind names: a
+    {!Incident.Pair_run} is the ["agg"] row (the AGG+VERI pair) with
+    [b = f = 0]; a {!Incident.Backend_run} is the row whose
+    {!Ftagg_proto.Backend.name} is its [backend], in either of
+    {!Ftagg_proto.Run}'s views, case-insensitively (["tradeoff"] is
+    Algorithm 1).  Raises [Invalid_argument] on an unknown name or on an
+    input the library rejects.  [online] extends the scenario's schedule
+    on the fly; replaying the returned materialized scenario without
+    [online] reproduces the run exactly.  [obs] is forwarded to
+    {!Ftagg_sim.Engine.run_chaos}, so the sink sees the run's broadcasts,
+    phase spans and any watchdog violation. *)
+
+type pair_report = {
+  scenario : Incident.scenario;  (** as in {!report} *)
   violation : Ftagg_sim.Engine.violation option;
   verdict : Ftagg_proto.Pair.verdict option;
       (** [None] when the watchdog halted the run before the pair finished *)
@@ -31,31 +54,11 @@ type pair_report = {
 
 val run_pair :
   ?online:Ftagg_sim.Engine.online -> ?obs:Ftagg_obs.Obs.t -> Incident.scenario -> pair_report
-(** One watched AGG+VERI pair.  [online] extends the scenario's schedule
-    on the fly; replaying the returned materialized scenario without
-    [online] reproduces the run exactly.  [obs] is forwarded to
-    {!Ftagg_sim.Engine.run_chaos}, so the sink sees the run's broadcasts,
-    phase spans and any watchdog violation. *)
-
-type backend_report = {
-  b_scenario : Incident.scenario;  (** with the materialized schedule *)
-  b_violation : Ftagg_sim.Engine.violation option;
-  b_outcome : Ftagg_proto.Backend.outcome;
-      (** the backend's packaged outcome (packaged from truncated states
-          when [b_violation] halted the run — the violation is
-          authoritative then) *)
-}
-
-val run_backend :
-  ?online:Ftagg_sim.Engine.online -> ?obs:Ftagg_obs.Obs.t -> Incident.scenario -> backend_report
-(** One watched run of a registered backend.  The scenario's [kind] must
-    be {!Incident.Backend_run} (raises [Invalid_argument] otherwise);
-    the backend is resolved via {!Ftagg_proto.Run.backend_of_string} and
-    driven through {!Ftagg_proto.Backend.exec_chaos} under its own watchdog
-    (which honours the scenario's planted [bit_cap]). *)
+(** {!exec} of a pair scenario, read back into the pair's typed fields.
+    Raises [Invalid_argument] if the scenario names another row. *)
 
 val check : Incident.scenario -> Ftagg_sim.Engine.violation option
-(** The oracle: run the scenario, report its first violation. *)
+(** The oracle: {!exec}'s first violation. *)
 
 val shrink :
   ?obs:Ftagg_obs.Obs.t ->
@@ -93,24 +96,24 @@ type config = {
           search: per-run broadcast/span feeds, [chaos_violation] /
           [shrink_step] events, [chaos_trials_total] /
           [chaos_incidents_total] / [chaos_shrink_steps_total] counters *)
-  via : (Incident.scenario -> pair_report option) option;
-      (** trial transport: when set, each trial's (materialized, hence
-          oblivious) scenario is executed by this hook instead of
-          {!run_pair} — e.g. [Ftagg_service.Chaos_gate.via] pushes it
-          through the aggregation service's admission queue.  [None] from
-          the hook means the transport refused the trial (backpressure or
-          cancellation); it is counted in [o_rejected_trials] and skipped.
-          The transport speaks pair scenarios, so it only applies when
-          [backend] names the ["agg"] backend. *)
+  via : (Incident.scenario -> Ftagg_sim.Engine.violation option option) option;
+      (** trial transport: when set, each trial's scenario is executed by
+          this hook, without the online adversary, instead of {!exec} —
+          e.g. [Ftagg_service.Chaos_gate.via] pushes it through the
+          aggregation service's admission queue — and answers the run's
+          violation, if any.  [None] from the hook means the transport
+          refused the trial (backpressure or cancellation); it is counted
+          in [o_rejected_trials] and skipped.  The transport speaks pair
+          scenarios, so it only applies when [backend] names the ["agg"]
+          row. *)
   backend : string;
       (** which {!Ftagg_proto.Run.backends} entry the trials run
           (default ["agg"], the watched AGG+VERI pair).  Every random
           draw — topology, parameters, adversary, schedule — is
           backend-independent, so campaigns with equal seeds subject
           every backend to the {e same} adversary schedules.  The name is
-          resolved as {!Ftagg_proto.Run.backend_of_string} does,
-          case-insensitively; unknown names raise [Invalid_argument]
-          before the first trial. *)
+          resolved as {!exec} resolves a [Backend_run]; unknown names
+          raise [Invalid_argument] before the first trial. *)
 }
 
 val default_config : config

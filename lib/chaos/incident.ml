@@ -4,7 +4,6 @@ module J = Ftagg_runner.Bench_io
 
 type kind =
   | Pair_run
-  | Tradeoff_run of { b : int; f : int }
   | Backend_run of { backend : string; b : int; f : int }
 
 type scenario = {
@@ -87,8 +86,6 @@ let scenario_to_json sc =
       ( "kind",
         match sc.kind with
         | Pair_run -> J.String "pair"
-        | Tradeoff_run { b; f } ->
-          J.Obj [ ("tradeoff", J.Bool true); ("b", J.Int b); ("f", J.Int f) ]
         | Backend_run { backend; b; f } ->
           J.Obj [ ("backend", J.String backend); ("b", J.Int b); ("f", J.Int f) ] );
       ("bit_cap", match sc.bit_cap with None -> J.Null | Some c -> J.Int c);
@@ -155,10 +152,13 @@ let scenario_of_json j =
   let kind =
     match req "kind" (J.member "kind" j) with
     | J.String "pair" -> Pair_run
-    | J.Obj _ as kj -> (
-      match Option.bind (J.member "backend" kj) J.to_string_v with
-      | Some backend -> Backend_run { backend; b = get_int "b" kj; f = get_int "f" kj }
-      | None -> Tradeoff_run { b = get_int "b" kj; f = get_int "f" kj })
+    | J.Obj _ as kj ->
+      (* The older Algorithm 1 form, {"tradeoff": true, "b", "f"}, names
+         no backend: it is the "tradeoff" row. *)
+      let backend =
+        Option.value (Option.bind (J.member "backend" kj) J.to_string_v) ~default:"tradeoff"
+      in
+      Backend_run { backend; b = get_int "b" kj; f = get_int "f" kj }
     | _ -> raise (Bad "kind")
   in
   let bit_cap =
@@ -216,6 +216,5 @@ let pp_scenario ppf sc =
     (family_to_string sc.family) sc.n sc.topo_seed sc.run_seed sc.c sc.t
     (match sc.kind with
     | Pair_run -> ""
-    | Tradeoff_run { b; f } -> Printf.sprintf " tradeoff(b=%d,f=%d)" b f
     | Backend_run { backend; b; f } -> Printf.sprintf " backend(%s,b=%d,f=%d)" backend b f)
     (String.concat "; " (List.map (fun (u, r) -> Printf.sprintf "%d@%d" u r) sc.schedule))

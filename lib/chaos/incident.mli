@@ -10,11 +10,12 @@
     ([ftagg_cli replay <incident.json>]). *)
 
 type kind =
-  | Pair_run  (** one AGG+VERI pair *)
-  | Tradeoff_run of { b : int; f : int }  (** Algorithm 1 with budget [b] *)
+  | Pair_run  (** one AGG+VERI pair: the ["agg"] row with [b = f = 0] *)
   | Backend_run of { backend : string; b : int; f : int }
-      (** any registered {!Ftagg_proto.Run.backends} entry, driven through
-          {!Ftagg_proto.Backend.exec_chaos} under its own watchdog *)
+      (** the row of {!Ftagg_proto.Run} named [backend] (["tradeoff"] is
+          Algorithm 1), run with budgets [b] and [f].  The decoder also
+          reads the older Algorithm 1 form [{"tradeoff": true, "b", "f"}]
+          as [backend = "tradeoff"]; the encoder writes only this one. *)
 
 type scenario = {
   family : Ftagg_graph.Gen.family;

@@ -5,6 +5,7 @@
    mass stays comparable to the paper's edge-budget [f]. *)
 
 module Prng = Ftagg_util.Prng
+module Fnv = Ftagg_util.Fnv
 module Graph = Ftagg_graph.Graph
 module Failure = Ftagg_sim.Failure
 module Engine = Ftagg_sim.Engine
@@ -38,19 +39,8 @@ let of_name s =
    decisions and crash draws must not share a stream, or adding a join
    would silently reshuffle the crash schedule of the same generation. *)
 let rng t ~seed ~generation ~purpose =
-  let h = ref 0xcbf29ce484222325L in
-  let mix s =
-    String.iter
-      (fun c ->
-        h := Int64.logxor !h (Int64.of_int (Char.code c));
-        h := Int64.mul !h 0x100000001b3L)
-      s
-  in
-  mix (name t);
-  mix (string_of_int seed);
-  mix (string_of_int generation);
-  mix purpose;
-  Prng.create (Int64.to_int !h)
+  let key = String.concat "" [ name t; string_of_int seed; string_of_int generation; purpose ] in
+  Prng.create (Int64.to_int (Fnv.hash key))
 
 (* Bursts land every third generation, starting at generation 2, so a
    five-generation scenario sees calm -> calm -> burst -> recovery ->

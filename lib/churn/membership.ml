@@ -5,6 +5,7 @@
    digest below is a sound cache key. *)
 
 module Prng = Ftagg_util.Prng
+module Fnv = Ftagg_util.Fnv
 module Graph = Ftagg_graph.Graph
 module Gen = Ftagg_graph.Gen
 module Failure = Ftagg_sim.Failure
@@ -68,18 +69,8 @@ let create ~family ~n ~seed =
    count for leaves) so inserting an event never reshuffles earlier
    decisions. *)
 let event_rng t ~purpose ~k =
-  let h = ref 0xcbf29ce484222325L in
-  let mix s =
-    String.iter
-      (fun c ->
-        h := Int64.logxor !h (Int64.of_int (Char.code c));
-        h := Int64.mul !h 0x100000001b3L)
-      s
-  in
-  mix (string_of_int t.seed);
-  mix purpose;
-  mix (string_of_int k);
-  Prng.create (Int64.to_int !h)
+  Prng.create
+    (Int64.to_int (Fnv.hash (String.concat "" [ string_of_int t.seed; purpose; string_of_int k ])))
 
 let attach_targets t ~node =
   let candidates = Array.of_list (live t) in
@@ -138,13 +129,7 @@ let key t =
              | Leave u -> Printf.sprintf "l%d" u)
            t.events)
   in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    canonical;
-  Printf.sprintf "g%d:%016Lx" t.generation !h
+  Printf.sprintf "g%d:%016Lx" t.generation (Fnv.hash canonical)
 
 let pp ppf t =
   Format.fprintf ppf "generation %d: %d nodes (%d joined, %d retired)" t.generation (total_n t)

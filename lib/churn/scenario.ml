@@ -7,6 +7,7 @@
    static matrix. *)
 
 module Prng = Ftagg_util.Prng
+module Fnv = Ftagg_util.Fnv
 module Table = Ftagg_util.Table
 module Graph = Ftagg_graph.Graph
 module Gen = Ftagg_graph.Gen
@@ -70,19 +71,11 @@ type report = {
 (* Per-run seed: FNV over (spec seed, schedule, generation, run index) —
    backend-independent by construction. *)
 let run_seed ~seed ~schedule ~generation ~run =
-  let h = ref 0xcbf29ce484222325L in
-  let mix s =
-    String.iter
-      (fun c ->
-        h := Int64.logxor !h (Int64.of_int (Char.code c));
-        h := Int64.mul !h 0x100000001b3L)
-      s
-  in
-  mix (string_of_int seed);
-  mix schedule;
-  mix (string_of_int generation);
-  mix (string_of_int run);
-  Int64.to_int !h land max_int
+  Int64.to_int
+    (Fnv.hash
+       (String.concat ""
+          [ string_of_int seed; schedule; string_of_int generation; string_of_int run ]))
+  land max_int
 
 let inputs_for n = Array.init n (fun i -> 4 + (i mod 7))
 

@@ -8,23 +8,14 @@
    each other — and virtual nodes smooth the load so one endpoint does
    not own a disproportionate arc. *)
 
+module Fnv = Ftagg_util.Fnv
+
 type t = {
   points : (int64 * string) array;  (* sorted by hash, unsigned order *)
   members : string list;  (* in construction order, deduplicated *)
   vnodes : int;
   seed : int;
 }
-
-(* FNV-1a 64 — the same construction as the job digest, so ring placement
-   is stable across OCaml versions and word sizes. *)
-let fnv64 s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun ch ->
-      h := Int64.logxor !h (Int64.of_int (Char.code ch));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
-  !h
 
 let ucompare (a : int64) b = Int64.unsigned_compare a b
 
@@ -42,7 +33,7 @@ let create ?(vnodes = 64) ?(seed = 1) endpoints =
     List.concat_map
       (fun endpoint ->
         List.init vnodes (fun i ->
-            (fnv64 (Printf.sprintf "%s#%d#%d" endpoint i seed), endpoint)))
+            (Fnv.hash (Printf.sprintf "%s#%d#%d" endpoint i seed), endpoint)))
       members
   in
   let points = Array.of_list points in
@@ -57,7 +48,7 @@ let members t = t.members
 let vnodes t = t.vnodes
 let seed t = t.seed
 
-let key_hash t key = fnv64 (Printf.sprintf "%d|%s" t.seed key)
+let key_hash t key = Fnv.hash (Printf.sprintf "%d|%s" t.seed key)
 
 (* Index of the first point clockwise of [h] (wrapping). *)
 let first_at_or_after t h =

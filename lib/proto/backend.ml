@@ -64,7 +64,13 @@ module type S = sig
     outcome
 
   val watch :
-    ?bit_cap:int -> params:Params.t -> graph:Graph.t -> unit -> state Engine.watch option
+    ?bit_cap:int ->
+    params:Params.t ->
+    graph:Graph.t ->
+    b:int ->
+    f:int ->
+    unit ->
+    state Engine.watch option
 end
 
 type t = (module S)
@@ -90,7 +96,7 @@ let bits_watch ~bit_cap view =
   (* Under a negative cap every node is over it from the start. *)
   if bit_cap < 0 then over 0 else List.find_map over view.Engine.v_broadcasters
 
-let cap_watch ?bit_cap ~params:_ ~graph:_ () =
+let cap_watch ?bit_cap ~params:_ ~graph:_ ~b:_ ~f:_ () =
   Option.map (fun cap -> bits_watch ~bit_cap:cap) bit_cap
 
 let make (type s m) ~name ?(exact = true) ~guarantee ?(watch = cap_watch) ~protocol ~max_rounds
@@ -129,7 +135,7 @@ let exec_chaos ?obs ?faults ?online ?bit_cap ~backend ~graph ~failures ~params ~
   let module B = (val backend : S) in
   let proto = B.protocol ~graph ~params ~b ~f in
   let max_rounds = B.max_rounds ~params ~b ~f in
-  let watch = B.watch ?bit_cap ~params ~graph () in
+  let watch = B.watch ?bit_cap ~params ~graph ~b ~f () in
   let res =
     Engine.run_chaos ?obs ?faults ?online ?watch ~graph ~failures ~max_rounds ~seed proto
   in

@@ -107,15 +107,18 @@ module type S = sig
     ?bit_cap:int ->
     params:Params.t ->
     graph:Ftagg_graph.Graph.t ->
+    b:int ->
+    f:int ->
     unit ->
     state Ftagg_sim.Engine.watch option
   (** The backend's chaos watchdog, if it has one.  Every backend must
       honour [bit_cap] (the planted-violation knob): when set, the
       returned watch must report ["bit_budget"] the first round any
       node's cumulative bits cross it — {!bits_watch} is the generic
-      implementation.  [None] only when no cap is given and the backend
-      has no invariants of its own.  Stateful watches must be fresh per
-      run (hence the [unit] step). *)
+      implementation.  [b]/[f] as in {!protocol} — Algorithm 1's
+      Theorem 1 watch needs [b].  [None] only when no cap is given and
+      the backend has no invariants of its own.  Stateful watches must
+      be fresh per run (hence the [unit] step). *)
 end
 
 type t = (module S)
@@ -136,6 +139,8 @@ val cap_watch :
   ?bit_cap:int ->
   params:Params.t ->
   graph:Ftagg_graph.Graph.t ->
+  b:int ->
+  f:int ->
   unit ->
   'state Ftagg_sim.Engine.watch option
 (** An {!S.watch} that honours a planted cap with {!bits_watch} and
@@ -144,8 +149,8 @@ val cap_watch :
 
 val make :
   name:string -> ?exact:bool -> guarantee:string ->
-  ?watch:(?bit_cap:int -> params:Params.t -> graph:Ftagg_graph.Graph.t -> unit ->
-          'state Ftagg_sim.Engine.watch option) ->
+  ?watch:(?bit_cap:int -> params:Params.t -> graph:Ftagg_graph.Graph.t -> b:int -> f:int ->
+          unit -> 'state Ftagg_sim.Engine.watch option) ->
   protocol:(graph:Ftagg_graph.Graph.t -> params:Params.t -> b:int -> f:int ->
             ('state, 'msg) Ftagg_sim.Engine.protocol) ->
   max_rounds:(params:Params.t -> b:int -> f:int -> int) ->

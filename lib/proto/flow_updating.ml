@@ -195,7 +195,7 @@ let make_backend name mode =
     ~guarantee:
       "approximate; mass-conserving: crash-reset flows return routed mass, estimates \
        re-converge to the survivors' average"
-    ~watch:(fun ?bit_cap ~params:_ ~graph:_ () ->
+    ~watch:(fun ?bit_cap ~params:_ ~graph:_ ~b:_ ~f:_ () ->
       Some
         (fun view ->
           match Option.bind bit_cap (fun cap -> Backend.bits_watch ~bit_cap:cap view) with

@@ -169,11 +169,11 @@ type backend = Backend.t
 
 (* A watchdog-truncated chaos run: the protocol never output, and the
    violation on the chaos record is the authoritative verdict. *)
-let halted_early ~params ~metrics =
+let halted_early ?(evidence = []) ~params ~metrics () =
   {
     Backend.result = Backend.Exact Agg.Aborted;
     common = mk_common ~params ~metrics ~correct:true;
-    evidence = [ ("halted_early", "true") ];
+    evidence = ("halted_early", "true") :: evidence;
   }
 
 let exact ?(evidence = []) result common =
@@ -183,18 +183,21 @@ let pair_row =
   Backend.make ~name:"agg"
     ~guarantee:
       "zero-error or abort; with <= t edge failures: correct value, VERI accepts (Table 2)"
-    ~watch:(fun ?bit_cap ~params ~graph () ->
+    ~watch:(fun ?bit_cap ~params ~graph ~b:_ ~f:_ () ->
       Some (Watchdog.pair_watch ?bit_cap ~params ~graph ()))
     ~protocol:(fun ~graph:_ ~params ~b:_ ~f:_ -> Pair.protocol params)
     ~max_rounds:(fun ~params ~b:_ ~f:_ -> Pair.duration params)
     (fun ~graph ~failures ~params ~b:_ ~f:_ ~states ~metrics ->
-      match finish_pair ~graph ~failures ~params ~states ~metrics with
-      | { Checker.verdict = None; _ }, _ -> halted_early ~params ~metrics
-      | ({ Checker.verdict = Some v; _ } as truth), common ->
-        exact v.Pair.result common
-          ~evidence:
-            [ ("veri_ok", string_of_bool v.Pair.veri_ok); ("lfc", string_of_bool truth.Checker.lfc);
-              ("edge_failures", string_of_int truth.Checker.edge_failures) ])
+      let truth, common = finish_pair ~graph ~failures ~params ~states ~metrics in
+      (* The ground truth exists on a halted run too. *)
+      let evidence =
+        [ ("lfc", string_of_bool truth.Checker.lfc);
+          ("edge_failures", string_of_int truth.Checker.edge_failures) ]
+      in
+      match truth.Checker.verdict with
+      | None -> halted_early ~evidence ~params ~metrics ()
+      | Some v ->
+        exact v.Pair.result common ~evidence:(("veri_ok", string_of_bool v.Pair.veri_ok) :: evidence))
 
 let agg_row =
   Backend.make ~name:"agg-alone"
@@ -202,7 +205,7 @@ let agg_row =
     ~protocol:(fun ~graph:_ ~params ~b:_ ~f:_ -> Agg.protocol params)
     ~max_rounds:(fun ~params ~b:_ ~f:_ -> Agg.duration params)
     (fun ~graph ~failures ~params ~b:_ ~f:_ ~states ~metrics ->
-      if Metrics.rounds metrics < Agg.duration params then halted_early ~params ~metrics
+      if Metrics.rounds metrics < Agg.duration params then halted_early ~params ~metrics ()
       else
         let o = finish_agg ~graph ~failures ~params ~states ~metrics in
         exact o.result o.common)
@@ -212,7 +215,7 @@ let flood_row =
     ~protocol:(fun ~graph:_ ~params ~b:_ ~f:_ -> Brute_force.protocol params)
     ~max_rounds:(fun ~params ~b:_ ~f:_ -> Brute_force.duration params)
     (fun ~graph ~failures ~params ~b:_ ~f:_ ~states ~metrics ->
-      if Metrics.rounds metrics < Brute_force.duration params then halted_early ~params ~metrics
+      if Metrics.rounds metrics < Brute_force.duration params then halted_early ~params ~metrics ()
       else
         let o = finish_brute_force ~graph ~failures ~params ~states ~metrics in
         exact o.result o.common)
@@ -224,7 +227,7 @@ let folklore_row ~name ~guarantee mode =
     ~protocol:(fun ~graph:_ ~params ~b:_ ~f -> Folklore.protocol params ~mode:(mode f))
     ~max_rounds:(fun ~params ~b:_ ~f -> Folklore.duration params (mode f))
     (fun ~graph ~failures ~params ~b:_ ~f:_ ~states ~metrics ->
-      if not (Folklore.root_done states.(Graph.root)) then halted_early ~params ~metrics
+      if not (Folklore.root_done states.(Graph.root)) then halted_early ~params ~metrics ()
       else
         let o = finish_folklore ~graph ~failures ~params ~states ~metrics in
         exact o.result o.common ~evidence:[ ("epochs", string_of_int o.epochs) ])
@@ -241,10 +244,10 @@ let naive_row =
 
 (* The interval driver's two plans; [via] renders how the root got its
    value. *)
-let intervals_row ~name ~guarantee ~protocol ~max_rounds via =
-  Backend.make ~name ~guarantee ~protocol ~max_rounds
+let intervals_row ~name ~guarantee ?watch ~protocol ~max_rounds via =
+  Backend.make ~name ~guarantee ?watch ~protocol ~max_rounds
     (fun ~graph ~failures ~params ~b:_ ~f:_ ~states ~metrics ->
-      if not (Tradeoff.root_done states.(Graph.root)) then halted_early ~params ~metrics
+      if not (Tradeoff.root_done states.(Graph.root)) then halted_early ~params ~metrics ()
       else
         let root, result, common = finish_intervals ~graph ~failures ~params ~states ~metrics in
         exact result common ~evidence:[ ("via", via root) ])
@@ -254,6 +257,8 @@ let tradeoff_row =
     ~guarantee:
       "zero-error within b flooding rounds; CC O(f/b log^2 N + log^2 N) under <= f edge \
        failures (Theorem 1)"
+    ~watch:(fun ?bit_cap ~params ~graph ~b ~f:_ () ->
+      Some (Watchdog.tradeoff_watch ?bit_cap ~params ~graph ~b ()))
     ~protocol:(fun ~graph:_ ~params ~b ~f -> Tradeoff.protocol params ~b ~f)
     ~max_rounds:(fun ~params ~b ~f:_ -> Tradeoff.max_rounds params ~b)
     (fun root ->

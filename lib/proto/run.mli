@@ -172,9 +172,11 @@ val unknown_f :
     [epochs], Algorithm 1's [via] ([pair interval y] or
     [brute-force fallback]) and unknown-f's ([slot g] or
     [brute-force fallback]).  A row whose root never output (a watchdog
-    halted the run) answers [Exact Aborted] with [halted_early] evidence.
-    The pair's watch is {!Watchdog.pair_watch}; push-sum and
-    flow-updating run [b × d] rounds, Algorithm 1's TC budget. *)
+    halted the run) answers [Exact Aborted] with [halted_early] evidence;
+    the pair still adds its [lfc] and [edge_failures].  The pair's watch
+    is {!Watchdog.pair_watch} and Algorithm 1's is
+    {!Watchdog.tradeoff_watch}; push-sum and flow-updating run [b × d]
+    rounds, Algorithm 1's TC budget. *)
 
 type backend = Backend.t
 

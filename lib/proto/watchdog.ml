@@ -151,3 +151,29 @@ let pair_watch ?bit_cap ~params ~graph () : Pair.node Engine.watch =
                       "an accepted representative set misses a surviving node's input" )
                 else None)
           end))
+
+(* Theorem 1 as a watch.  The driver halts in the round the root
+   outputs, so its value is judged once, against the crashes so far; a
+   root still silent when the b·d budget runs out broke the time bound. *)
+let tradeoff_watch ?bit_cap ~params ~graph ~b () : Tradeoff.node Engine.watch =
+  let deadline = Tradeoff.max_rounds params ~b in
+  fun view ->
+    match Option.bind bit_cap (fun cap -> Backend.bits_watch ~bit_cap:cap view) with
+    | Some v -> Some v
+    | None ->
+      let round = view.Engine.v_round in
+      let root = view.Engine.v_states.(Graph.root) in
+      if Tradeoff.root_done root then begin
+        let failures = Failure.of_crash_rounds view.Engine.v_crash_rounds in
+        if
+          Checker.result_correct ~graph ~failures ~end_round:round ~params
+            (Tradeoff.root_result root)
+        then None
+        else Some ("theorem1_correct", "Algorithm 1 value outside the correctness interval")
+      end
+      else if round >= deadline then
+        Some
+          ( "theorem1_time",
+            Printf.sprintf "Algorithm 1's root has no output after b·d = %d rounds (b=%d)"
+              deadline b )
+      else None

@@ -25,7 +25,8 @@
     activation can have changed, and so report the same first violation
     as a scan of every node.  {!pair_watch} is the pair row's watch
     ({!Run.backends}' ["agg"]), so every chaos run of that row checks
-    these invariants. *)
+    these invariants.  {!tradeoff_watch} is Algorithm 1's row's watch:
+    Theorem 1, checked the same way. *)
 
 val pair_bit_cap : Params.t -> int
 (** The default cap: AGG's abort budget plus VERI's overflow budget plus
@@ -45,3 +46,17 @@ val pair_watch :
     bottleneck node crosses it (exercised by the chaos tests).  The
     returned closure is stateful (the AGG-end check runs once): build a
     fresh one per run. *)
+
+val tradeoff_watch :
+  ?bit_cap:int ->
+  params:Params.t ->
+  graph:Ftagg_graph.Graph.t ->
+  b:int ->
+  unit ->
+  Tradeoff.node Ftagg_sim.Engine.watch
+(** Theorem 1 for one Algorithm 1 run with budget [b], checked in order:
+    a planted [bit_cap] ({!Backend.bits_watch}; no cap by default);
+    ["theorem1_correct"] in the round the root outputs a value that
+    {!Checker.result_correct} rejects for the crash schedule so far; and
+    ["theorem1_time"] when the root has no output by round
+    [Tradeoff.max_rounds params ~b] ([b·d]).  Stateless. *)

@@ -54,11 +54,15 @@ let via ?(cancel_every = 0) scheduler =
             await ()
         in
         let completion = await () in
-        match completion.Scheduler.report with
-        | Some report -> Some report
-        | None ->
-          (* A cache hit whose entry predates this process (restored from
-             a checkpoint) has no report attached; re-run the oracle
-             in-process — still deterministic, same scenario. *)
-          Some (Campaign.run_pair sc)
+        match completion.Scheduler.outcome with
+        | Error _ -> None (* the job failed: the trial has no answer *)
+        | Ok outcome -> (
+          match (completion.Scheduler.violation, outcome.Job.violation) with
+          | Some v, _ -> Some (Some v)
+          | None, Some _ ->
+            (* A cache hit restored from a checkpoint or the store keeps
+               only the invariant's name; re-run the oracle in-process for
+               the full record — still deterministic, same scenario. *)
+            Some (Campaign.check sc)
+          | None, None -> Some None)
       end

@@ -13,7 +13,6 @@ module Run = Ftagg_proto.Run
 module Backend = Ftagg_proto.Backend
 module Bench_io = Ftagg_runner.Bench_io
 module Incident = Ftagg_chaos.Incident
-module Campaign = Ftagg_chaos.Campaign
 
 type priority = High | Normal | Low
 
@@ -64,7 +63,7 @@ type outcome = {
   violation : string option;
 }
 
-type executed = { outcome : outcome; report : Campaign.pair_report option }
+type executed = { outcome : outcome; violation : Engine.violation option }
 
 (* ---- canonical digest ---- *)
 
@@ -100,13 +99,7 @@ let digest spec =
         string_of_int spec.seed;
       ]
   in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun ch ->
-      h := Int64.logxor !h (Int64.of_int (Char.code ch));
-      h := Int64.mul !h 0x100000001b3L)
-    canonical;
-  Printf.sprintf "%016Lx" !h
+  Printf.sprintf "%016Lx" (Ftagg_util.Fnv.hash canonical)
 
 (* The cache key adds the topology generation the digest deliberately
    leaves out: same question, later generation → different key, so a
@@ -336,68 +329,41 @@ let execute spec =
   let caaf = Option.get (Instances.of_name spec.caaf) in
   let params = Params.make ~c:spec.c ~t:spec.t ~caaf ~graph ~inputs:spec.inputs () in
   let d = params.Params.d in
+  (* One outcome builder for every protocol: a watched chaos-pair run
+     adds its violation. *)
+  let executed ?violation ~via (o : Backend.outcome) =
+    let c = o.Backend.common in
+    {
+      outcome =
+        {
+          value = (match o.Backend.result with Backend.Exact (Agg.Value v) -> Some v | _ -> None);
+          correct = c.Backend.correct;
+          cc = Metrics.cc c.Backend.metrics;
+          rounds = c.Backend.rounds;
+          flooding_rounds = c.Backend.flooding_rounds;
+          via = Option.value (List.assoc_opt "via" o.Backend.evidence) ~default:via;
+          violation = Option.map (fun (v : Engine.violation) -> v.Engine.invariant) violation;
+        };
+      violation;
+    }
+  in
   let run ~window ~b ~f =
     let backend = Option.get (Run.protocol_of_string (protocol_name spec.protocol)) in
     let failures = materialize_failures spec graph ~window in
-    let o = Backend.exec ~backend ~graph ~failures ~params ~b ~f ~seed:spec.seed () in
-    let c = o.Backend.common in
-    let outcome =
-      {
-        value = (match o.Backend.result with Backend.Exact (Agg.Value v) -> Some v | _ -> None);
-        correct = c.Backend.correct;
-        cc = Metrics.cc c.Backend.metrics;
-        rounds = c.Backend.rounds;
-        flooding_rounds = c.Backend.flooding_rounds;
-        via = Option.value (List.assoc_opt "via" o.Backend.evidence) ~default:"brute-force";
-        violation = None;
-      }
-    in
-    { outcome; report = None }
+    executed ~via:"brute-force"
+      (Backend.exec ~backend ~graph ~failures ~params ~b ~f ~seed:spec.seed ())
   in
   match spec.protocol with
   | Tradeoff { b; f } -> run ~window:(b * d) ~b ~f
   | Brute -> run ~window:(4 * d) ~b:0 ~f:0
   | Unknown_f -> run ~window:(63 * d) ~b:0 ~f:0
   | Chaos_pair { bit_cap } ->
-    (* A watched AGG+VERI pair through the chaos oracle: the service is
-       the campaign's trial transport here (see [Chaos_gate]). *)
-    let schedule =
-      match spec.failures with
-      | Explicit schedule -> schedule
-      | Generated _ ->
-        Failure.to_list (materialize_failures spec graph ~window:(Pair.duration params))
+    (* The watched AGG+VERI pair row on the job's own graph and params:
+       the service is the campaign's trial transport here (see
+       [Chaos_gate]). *)
+    let failures = materialize_failures spec graph ~window:(Pair.duration params) in
+    let ch =
+      Backend.exec_chaos ?bit_cap ~backend:(Option.get (Run.backend_of_string "agg")) ~graph
+        ~failures ~params ~b:0 ~f:0 ~seed:spec.seed ()
     in
-    let scenario =
-      {
-        Incident.family = spec.family;
-        n = spec.n;
-        topo_seed = spec.topo_seed;
-        run_seed = spec.seed;
-        c = spec.c;
-        t = spec.t;
-        inputs = spec.inputs;
-        schedule;
-        faults = Engine.no_faults;
-        kind = Incident.Pair_run;
-        bit_cap;
-      }
-    in
-    let report = Campaign.run_pair scenario in
-    let value =
-      match report.Campaign.verdict with
-      | Some { Pair.result = Agg.Value v; _ } -> Some v
-      | _ -> None
-    in
-    let outcome =
-      {
-        value;
-        correct = report.Campaign.correct;
-        cc = report.Campaign.cc;
-        rounds = report.Campaign.rounds;
-        flooding_rounds = (report.Campaign.rounds + d - 1) / d;
-        via = "chaos pair";
-        violation =
-          Option.map (fun (v : Engine.violation) -> v.Engine.invariant) report.Campaign.violation;
-      }
-    in
-    { outcome; report = Some report }
+    executed ?violation:ch.Backend.c_violation ~via:"chaos pair" ch.Backend.c_outcome

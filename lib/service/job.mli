@@ -26,8 +26,9 @@ type protocol =
   | Brute  (** brute-force baseline *)
   | Unknown_f  (** the doubling-trick protocol *)
   | Chaos_pair of { bit_cap : int option }
-      (** a watchdog-watched AGG+VERI pair via {!Ftagg_chaos.Campaign.run_pair}
-          — the campaign-through-the-service transport *)
+      (** the AGG+VERI pair row run under its watchdog, through
+          {!Ftagg_proto.Backend.exec_chaos} — the
+          campaign-through-the-service transport *)
 
 type failure_spec =
   | Generated of { mode : string; budget : int }
@@ -68,8 +69,9 @@ type outcome = {
 
 type executed = {
   outcome : outcome;
-  report : Ftagg_chaos.Campaign.pair_report option;
-      (** full chaos report for [Chaos_pair] jobs — runtime-only, never
+  violation : Ftagg_sim.Engine.violation option;
+      (** the full watchdog violation of a [Chaos_pair] job, whose
+          [outcome] keeps only its invariant — runtime-only, never
           serialized (checkpoint-restored cache entries carry [None]) *)
 }
 

@@ -12,7 +12,6 @@ module Registry = Ftagg_obs.Registry
 module Obs = Ftagg_obs.Obs
 module Sweep = Ftagg_runner.Sweep
 module Bench_io = Ftagg_runner.Bench_io
-module Campaign = Ftagg_chaos.Campaign
 module Store = Ftagg_store.Store
 
 type queued = { q_id : string; q_spec : Job.spec; q_enqueued : int }
@@ -23,7 +22,7 @@ type completion = {
   digest : string;
   cached : bool;
   outcome : (Job.outcome, string) result;
-  report : Campaign.pair_report option;
+  violation : Ftagg_sim.Engine.violation option;
 }
 
 type t = {
@@ -87,7 +86,7 @@ let store_find t digest =
       match Job.outcome_of_json json with
       | Error _ -> None
       | Ok outcome ->
-        let executed = { Job.outcome; report = None } in
+        let executed = { Job.outcome; violation = None } in
         Cache.add t.cache digest executed;
         Some executed))
 
@@ -205,14 +204,14 @@ let restore ?obs ?checkpoint_path ?store ~settings (state : Checkpoint.state) =
           digest = d.Checkpoint.d_digest;
           cached = d.Checkpoint.d_cached;
           outcome = d.Checkpoint.d_outcome;
-          report = None;
+          violation = None;
         }
       in
       Hashtbl.replace t.results completion.id completion;
       t.completed_order <- completion.id :: t.completed_order;
       match d.Checkpoint.d_outcome with
       | Ok o -> (
-        let executed = { Job.outcome = o; report = None } in
+        let executed = { Job.outcome = o; violation = None } in
         match t.store with
         | Some s when Store.mem s d.Checkpoint.d_digest -> ()
         | Some s ->
@@ -275,7 +274,7 @@ let tick ?max t () =
                   (Printf.sprintf "deadline exceeded: waited %d ticks, deadline %d"
                      (t.tick_count - q.q_enqueued)
                      (Option.value q.q_spec.Job.deadline ~default:0));
-              report = None;
+              violation = None;
             }
           in
           take (completion :: acc) misses (k - 1)
@@ -295,7 +294,7 @@ let tick ?max t () =
                 digest;
                 cached = true;
                 outcome = Ok executed.Job.outcome;
-                report = executed.Job.report;
+                violation = executed.Job.violation;
               }
             in
             take (completion :: acc) misses (k - 1)
@@ -339,16 +338,16 @@ let tick ?max t () =
   let miss_completions =
     List.map
       (fun (q, digest) ->
-        let mk cached outcome report =
-          { id = q.q_id; tenant = q.q_spec.Job.tenant; digest; cached; outcome; report }
+        let mk cached outcome violation =
+          { id = q.q_id; tenant = q.q_spec.Job.tenant; digest; cached; outcome; violation }
         in
         match Hashtbl.find_opt own q.q_id with
-        | Some (Ok (e : Job.executed)) -> mk false (Ok e.Job.outcome) e.Job.report
+        | Some (Ok (e : Job.executed)) -> mk false (Ok e.Job.outcome) e.Job.violation
         | Some (Error exn) -> mk false (Error (Printexc.to_string exn)) None
         | None -> (
           (* co-batched duplicate: its representative ran above *)
           match Cache.find t.cache digest with
-          | Some e -> mk true (Ok e.Job.outcome) e.Job.report
+          | Some e -> mk true (Ok e.Job.outcome) e.Job.violation
           | None -> (
             match Hashtbl.find_opt by_digest digest with
             | Some (Error exn) -> mk false (Error (Printexc.to_string exn)) None

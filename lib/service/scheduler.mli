@@ -23,8 +23,9 @@ type completion = {
   cached : bool;  (** served from the result cache, no simulation ran *)
   outcome : (Job.outcome, string) result;
       (** [Error] for an expired deadline or a job that raised *)
-  report : Ftagg_chaos.Campaign.pair_report option;
-      (** chaos-pair evidence when available (never across a restart) *)
+  violation : Ftagg_sim.Engine.violation option;
+      (** a chaos-pair job's full watchdog violation, when this process
+          ran it (never across a restart) *)
 }
 
 type t

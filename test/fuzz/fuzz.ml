@@ -86,8 +86,7 @@ let trial rng found i =
   (match report.Campaign.violation with
   | None -> ()
   | Some v -> record found ~adversary:(Adversary.name adversary) ~trial:i report.Campaign.scenario v);
-  (* --- Algorithm 1: Theorem 1 end to end (oblivious schedules — the
-     tradeoff path goes through the hot engine) --- *)
+  (* --- Algorithm 1 under its Theorem 1 watch (oblivious schedules) --- *)
   let b = 63 + (21 * Prng.int rng 6) in
   let f = max budget 1 in
   let adversary2 =
@@ -101,7 +100,7 @@ let trial rng found i =
       sc with
       Incident.schedule = Failure.to_list base2;
       run_seed = run_seed + 1;
-      kind = Incident.Tradeoff_run { b; f };
+      kind = Incident.Backend_run { backend = "tradeoff"; b; f };
     }
   in
   match Campaign.check sc2 with

@@ -167,25 +167,35 @@ let light_fault_scenarios =
         ])
     [ (Gen.Grid, 25); (Gen.Ring, 16); (Gen.Random_regular 4, 20) ]
 
-(* The "agg" row under chaos reports the first violation, round and
-   detail included, that Campaign.run_pair reports on the same run. *)
+(* The "agg" row under chaos, as the campaign runs it, reports the first
+   violation, round and detail included, and the CC and rounds of the
+   pair driven by hand through Engine.run_chaos under
+   Watchdog.pair_watch. *)
 let test_agg_row_watch_is_the_pair_watch () =
-  let agg = Option.get (Run.backend_of_string "agg") in
   let fired = ref 0 in
   List.iteri
     (fun i (sc : Incident.scenario) ->
       let graph = Campaign.graph_of sc in
       let params = Campaign.params_of sc graph in
       let failures = Failure.of_list ~n:sc.Incident.n sc.Incident.schedule in
-      let pair = Campaign.run_pair sc in
-      let row =
-        Backend.exec_chaos ~faults:sc.Incident.faults ~backend:agg ~graph ~failures ~params ~b:40
-          ~f:4 ~seed:sc.Incident.run_seed ()
+      let hand =
+        Engine.run_chaos ~faults:sc.Incident.faults
+          ~watch:(Watchdog.pair_watch ~params ~graph ())
+          ~graph ~failures ~max_rounds:(Pair.duration params) ~seed:sc.Incident.run_seed
+          (Pair.protocol params)
       in
+      let row = Campaign.exec sc in
+      let common = row.Campaign.outcome.Backend.common in
       check_true
         (Printf.sprintf "scenario %d: same first violation" i)
-        (row.Backend.c_violation = pair.Campaign.violation);
-      if pair.Campaign.violation <> None then incr fired)
+        (row.Campaign.violation = hand.Engine.c_violation);
+      check_int
+        (Printf.sprintf "scenario %d: same CC" i)
+        (Metrics.cc hand.Engine.c_metrics) (Metrics.cc common.Backend.metrics);
+      check_int
+        (Printf.sprintf "scenario %d: same rounds" i)
+        (Metrics.rounds hand.Engine.c_metrics) common.Backend.rounds;
+      if hand.Engine.c_violation <> None then incr fired)
     light_fault_scenarios;
   check_true "the watch fires on some runs" (!fired > 0);
   check_true "and stays silent on others" (!fired < List.length light_fault_scenarios)
@@ -322,7 +332,7 @@ let test_campaign_backend_name_case () =
   let via sc =
     incr calls;
     check_true "a pair scenario" (sc.Incident.kind = Incident.Pair_run);
-    Some (Campaign.run_pair sc)
+    Some (Campaign.check sc)
   in
   let config =
     {

@@ -653,7 +653,7 @@ let test_incident_json_round_trip () =
           inputs = Array.init 17 (fun k -> k + 1);
           schedule = [ (2, 5); (9, 31) ];
           faults = { Engine.loss = 0.01; dup = 0.25; delay = 0.5 };
-          kind = Incident.Tradeoff_run { b = 84; f = 6 };
+          kind = Incident.Backend_run { backend = "tradeoff"; b = 84; f = 6 };
           bit_cap = Some 512;
         };
       violation = { Engine.at_round = 77; invariant = "theorem1_time"; detail = "too slow" };
@@ -671,6 +671,51 @@ let test_incident_json_round_trip () =
       check_true "scenario" (inc'.Incident.scenario = inc.Incident.scenario);
       check_true "violation" (inc'.Incident.violation = inc.Incident.violation);
       check_true "shrink stats" (inc'.Incident.shrink = inc.Incident.shrink))
+
+(* The older Algorithm 1 form names no backend: {"tradeoff": true, "b",
+   "f"} decodes to the "tradeoff" row, so incidents saved in it still
+   replay. *)
+let test_incident_legacy_tradeoff_kind () =
+  let text =
+    {|{"version": 1, "adversary": "oblivious:random",
+       "violation": {"at_round": 3, "invariant": "theorem1_time", "detail": "x"},
+       "scenario": {"family": "grid", "n": 4, "topo_seed": 1, "run_seed": 2, "c": 2, "t": 1,
+                    "inputs": [1, 2, 3, 4], "schedule": [],
+                    "kind": {"tradeoff": true, "b": 84, "f": 6}, "bit_cap": null},
+       "shrink": null}|}
+  in
+  match Result.bind (Bench_io.of_string text) Incident.of_json with
+  | Error e -> Alcotest.fail e
+  | Ok inc ->
+    check_true "the tradeoff row with its budgets"
+      (inc.Incident.scenario.Incident.kind
+      = Incident.Backend_run { backend = "tradeoff"; b = 84; f = 6 })
+
+(* Theorem 1's time check: a root with no output when the b·d budget
+   runs out breaks the time bound.  No lawful run reaches this check
+   (Algorithm 1's fallback always outputs by b·d), so it is driven by
+   hand on fresh states. *)
+let test_tradeoff_watch_time () =
+  let n = 16 and b = 84 in
+  let graph = Gen.grid n in
+  let params = Params.make ~graph ~inputs:(Array.make n 1) () in
+  let proto = Tradeoff.protocol params ~b ~f:2 in
+  let states = Array.init n (fun u -> proto.Engine.init u ~rng:(Prng.create u)) in
+  let view round =
+    {
+      Engine.v_round = round;
+      v_states = states;
+      v_metrics = Metrics.create n;
+      v_crash_rounds = Failure.crash_rounds (Failure.none ~n);
+      v_broadcasters = [];
+    }
+  in
+  let watch = Watchdog.tradeoff_watch ~params ~graph ~b () in
+  let deadline = Tradeoff.max_rounds params ~b in
+  check_true "silent before b·d" (watch (view (deadline - 1)) = None);
+  match watch (view deadline) with
+  | Some (invariant, _) -> check_true "theorem1_time at b·d" (invariant = "theorem1_time")
+  | None -> Alcotest.fail "a root with no output at b·d was not reported"
 
 let suite =
   [
@@ -698,6 +743,10 @@ let suite =
     Alcotest.test_case "campaign → incident → JSON → replay" `Quick test_campaign_end_to_end;
     Alcotest.test_case "family codec round trip" `Quick test_family_codec;
     Alcotest.test_case "incident JSON round trip" `Quick test_incident_json_round_trip;
+    Alcotest.test_case "legacy tradeoff incident decodes to the tradeoff row" `Quick
+      test_incident_legacy_tradeoff_kind;
+    Alcotest.test_case "tradeoff watch: no root output by b·d is theorem1_time" `Quick
+      test_tradeoff_watch_time;
     Alcotest.test_case "pair wake ≡ every round under faults x adaptive x watchdog" `Quick
       test_pair_frontier_under_faults;
     Alcotest.test_case "broadcaster watches ≡ full scan on planted violations" `Quick

@@ -81,6 +81,14 @@ let test_membership_key_invalidation () =
   check_true "key carries the generation prefix"
     (String.length (Membership.key m2) > 3 && String.sub (Membership.key m2) 0 3 = "g2:")
 
+(* The key pinned byte-exact over two generations with joins and leaves:
+   it keys the service's cache across processes. *)
+let test_membership_key_pinned () =
+  let m = Membership.create ~family:Topo.Grid ~n:16 ~seed:7 in
+  let m = Membership.advance m ~joins:2 ~leaves:1 in
+  let m = Membership.advance m ~joins:1 ~leaves:1 in
+  Alcotest.(check string) "two-generation key" "g2:5d7336d00afee439" (Membership.key m)
+
 let test_merge_failures () =
   let a = Failure.of_list ~n:4 [ (1, 5); (2, 3) ] in
   let b = Failure.of_list ~n:4 [ (1, 2); (3, 7) ] in
@@ -238,6 +246,7 @@ let suite =
       test_membership_determinism;
     Alcotest.test_case "membership: every advance changes the key" `Quick
       test_membership_key_invalidation;
+    Alcotest.test_case "membership: key pinned byte-exact" `Quick test_membership_key_pinned;
     Alcotest.test_case "membership: merge_failures takes the earlier crash" `Quick
       test_merge_failures;
     Alcotest.test_case "schedule: names round-trip" `Quick test_schedule_names;

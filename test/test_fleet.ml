@@ -76,6 +76,15 @@ let test_ring_deterministic () =
   check_true "members kept in first-occurrence order, deduped"
     (Ring.members (Ring.create [ "b"; "a"; "b" ]) = [ "b"; "a" ])
 
+(* Placement pinned byte-exact: every fleet member, on every build, must
+   agree on which endpoint owns a key. *)
+let test_ring_placement_pinned () =
+  let r = Ring.create ~vnodes:16 ~seed:3 [ "e1"; "e2"; "e3" ] in
+  let keys = List.init 12 (fun i -> Printf.sprintf "%016x" (i * 7919)) in
+  check_true "owners of twelve keys"
+    (List.map (Ring.owner r) keys
+    = [ "e3"; "e3"; "e2"; "e3"; "e1"; "e3"; "e1"; "e1"; "e3"; "e3"; "e2"; "e3" ])
+
 let test_ring_distribution () =
   let eps = [ "e1"; "e2"; "e3"; "e4" ] in
   let r = Ring.create eps in
@@ -229,6 +238,7 @@ let test_probe () =
 let suite =
   [
     Alcotest.test_case "ring: deterministic placement" `Quick test_ring_deterministic;
+    Alcotest.test_case "ring: placement pinned byte-exact" `Quick test_ring_placement_pinned;
     Alcotest.test_case "ring: keys spread over all members" `Quick test_ring_distribution;
     Alcotest.test_case "ring: distinct successors from the owner" `Quick test_ring_successors;
     Alcotest.test_case "router: failover preference order" `Quick test_router_failover_order;

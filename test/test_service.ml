@@ -608,6 +608,23 @@ let test_campaign_via_service_cancellation () =
   check_int "every second trial cancelled" 3 outcome.Campaign.o_rejected_trials;
   check_int "the rest still violate" 3 outcome.Campaign.o_violating_trials
 
+(* A chaos-pair job answers the aggregate it names: the watched pair runs
+   on the job's own params, caaf included. *)
+let test_chaos_pair_job_caaf () =
+  let job =
+    {
+      (spec ~n:25 ~seed:5 ()) with
+      Job.t = 2;
+      caaf = "max";
+      protocol = Job.Chaos_pair { bit_cap = None };
+      failures = Job.Explicit [];
+    }
+  in
+  let e = Job.execute job in
+  check_true "value is the max" (e.Job.outcome.Job.value = Some 25);
+  check_true "and correct" e.Job.outcome.Job.correct;
+  check_true "no violation" (e.Job.violation = None && e.Job.outcome.Job.violation = None)
+
 (* --- golden digest vectors ---
 
    The digest is the cross-process cache key: the store files, the
@@ -736,6 +753,8 @@ let suite =
     Alcotest.test_case "cache: LRU + mirrored counters" `Quick test_cache_lru;
     Alcotest.test_case "cache: capacity 0 disables" `Quick test_cache_disabled;
     Alcotest.test_case "job: digest soundness" `Quick test_job_digest;
+    Alcotest.test_case "job: a chaos-pair job answers its own aggregate" `Quick
+      test_chaos_pair_job_caaf;
     Alcotest.test_case "job: generation-keyed cache key" `Quick test_job_cache_key;
     Alcotest.test_case "scheduler: new generation misses stale cache" `Quick
       test_scheduler_generation_invalidation;
