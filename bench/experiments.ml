@@ -1293,16 +1293,17 @@ let perf_sweep ~dur run =
   done;
   (!best, float_of_int (List.length perf_reps * dur) /. !best)
 
-(* How many times one run calls [step]: the kernel's work as a count
-   that does not depend on the host. *)
-let node_steps run proto =
+(* How many times one run calls [step], and how many node-rounds its
+   loop visits: the kernel's work as counts that do not depend on the
+   host. *)
+let node_work run proto =
   let steps = ref 0 in
   let step ~round ~me ~state ~inbox =
     incr steps;
     proto.Engine.step ~round ~me ~state ~inbox
   in
-  ignore (run { proto with Engine.step });
-  !steps
+  let _, m = run { proto with Engine.step } in
+  (!steps, Metrics.node_visits m)
 
 let perf () =
   header
@@ -1331,9 +1332,9 @@ let perf () =
   let seed_wall, seed_rps = perf_sweep ~dur run_seed in
   let every_wall, every_rps = perf_sweep ~dur run_every in
   let fast_wall, fast_rps = perf_sweep ~dur run_fast in
-  let seed_steps = node_steps (reference 1) (perf_seed_proto params)
-  and every_steps = node_steps (csr 1) every
-  and fast_steps = node_steps (csr 1) (Agg.protocol params) in
+  let seed_work = node_work (reference 1) (perf_seed_proto params)
+  and every_work = node_work (csr 1) every
+  and fast_work = node_work (csr 1) (Agg.protocol params) in
   let speedup = fast_rps /. seed_rps and frontier_speedup = fast_rps /. every_rps in
   (* The same every-round vs frontier contrast on the AGG+VERI pair. *)
   let pg, pparams, pfailures, pdur = perf_pair_workload () in
@@ -1351,8 +1352,8 @@ let perf () =
   let pair_fast_wall, pair_fast_rps =
     perf_sweep ~dur:pdur (fun s -> pair_csr s (Pair.protocol pparams))
   in
-  let pair_every_steps = node_steps (pair_csr 1) pair_every
-  and pair_fast_steps = node_steps (pair_csr 1) (Pair.protocol pparams) in
+  let pair_every_work = node_work (pair_csr 1) pair_every
+  and pair_fast_work = node_work (pair_csr 1) (Pair.protocol pparams) in
   let pair_speedup = pair_fast_rps /. pair_every_rps in
   (* Multicore scaling: the same fast-engine sweep fanned over domains. *)
   let domains = Sweep.default_domains () in
@@ -1361,14 +1362,15 @@ let perf () =
   in
   let cores = Domain.recommended_domain_count () in
   List.iter
-    (fun (name, wall, rps, steps) ->
-      Printf.printf "%-34s %8.3f s  %9.0f rounds/sec  %7d node steps/run\n" name wall rps steps)
+    (fun (name, wall, rps, (steps, visits)) ->
+      Printf.printf "%-34s %8.3f s  %9.0f rounds/sec  %7d node steps/run  %7d visits/run\n" name
+        wall rps steps visits)
     [
-      ("seed pipeline (reference engine)", seed_wall, seed_rps, seed_steps);
-      ("CSR engine, every round", every_wall, every_rps, every_steps);
-      ("CSR engine, frontier rounds", fast_wall, fast_rps, fast_steps);
-      ("pair, every round", pair_every_wall, pair_every_rps, pair_every_steps);
-      ("pair, frontier rounds", pair_fast_wall, pair_fast_rps, pair_fast_steps);
+      ("seed pipeline (reference engine)", seed_wall, seed_rps, seed_work);
+      ("CSR engine, every round", every_wall, every_rps, every_work);
+      ("CSR engine, frontier rounds", fast_wall, fast_rps, fast_work);
+      ("pair, every round", pair_every_wall, pair_every_rps, pair_every_work);
+      ("pair, frontier rounds", pair_fast_wall, pair_fast_rps, pair_fast_work);
     ];
   Printf.printf "%-34s %8.2fx\n" "speedup (frontier vs seed)" speedup;
   Printf.printf "%-34s %8.2fx\n" "speedup (frontier vs every round)" frontier_speedup;
@@ -1376,7 +1378,7 @@ let perf () =
   Printf.printf "%-34s %8.3f s  (%d domains, %.2fx vs serial; %d core(s))\n"
     "fast pipeline via Sweep" sweep_wall domains (fast_wall /. sweep_wall) cores;
   Printf.printf "metrics identical across %d seeds: %b\n" (List.length seeds) identical;
-  let row engine wall rps steps =
+  let row engine wall rps (steps, visits) =
     Bench_io.(
       Obj
         [
@@ -1384,6 +1386,7 @@ let perf () =
           ("wall_s", Float (q4 wall));
           ("rounds_per_sec", Int (int_of_float (Float.round rps)));
           ("node_steps_per_run", Int steps);
+          ("node_visits_per_run", Int visits);
         ])
   in
   let json =
@@ -1400,13 +1403,13 @@ let perf () =
           ("cores", Int cores);
           ("metrics_identical", Bool identical);
           ( "seed_pipeline",
-            row "reference (list-based), exec-tagged messages" seed_wall seed_rps seed_steps );
+            row "reference (list-based), exec-tagged messages" seed_wall seed_rps seed_work );
           ( "every_round_pipeline",
             row "CSR delivery loop, raw message bodies, wake = every_round" every_wall every_rps
-              every_steps );
+              every_work );
           ( "overhauled_pipeline",
             row "CSR delivery loop, raw message bodies, AGG's wake (frontier rounds)" fast_wall
-              fast_rps fast_steps );
+              fast_rps fast_work );
           ("speedup", Float (q2 speedup));
           ("frontier_speedup", Float (q2 frontier_speedup));
           ( "pair",
@@ -1421,10 +1424,10 @@ let perf () =
                 ("metrics_identical", Bool pair_identical);
                 ( "every_round",
                   row "CSR delivery loop, wake = every_round" pair_every_wall pair_every_rps
-                    pair_every_steps );
+                    pair_every_work );
                 ( "frontier",
                   row "CSR delivery loop, Pair.wake (frontier rounds)" pair_fast_wall
-                    pair_fast_rps pair_fast_steps );
+                    pair_fast_rps pair_fast_work );
                 ("frontier_speedup", Float (q2 pair_speedup));
               ] );
           ( "sweep",
@@ -2058,6 +2061,8 @@ let e23 () =
             ("pseudo_diameter", Int Ftagg.Params.(params.d));
             ("build_s", Float (q4 build_s));
             ("rounds", Int o.Scale_run.rounds);
+            ("node_steps_per_run", Int (Metrics.node_steps o.Scale_run.metrics));
+            ("node_visits_per_run", Int (Metrics.node_visits o.Scale_run.metrics));
             ("wall_s", Float (q4 wall));
             ("rounds_per_sec", Float (q2 rps));
             ("bytes_per_node", Float (q2 bytes_per_node));
@@ -2214,30 +2219,28 @@ let get_bool = field Bench_io.to_bool "boolean"
 let get_list = field Bench_io.to_list "list"
 let get_obj = field Option.some "object"
 
-(* The frontier's work as a count, independent of host speed: [perf]'s
-   AGG run must step no more nodes than the committed
-   [overhauled_pipeline.node_steps_per_run], and its pair run no more
-   than [pair.frontier.node_steps_per_run]. *)
+(* The frontier's work as counts, independent of host speed: [perf]'s
+   AGG run must step and visit no more nodes than the committed
+   [overhauled_pipeline] row, and its pair run no more than
+   [pair.frontier]. *)
 let guard_frontier_steps () =
-  let committed_agg = get_int "node_steps_per_run" (committed "overhauled_pipeline") in
+  let check ~who ~label row (steps, visits) =
+    List.iter
+      (fun (noun, count) ->
+        let committed = get_int (Printf.sprintf "node_%s_per_run" noun) row in
+        if count > committed then
+          fail "%s %s %d nodes per run, more than the committed %d" who noun count committed;
+        Printf.printf "frontier     %s%d node %s per run <= committed %d  OK\n" label count noun
+          committed)
+      [ ("steps", steps); ("visits", visits) ]
+  in
   let g, params, failures, dur = perf_workload () in
-  let steps =
-    node_steps (Engine.run ~graph:g ~failures ~max_rounds:dur ~seed:1) (Agg.protocol params)
-  in
-  if steps > committed_agg then
-    fail "AGG steps %d nodes per run, more than the committed %d" steps committed_agg;
-  Printf.printf "frontier     %d node steps per run <= committed %d  OK\n" steps committed_agg;
-  let committed_pair =
-    get_int "node_steps_per_run" (get_obj "frontier" (committed "pair"))
-  in
+  check ~who:"AGG" ~label:"" (committed "overhauled_pipeline")
+    (node_work (Engine.run ~graph:g ~failures ~max_rounds:dur ~seed:1) (Agg.protocol params));
   let g, params, failures, dur = perf_pair_workload () in
-  let steps =
-    node_steps (Engine.run ~graph:g ~failures ~max_rounds:dur ~seed:1) (Pair.protocol params)
-  in
-  if steps > committed_pair then
-    fail "the pair steps %d nodes per run, more than the committed %d" steps committed_pair;
-  Printf.printf "frontier     pair %d node steps per run <= committed %d  OK\n" steps
-    committed_pair
+  check ~who:"the pair" ~label:"pair "
+    (get_obj "frontier" (committed "pair"))
+    (node_work (Engine.run ~graph:g ~failures ~max_rounds:dur ~seed:1) (Pair.protocol params))
 
 (* The committed E20 matrix must exist, cover the registry, and keep the
    mass-conservation contrast: on every crash row set, flow-updating's

@@ -202,6 +202,9 @@ let run_scale ~topology ~n ~seed ~tol ~fmode ~budget ~max_input ~domains ~mem_li
       Printf.printf "TC         : %d rounds (duration cap %d) in %.2fs = %.1f rounds/s\n"
         o.Scale_run.rounds duration wall
         (float_of_int o.Scale_run.rounds /. Float.max wall 1e-9);
+      Printf.printf "work       : %d node visits, %d node steps\n"
+        (Metrics.node_visits o.Scale_run.metrics)
+        (Metrics.node_steps o.Scale_run.metrics);
       Printf.printf "domains    : %d (%d frontier edges)\n" domains
         (int_of_float (gauge "scale_frontier_edges"));
       Printf.printf "memory     : %.1f bytes/node live, %.1f MiB peak live, %.1f MiB peak RSS\n"

@@ -46,25 +46,26 @@ let all = oblivious_all @ adaptive_all
    not-yet-crashed neighbours (edges with an already-crashed endpoint are
    failed already). *)
 let marginal_cost g crashed u =
-  List.fold_left (fun k v -> if Hashtbl.mem crashed v then k else k + 1) 0 (Graph.neighbors g u)
+  List.fold_left (fun k v -> if crashed.(v) then k else k + 1) 0 (Graph.neighbors g u)
 
 let online_of_strategy strategy g ~rng ~budget =
   let n = Graph.n g in
-  let crashed = Hashtbl.create 16 in
+  (* The nodes this adversary crashed, by id: only queried and added to. *)
+  let crashed = Array.make n false in
   let spent = ref 0 in
   (* Crash [u] iff it is live, non-root, and its marginal edge-failure cost
      fits the remaining budget; returns the nodes to report to the engine. *)
   let try_crash (report : Engine.round_report) u =
     if
       u = Graph.root || u < 0 || u >= n
-      || Hashtbl.mem crashed u
+      || crashed.(u)
       || report.Engine.rr_crash_rounds.(u) <= report.Engine.rr_round
     then []
     else begin
       let cost = marginal_cost g crashed u in
       if cost > 0 && !spent + cost <= budget then begin
         spent := !spent + cost;
-        Hashtbl.replace crashed u ();
+        crashed.(u) <- true;
         [ u ]
       end
       else []
@@ -79,7 +80,7 @@ let online_of_strategy strategy g ~rng ~budget =
          oblivious generators cannot express. *)
       let best = ref (-1) and best_bits = ref 0 in
       for u = 1 to n - 1 do
-        if (not (Hashtbl.mem crashed u)) && report.Engine.rr_crash_rounds.(u) > report.Engine.rr_round
+        if (not crashed.(u)) && report.Engine.rr_crash_rounds.(u) > report.Engine.rr_round
         then begin
           let b = Metrics.bits_sent report.Engine.rr_metrics u in
           if b > !best_bits then begin
@@ -95,7 +96,7 @@ let online_of_strategy strategy g ~rng ~budget =
          activation wavefront outward from the root. *)
       (match
          List.find_opt
-           (fun u -> u <> Graph.root && not (Hashtbl.mem crashed u))
+           (fun u -> u <> Graph.root && not crashed.(u))
            report.Engine.rr_broadcasters
        with
       | None -> []
@@ -107,7 +108,7 @@ let online_of_strategy strategy g ~rng ~budget =
          broadcaster. *)
       let candidates =
         List.filter
-          (fun u -> u <> Graph.root && not (Hashtbl.mem crashed u))
+          (fun u -> u <> Graph.root && not crashed.(u))
           report.Engine.rr_broadcasters
       in
       if candidates = [] || Prng.int rng 3 <> 0 then []

@@ -46,22 +46,78 @@ let is_connected g =
     let dist = bfs g src in
     Graph.fold_nodes (fun v ok -> ok && dist.(v) <> max_int) g true
 
-(* One BFS per present node over a CSR snapshot, whose rows drop removed
-   nodes: a search reaches only present nodes, so the graph is connected
-   iff the first one reaches them all. *)
+(* Bit-parallel BFS (Akiba, Iwata and Yoshida, SIGMOD 2013) over a CSR
+   snapshot, whose rows drop removed nodes.  One plain BFS from the first
+   present node decides connectivity.  Then the present nodes are swept
+   as sources [src_bits] at a time: bit [i] of [seen.(v)] says source [i]
+   has reached [v], and [fresh.(v)] holds the bits [v] gained in the last
+   level, so each level expands only the nodes reached in the level
+   before it.  A batch lasts as many levels as the largest eccentricity
+   among its sources; the diameter is the largest over all batches. *)
+let src_bits = 63
+
 let diameter g =
   let n = Graph.n g in
   let csr = Graph.csr g in
-  let dist = Csr.make_ints n and queue = Csr.make_ints n in
-  let present = Graph.fold_nodes (fun _ k -> k + 1) g 0 in
-  let rec go u diam =
-    if u >= n then Some diam
-    else if not (Graph.mem g u) then go (u + 1) diam
-    else
-      let _, ecc, reached = Csr.bfs csr ~dist ~queue u in
-      if reached < present then None else go (u + 1) (max diam ecc)
-  in
-  go 0 0
+  let present = Array.of_list (List.rev (Graph.fold_nodes (fun u acc -> u :: acc) g [])) in
+  let count = Array.length present in
+  if count = 0 then Some 0
+  else
+    let _, _, reached =
+      Csr.bfs csr ~dist:(Csr.make_ints n) ~queue:(Csr.make_ints n) present.(0)
+    in
+    if reached < count then None
+    else begin
+      let get (a : Csr.ints) i = Bigarray.Array1.unsafe_get a i in
+      let seen = Array.make n 0 and fresh = Array.make n 0 and next = Array.make n 0 in
+      let level = ref (Array.make n 0) and below = ref (Array.make n 0) in
+      let diam = ref 0 in
+      let batch = ref 0 in
+      while !batch < count do
+        let size = min src_bits (count - !batch) in
+        Array.fill seen 0 n 0;
+        for i = 0 to size - 1 do
+          let s = present.(!batch + i) in
+          seen.(s) <- 1 lsl i;
+          fresh.(s) <- 1 lsl i;
+          !level.(i) <- s
+        done;
+        let width = ref size and depth = ref 0 in
+        while !width > 0 do
+          let cur = !level and out = !below in
+          let reached = ref 0 in
+          for k = 0 to !width - 1 do
+            let u = cur.(k) in
+            let f = fresh.(u) in
+            fresh.(u) <- 0;
+            for e = get csr.Csr.offsets u to get csr.Csr.offsets (u + 1) - 1 do
+              let v = get csr.Csr.targets e in
+              let gain = f land lnot seen.(v) in
+              if gain <> 0 then begin
+                seen.(v) <- seen.(v) lor gain;
+                if next.(v) = 0 then begin
+                  out.(!reached) <- v;
+                  incr reached
+                end;
+                next.(v) <- next.(v) lor gain
+              end
+            done
+          done;
+          for k = 0 to !reached - 1 do
+            let v = out.(k) in
+            fresh.(v) <- next.(v);
+            next.(v) <- 0
+          done;
+          if !reached > 0 then incr depth;
+          width := !reached;
+          level := out;
+          below := cur
+        done;
+        diam := max !diam !depth;
+        batch := !batch + size
+      done;
+      Some !diam
+    end
 
 let component_of g src =
   if not (Graph.mem g src) then []

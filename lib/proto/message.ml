@@ -21,11 +21,8 @@ type t = { exec : int; body : body }
 
 let tag_bits = 5
 
-let bits p body =
-  let id = Params.id_bits p in
-  let level = Params.level_bits p in
-  let value = Params.value_bits p in
-  let input = max 1 (Ftagg_util.Bits.bits_for_value p.Params.max_input) in
+let bits (p : Params.t) body =
+  let id = p.id_bits and level = p.level_bits and value = p.value_bits and input = p.input_bits in
   let fields =
     match body with
     | Tree_construct { level = _; ancestors } -> level + (List.length ancestors * id)

@@ -4,7 +4,7 @@
     [n], [d], [c] and (where applicable) [f] and [t] are knowledge the
     paper grants the protocol; nodes never see the topology itself. *)
 
-type t = {
+type t = private {
   n : int;  (** number of nodes [N] *)
   d : int;  (** diameter of the failure-free topology *)
   c : int;  (** failures never raise the diameter above [c·d] *)
@@ -12,7 +12,14 @@ type t = {
   max_input : int;  (** inputs lie in [\[0, max_input\]] *)
   caaf : Ftagg_caaf.Caaf.t;
   inputs : int array;  (** input per node, length [n] *)
+  id_bits : int;  (** {!id_bits} *)
+  level_bits : int;  (** {!level_bits} *)
+  value_bits : int;  (** {!value_bits} *)
+  input_bits : int;  (** width of a raw input: [ceil(log2 (max_input + 1))] *)
 }
+(** Private, so every value comes from the constructors below: the
+    message widths are filled once from the fields they depend on, and a
+    record update could leave them stale. *)
 
 val make :
   ?c:int ->
@@ -23,9 +30,21 @@ val make :
   unit ->
   t
 (** Derive parameters from a concrete topology: [d] is computed exactly.
-    Defaults: [c = 2], [t = 0], [caaf = Instances.sum].  Raises if the
-    graph is disconnected or [inputs] has the wrong length or a negative
-    entry. *)
+    Defaults: [c = 2], [t = 0], [caaf = Instances.sum].  [max_input] is
+    the largest input, at least 1.  Raises if the graph is disconnected
+    or [inputs] has the wrong length or a negative entry. *)
+
+val of_diameter :
+  ?c:int -> ?t:int -> ?caaf:Ftagg_caaf.Caaf.t -> d:int -> inputs:int array -> unit -> t
+(** As {!make}, for a caller that knows [d] (or a sound bound on it)
+    without a {!Ftagg_graph.Graph.t}: [n] is the length of [inputs]. *)
+
+val with_t : t -> int -> t
+(** The same parameters at another tolerance [t]. *)
+
+val with_inputs : t -> caaf:Ftagg_caaf.Caaf.t -> inputs:int array -> t
+(** The same topology and tolerance computing another CAAF over other
+    inputs (length [n]); [max_input] and the value widths follow. *)
 
 val cd : t -> int
 (** [c·d] — the post-failure diameter bound, the paper's unit for phase

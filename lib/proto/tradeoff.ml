@@ -186,7 +186,7 @@ let drive plan =
 
 let plan ?(strategy = Sampled) (p : Params.t) ~b ~f =
   let x = intervals p ~b in
-  let p = { p with Params.t = pair_t p ~b ~f } in
+  let p = Params.with_t p (pair_t p ~b ~f) in
   let starts rng =
     match strategy with
     | Sequential -> List.init x (fun i -> i + 1)

@@ -14,7 +14,7 @@ let plan p =
   {
     Tradeoff.params = p;
     starts = (fun _ -> List.init slots (fun g -> g + 1));
-    pair_params = (fun tag -> { p with Params.t = 1 lsl (tag - 1) });
+    pair_params = (fun tag -> Params.with_t p (1 lsl (tag - 1)));
     fallback = (slots * Tradeoff.interval_len p) + 1;
     spans = false;
   }

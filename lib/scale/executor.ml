@@ -25,19 +25,18 @@ let frontier_edges bg ~domains =
   !count
 
 (* Everything the worker domains share with the coordinator.  Within a
-   round, [job lo hi] (the engine's kernel) writes only slots [lo, hi) of
-   the per-node arrays and reads the previous round's buffers; the
-   mutex-protected barrier orders one round's writes before the next
+   round, [job k] (the engine's kernel on partition [k]) writes only
+   partition [k]'s node slots and buffers and reads the previous round's;
+   the mutex-protected barrier orders one round's writes before the next
    round's reads, so the run is data-race-free. *)
 type shared = {
   lock : Mutex.t;
   cond : Condition.t;
   mutable gen : int;  (** barrier generation; bumping it releases workers *)
-  mutable job : int -> int -> bool;
+  mutable job : int -> unit;
   mutable pending : int;
   mutable stop : bool;
   mutable failed : (int * exn) option;  (** first failing partition *)
-  mutable traffic : bool;
 }
 
 let run ?(domains = 1) ?meter ?registry ~graph ~failures ~max_rounds ~seed proto =
@@ -48,20 +47,20 @@ let run ?(domains = 1) ?meter ?registry ~graph ~failures ~max_rounds ~seed proto
       lock = Mutex.create ();
       cond = Condition.create ();
       gen = 0;
-      job = (fun _ _ -> false);
+      job = ignore;
       pending = 0;
       stop = false;
       failed = None;
-      traffic = false;
     }
   in
-  (* Record one partition's round outcome; call with the lock held. *)
+  (* Record one partition's failure; call with the lock held. *)
   let settle p = function
-    | Ok traffic -> if traffic then sh.traffic <- true
+    | Ok () -> ()
     | Error e -> if Option.is_none sh.failed then sh.failed <- Some (p, e)
   in
-  (* A worker steps its range once per barrier generation until stopped. *)
-  let worker p (lo, hi) () =
+  (* A worker steps its partition once per barrier generation until
+     stopped. *)
+  let worker p () =
     let rec next_round seen =
       Mutex.lock sh.lock;
       while sh.gen = seen && not sh.stop do
@@ -71,7 +70,7 @@ let run ?(domains = 1) ?meter ?registry ~graph ~failures ~max_rounds ~seed proto
       else begin
         let gen = sh.gen and job = sh.job in
         Mutex.unlock sh.lock;
-        let outcome = try Ok (job lo hi) with e -> Error e in
+        let outcome = try Ok (job p) with e -> Error e in
         Mutex.lock sh.lock;
         settle p outcome;
         sh.pending <- sh.pending - 1;
@@ -82,7 +81,7 @@ let run ?(domains = 1) ?meter ?registry ~graph ~failures ~max_rounds ~seed proto
     in
     next_round 0
   in
-  let workers = Array.init (domains - 1) (fun i -> Domain.spawn (worker (i + 1) parts.(i + 1))) in
+  let workers = Array.init (domains - 1) (fun i -> Domain.spawn (worker (i + 1))) in
   let minor0 = ref 0.0 in
   (* One round: publish the job and release the workers, run partition 0
      on the coordinator, then wait at the barrier. *)
@@ -90,24 +89,22 @@ let run ?(domains = 1) ?meter ?registry ~graph ~failures ~max_rounds ~seed proto
     if r = 1 then minor0 := Gc.minor_words ();
     Mutex.lock sh.lock;
     sh.job <- job;
-    sh.traffic <- false;
     sh.pending <- domains - 1;
     sh.gen <- sh.gen + 1;
     Condition.broadcast sh.cond;
     Mutex.unlock sh.lock;
-    let own = try Ok (job (fst parts.(0)) (snd parts.(0))) with e -> Error e in
+    let own = try Ok (job 0) with e -> Error e in
     Mutex.lock sh.lock;
     while sh.pending > 0 do
       Condition.wait sh.cond sh.lock
     done;
     settle 0 own;
-    let failed = sh.failed and traffic = sh.traffic in
+    let failed = sh.failed in
     Mutex.unlock sh.lock;
     (match failed with
     | Some (partition, e) -> raise (Partition_failed { round = r; partition; exn = e })
     | None -> ());
-    (match meter with Some m -> Mem.check m ~round:r | None -> ());
-    traffic
+    match meter with Some m -> Mem.check m ~round:r | None -> ()
   in
   let cleanup () =
     Mutex.lock sh.lock;
@@ -118,12 +115,14 @@ let run ?(domains = 1) ?meter ?registry ~graph ~failures ~max_rounds ~seed proto
   in
   let states, metrics =
     Fun.protect ~finally:cleanup (fun () ->
-        Engine.run_ranges ~dispatch ~graph ~failures ~max_rounds ~seed proto)
+        Engine.run_ranges ~parts ~dispatch ~graph ~failures ~max_rounds ~seed proto)
   in
   let executed = Metrics.rounds metrics in
   (match registry with
   | Some reg when Registry.enabled () ->
     Registry.incr reg "scale_rounds_total" executed;
+    Registry.incr reg "scale_node_visits_total" (Metrics.node_visits metrics);
+    Registry.incr reg "scale_node_steps_total" (Metrics.node_steps metrics);
     Registry.set_gauge reg "scale_domains" (float_of_int domains);
     Registry.set_gauge reg "scale_frontier_edges" (float_of_int (frontier_edges graph ~domains));
     if executed > 0 then

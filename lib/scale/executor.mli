@@ -4,9 +4,15 @@
     node range split into [domains] contiguous partitions, one OCaml
     domain each.  The synchronous model's round boundary is the one true
     barrier: within a round each partition writes only its own slots of
-    the states / next-broadcast / wake-round arrays and reads anything from the
-    previous round's (immutable-for-the-round) double buffers, so the
-    only synchronisation is a generation-counted barrier per round.
+    the states / next-broadcast / wake-round arrays and its own buffers
+    (visit marks, wake calendar, broadcaster rows, work counters), and
+    reads anything from the previous round's, so the only
+    synchronisation is a generation-counted barrier per round.
+
+    A round costs O(traffic) per partition: it visits only the nodes of
+    its range that have mail, are due or hold delayed mail (see
+    {!Ftagg_sim.Engine.run}), plus a scan of every partition's last-round
+    broadcaster bitmap (n/63 words in all) and of its own bitmap rows.
 
     {b Differential pin}: with the same [seed], [failures] and topology,
     [run] produces byte-identical states and metrics to [Engine.run] on
@@ -51,6 +57,9 @@ val run :
   'state array * Ftagg_sim.Metrics.t
 (** Execute.  [domains] defaults to 1.  [meter] is checked at the round
     barrier; its ceiling aborts via {!Mem.Ceiling_exceeded}.  [registry]
-    receives [scale_rounds_total], [scale_domains], [scale_frontier_edges] and
-    [scale_minor_words_per_round] (coordinator-domain minor allocation
-    per executed round — the allocation-regression canary). *)
+    receives [scale_rounds_total], [scale_node_visits_total] and
+    [scale_node_steps_total] (the kernel's work, summed over partitions:
+    {!Ftagg_sim.Metrics.node_visits} / [node_steps]), [scale_domains],
+    [scale_frontier_edges] and [scale_minor_words_per_round]
+    (coordinator-domain minor allocation per executed round — the
+    allocation-regression canary). *)

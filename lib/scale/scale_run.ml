@@ -14,10 +14,7 @@ type outcome = {
 let params ?(c = 2) ?(t = 1) ~graph ~inputs () =
   let n = Bigraph.n graph in
   if Array.length inputs <> n then invalid_arg "Scale_run.params: inputs length mismatch";
-  Array.iter (fun x -> if x < 0 then invalid_arg "Scale_run.params: negative input") inputs;
-  let d = Bigraph.pseudo_diameter graph in
-  let max_input = Array.fold_left max 1 inputs in
-  { Params.n; d; c; t; max_input; caaf = Ftagg_caaf.Instances.sum; inputs }
+  Params.of_diameter ~c ~t ~d:(Bigraph.pseudo_diameter graph) ~inputs ()
 
 let protocol p = Agg.protocol p
 

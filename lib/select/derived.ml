@@ -21,7 +21,7 @@ let summary ~graph ~failures ~params ~b ~f ~seed =
   let step = ref 0 in
   let component ~caaf ~inputs =
     incr step;
-    let p = { params with Params.caaf; inputs; max_input = Array.fold_left max 1 inputs } in
+    let p = Params.with_inputs params ~caaf ~inputs in
     let o =
       Run.tradeoff ~graph
         ~failures:(Failure.shift failures ~by:!offset)

@@ -20,9 +20,7 @@ type outcome = {
 let count_probe ~graph ~failures ~params ~b ~f ~seed ~offset pred =
   let n = Graph.n graph in
   let inputs = Array.init n (fun i -> if pred i then 1 else 0) in
-  let probe_params =
-    { params with Params.caaf = Ftagg_caaf.Instances.count; inputs; max_input = 1 }
-  in
+  let probe_params = Params.with_inputs params ~caaf:Ftagg_caaf.Instances.count ~inputs in
   let shifted = Failure.shift failures ~by:offset in
   let announce_rounds = Params.cd params in
   let announce_bits =

@@ -25,8 +25,8 @@ let every_round _ ~round = round + 1
    specification: [run] must be observationally identical to it (same
    final states, same metrics, same PRNG stream), which
    test_engine_perf.ml checks differentially and bench `perf` uses as
-   the speedup baseline.  It steps every live node every round and never
-   consults [wake]. *)
+   the speedup baseline.  It visits and steps every live node every
+   round and never consults [wake]. *)
 let run_reference ?observer ?(loss = 0.0) ~graph ~failures ~max_rounds ~seed proto =
   if loss < 0.0 || loss >= 1.0 then invalid_arg "Engine.run: loss must be in [0, 1)";
   let n = Graph.n graph in
@@ -41,11 +41,13 @@ let run_reference ?observer ?(loss = 0.0) ~graph ~failures ~max_rounds ~seed pro
   let next_flight : 'msg list array = Array.make n [] in
   let round = ref 1 in
   let halted = ref false in
+  let steps = ref 0 in
   while (not !halted) && !round <= max_rounds do
     let r = !round in
     Metrics.note_round metrics r;
     for u = 0 to n - 1 do
       if Failure.is_alive failures ~node:u ~round:r then begin
+        incr steps;
         let inbox =
           List.concat_map
             (fun v ->
@@ -68,6 +70,7 @@ let run_reference ?observer ?(loss = 0.0) ~graph ~failures ~max_rounds ~seed pro
     if proto.root_done states.(Graph.root) then halted := true;
     incr round
   done;
+  Metrics.count_work metrics ~visits:!steps ~steps:!steps;
   (states, metrics)
 
 (* ------------------------------------------------------------------ *)
@@ -143,30 +146,120 @@ let rec sum_bits msg_bits acc = function
   | [] -> acc
   | m :: tl -> sum_bits msg_bits (acc + msg_bits m) tl
 
+(* Node sets are bitmaps over a partition's range, [word_bits] nodes to
+   an int: bit [b] of word [i] is node [lo + i·word_bits + b]. *)
+let word_bits = 63
+
+(* [f] on every set bit of [w] as a node id, ascending; [u] is the node
+   of bit 0. *)
+let iter_bits w u f =
+  let w = ref w and u = ref u in
+  while !w <> 0 do
+    if !w land 0xff = 0 then begin
+      w := !w lsr 8;
+      u := !u + 8
+    end
+    else begin
+      if !w land 1 <> 0 then f !u;
+      w := !w lsr 1;
+      incr u
+    end
+  done
+
+(* What a visit reports: the node was stepped; it is to be visited
+   again next round. *)
+let stepped = 1
+let again = 2
+
+(* Wake rounds more than one round ahead wait in calendar row [w mod
+   calendar_rows]; a row comes round every [calendar_rows] rounds. *)
+let calendar_rows = 32
+
+(* Everything one partition [\[lo, hi)] owns: its work counters and one
+   int array of bitmap rows over [\[lo, hi)].  Within a round only the
+   partition's own stepping writes these, and the other partitions read
+   only its [sent] row of the round before, so partitions run on
+   different domains without sharing a written word.  Rows:
+   - [marks]: the nodes this round visits for a due wake or delayed
+     mail; the words the scan has passed hold next round's;
+   - [mail]: the nodes this round visits for fresh mail, the neighbours
+     of the last round's broadcasters;
+   - [sent r]: who broadcast in round [r] — read by every partition in
+     round [r + 1], and their in-flight slots emptied in round [r + 2];
+   - [calendar w]: the nodes whose wake round is [≡ w (mod
+     calendar_rows)], more than one round ahead and within the run. *)
+type part = {
+  lo : int;
+  hi : int;
+  words : int;  (** bitmap words per row *)
+  bits : int array;
+  mutable visits : int;
+  mutable steps : int;
+}
+
+let marks = 0
+let mail = 1
+let sent r = 2 + (r mod 3)
+let calendar w = 5 + (w mod calendar_rows)
+
+let part (lo, hi) =
+  let words = (hi - lo + word_bits - 1) / word_bits in
+  { lo; hi; words; bits = Array.make ((5 + calendar_rows) * words) 0; visits = 0; steps = 0 }
+
+let word p row i = Array.unsafe_get p.bits ((row * p.words) + i)
+let put p row i x = Array.unsafe_set p.bits ((row * p.words) + i) x
+
+(* Set / clear node [u]'s bit in [row]. *)
+let set p row u =
+  let i = u - p.lo in
+  let j = i / word_bits in
+  put p row j (word p row j lor (1 lsl (i mod word_bits)))
+
+let clear p row u =
+  let i = u - p.lo in
+  let j = i / word_bits in
+  put p row j (word p row j land lnot (1 lsl (i mod word_bits)))
+
 (* The one round loop.  Observationally identical to [run_reference]
    (same final states, metrics and PRNG streams), but the delivery walks
    a CSR snapshot with no per-round set filtering and no closure
    allocation — the only allocations left are the inbox cells the
    protocol API requires.
 
-   Frontier rounds: [wake.(u)] is the next round in which [u] must be
-   stepped even with an empty inbox, as its protocol's [wake] declared
-   after [u]'s last step.  A live node with no mail before that round
-   is not stepped at all: its next in-flight slot is cleared and its
-   state, [observer] and [obs] are left untouched.  "Has mail" comes
-   from the neighbour walk every live node still takes, so the fault
-   coins are drawn exactly as before.
+   Sparse rounds: round [r] visits, in ascending order, only the nodes
+   that can act — the neighbours of round [r − 1]'s broadcasters, the
+   nodes whose wake round is [r], and (lossy runs) the nodes holding
+   delayed mail.  Every other live node has an empty inbox and a wake
+   round still ahead, so visiting it would only have cleared its
+   in-flight slot; that slot is already empty, because each round first
+   clears the slots of the broadcasters of round [r − 2].  A visited
+   node runs the per-node body unchanged: the crash test, the inbox, the
+   "empty inbox and not due" skip, then [step], accounting, [observer]
+   and [obs].  Ascending visits draw every fault coin in the order a
+   walk over all nodes would.
 
-   Each round, [dispatch r step] must call [step lo hi] once for every
-   range of a partition of the nodes; the ranges touch disjoint per-node
-   slots, so [Executor] runs them on different domains.  Per-edge fault
-   coins come from one shared stream in global node order, so callers
-   that split the range pass no faults, [observer] or [obs]. *)
-let loop ~dispatch ?observer ?obs ~chaos ~csr ~failures ~max_rounds ~seed proto =
+   [wake.(u)] holds [max w (r + 1)] for the [w] that [u]'s protocol
+   declared after its step in round [r] (round 1 at init) — the same
+   answer to the [wake > r] test.  A wake of [r + 1] sets [u]'s mark for
+   the next round directly; a later one within [max_rounds] sets [u]'s
+   bit in its calendar row, and round [w] moves it into the marks.  A
+   reschedule clears the old bit, so a row holds no stale entries.
+
+   [parts] splits the nodes into contiguous ascending ranges, and each
+   round [dispatch r step] must call [step k] once for every partition
+   [k].  Partitions write only their own slots and bitmaps, so
+   [Executor] runs them on different domains.  Per-edge fault coins come
+   from one shared stream in global node order, so callers that split
+   the range pass no faults, [observer] or [obs]. *)
+let loop ~parts ~dispatch ?observer ?obs ~chaos ~csr ~failures ~max_rounds ~seed proto =
   let n = Csr.n csr in
   let offsets = csr.Csr.offsets and targets = csr.Csr.targets in
   let crash = Failure.crash_rounds failures in
   if Array.length crash <> n then invalid_arg "Engine: failure schedule size mismatch";
+  let next = Array.fold_left (fun at (lo, hi) -> if lo = at && hi >= lo then hi else -1) 0 parts in
+  if parts = [||] || next <> n then
+    invalid_arg "Engine: parts must split [0, n) into ascending contiguous ranges";
+  let parts = Array.map part parts in
   let { loss; dup; delay } = chaos.faults in
   let lossy = loss > 0.0 || dup > 0.0 || delay > 0.0 and delays = delay > 0.0 in
   (* A private copy: online crash decisions must not mutate the caller's
@@ -175,15 +268,30 @@ let loop ~dispatch ?observer ?obs ~chaos ~csr ~failures ~max_rounds ~seed proto 
   let rng = Prng.create seed in
   let loss_rng = Prng.split rng in
   let states = Array.init n (fun u -> proto.init u ~rng:(Prng.split rng)) in
-  let wake = Array.map (fun st -> proto.wake st ~round:0) states in
+  (* The last round worth a calendar bit. *)
+  let horizon = min max_rounds (max_int - 1) in
+  let wake =
+    Array.map
+      (fun st ->
+        let w = proto.wake st ~round:0 in
+        if w > 0 then w else 1)
+      states
+  in
+  Array.iter
+    (fun p ->
+      for u = p.lo to p.hi - 1 do
+        let w = wake.(u) in
+        if w = 1 then set p marks u else if w <= horizon then set p (calendar w) u
+      done)
+    parts;
   let metrics = Metrics.create n in
   let in_flight : 'msg list array ref = ref (Array.make n []) in
   let next_flight : 'msg list array ref = ref (Array.make n []) in
   (* [held.(u)] holds (sender, payload) pairs whose delivery to [u] was
      pushed one round; they arrive ahead of this round's traffic and
-     survive the sender's crash (in flight = in flight).  Every slot of
-     [held] is emptied as the loop reaches its node, stepped or not, so
-     after the swap [next_held] starts each round empty. *)
+     survive the sender's crash (in flight = in flight).  A node that
+     holds mail is marked for the next round, and every visit empties
+     its slot, so after the swap [next_held] starts each round empty. *)
   let held = ref (if delays then Array.make n [] else [||]) in
   let next_held = ref (if delays then Array.make n [] else [||]) in
   (* Per-edge coin outcomes of the node being visited: 0 = nothing
@@ -221,19 +329,63 @@ let loop ~dispatch ?observer ?obs ~chaos ~csr ~failures ~max_rounds ~seed proto 
     (match !late with [] -> () | l -> !next_held.(u) <- l);
     !fresh
   in
-  (* [had_traffic] = did anyone broadcast last round?  When false, every
-     fresh inbox is empty and no coin would be drawn (coins are only
-     drawn for neighbours with a non-empty in-flight slot), so the whole
-     neighbour scan is skipped — most rounds of a typical protocol are
-     globally silent. *)
-  let step_range r had_traffic lo hi =
-    if lo < 0 || hi > n then invalid_arg "Engine: dispatched range outside the nodes";
+  let step_part r k =
+    let p = parts.(k) in
     let inflight = !in_flight and nextflight = !next_flight in
-    let traffic = ref false in
-    for u = lo to hi - 1 do
+    let words = p.words and lo = p.lo and hi = p.hi in
+    (* The in-flight slots written in round [r − 2]; nobody reads them
+       again. *)
+    let row = sent (r + 1) in
+    let empty u = Array.unsafe_set nextflight u [] in
+    for i = 0 to words - 1 do
+      let w = word p row i in
+      if w <> 0 then begin
+        put p row i 0;
+        iter_bits w (lo + (i * word_bits)) empty
+      end
+    done;
+    (* Due: round [r]'s calendar row holds exactly the nodes whose wake
+       is [r] or a later round of the same row. *)
+    let row = calendar r in
+    let due = ref 0 in
+    let check u =
+      if Array.unsafe_get wake u = r then due := !due lor (1 lsl ((u - lo) mod word_bits))
+    in
+    for i = 0 to words - 1 do
+      let w = word p row i in
+      if w <> 0 then begin
+        due := 0;
+        iter_bits w (lo + (i * word_bits)) check;
+        if !due <> 0 then begin
+          put p row i (w land lnot !due);
+          put p marks i (word p marks i lor !due)
+        end
+      end
+    done;
+    (* Mail: the neighbours in [lo, hi) of every partition's broadcasters
+       of round [r − 1]. *)
+    let mark_receivers u =
+      for i = get offsets u to get offsets (u + 1) - 1 do
+        let v = get targets i in
+        if v >= lo && v < hi then set p mail v
+      done
+    in
+    let row = sent (r - 1) in
+    Array.iter
+      (fun q ->
+        for i = 0 to q.words - 1 do
+          let w = word q row i in
+          if w <> 0 then iter_bits w (q.lo + (i * word_bits)) mark_receivers
+        done)
+      parts;
+    (* The per-node body: [has_mail] says a neighbour broadcast last
+       round.  Returns [stepped] plus [again] when [u] is to be visited
+       next round (due then, or holding delayed mail). *)
+    let visit u has_mail =
       if Array.unsafe_get crash u > r then begin
         let fresh =
-          if not had_traffic then []
+          (* No broadcasting neighbour: no mail, and no coin to draw. *)
+          if not has_mail then []
           else if lossy then lossy_inbox u inflight
           else begin
             (* Build front-to-back order by walking neighbours
@@ -256,49 +408,102 @@ let loop ~dispatch ?observer ?obs ~chaos ~csr ~failures ~max_rounds ~seed proto 
             match late with [] -> fresh | _ -> late @ fresh
           end
         in
-        if inbox == [] && Array.unsafe_get wake u > r then Array.unsafe_set nextflight u []
-        else begin
-          let state', out = proto.step ~round:r ~me:u ~state:states.(u) ~inbox in
-          states.(u) <- state';
-          Array.unsafe_set wake u (proto.wake state' ~round:r);
-          Array.unsafe_set nextflight u out;
-          (match observer with Some f -> f ~round:r ~node:u out | None -> ());
-          (* An empty broadcast charges 0 bits and no message — skip the
-             fold and the metrics write entirely. *)
-          match out with
-          | [] -> ()
-          | _ ->
-            traffic := true;
-            let bits = sum_bits proto.msg_bits 0 out in
-            Metrics.charge metrics ~node:u ~bits;
-            (match obs with
-            | Some o -> Obs.on_broadcast o ~round:r ~node:u ~msgs:(List.length out) ~bits
-            | None -> ())
-        end
+        let due = Array.unsafe_get wake u in
+        let code =
+          if inbox == [] && due > r then 0
+          else begin
+            let state', out = proto.step ~round:r ~me:u ~state:states.(u) ~inbox in
+            states.(u) <- state';
+            (* [max w (r + 1)], compared as ints. *)
+            let w = proto.wake state' ~round:r in
+            let w = if w > r then w else r + 1 in
+            if w <> due then begin
+              if due > r && due <= horizon then clear p (calendar due) u;
+              Array.unsafe_set wake u w;
+              if w > r + 1 && w <= horizon then set p (calendar w) u
+            end;
+            (match observer with Some f -> f ~round:r ~node:u out | None -> ());
+            (* An empty broadcast charges 0 bits and no message — skip
+               the fold and the metrics write entirely. *)
+            (match out with
+            | [] -> ()
+            | _ ->
+              Array.unsafe_set nextflight u out;
+              set p (sent r) u;
+              let bits = sum_bits proto.msg_bits 0 out in
+              Metrics.charge metrics ~node:u ~bits;
+              (match obs with
+              | Some o -> Obs.on_broadcast o ~round:r ~node:u ~msgs:(List.length out) ~bits
+              | None -> ()));
+            if w = r + 1 && w <> due then stepped lor again else stepped
+          end
+        in
+        if delays && !next_held.(u) != [] then code lor again else code
       end
       else begin
-        Array.unsafe_set nextflight u [];
-        if delays then !held.(u) <- []
+        if delays then !held.(u) <- [];
+        0
+      end
+    in
+    (* The scan, word by word and ascending within a word, written out
+       rather than through [iter_bits] so the word's accumulators stay
+       local.  [later] collects the word's nodes to visit next round,
+       written back once the word is done (nothing else writes the word
+       meanwhile). *)
+    let visits = ref 0 and steps = ref 0 in
+    for i = 0 to words - 1 do
+      let m = word p mail i in
+      let w = word p marks i lor m in
+      if w <> 0 then begin
+        put p mail i 0;
+        let u0 = lo + (i * word_bits) in
+        let later = ref 0 and rest = ref w and k = ref 0 in
+        while !rest <> 0 do
+          if !rest land 0xff = 0 then begin
+            rest := !rest lsr 8;
+            k := !k + 8
+          end
+          else begin
+            if !rest land 1 <> 0 then begin
+              incr visits;
+              let bit = 1 lsl !k in
+              let code = visit (u0 + !k) (m land bit <> 0) in
+              steps := !steps + (code land stepped);
+              if code land again <> 0 then later := !later lor bit
+            end;
+            rest := !rest lsr 1;
+            incr k
+          end
+        done;
+        put p marks i !later
       end
     done;
-    !traffic
+    p.visits <- p.visits + !visits;
+    p.steps <- p.steps + !steps
   in
   let violation = ref None in
   let round = ref 1 in
   let halted = ref false in
-  (* Who broadcast this round, ascending — what both the watch view and
-     the online report carry.  Built once per round, and only when one
-     of them will read it. *)
-  let broadcasters () =
-    let sent = !in_flight in
-    let rec go u acc =
-      if u < 0 then acc else go (u - 1) (match sent.(u) with [] -> acc | _ -> u :: acc)
-    in
-    go (n - 1) []
+  (* Who broadcast in round [r], ascending — what both the watch view and
+     the online report carry.  Read off the partitions' [sent] rows, and
+     only when one of them will read it. *)
+  let broadcasters r =
+    let acc = ref [] in
+    for k = Array.length parts - 1 downto 0 do
+      let q = parts.(k) in
+      for i = q.words - 1 downto 0 do
+        let w = word q (sent r) i in
+        if w <> 0 then
+          for b = word_bits - 1 downto 0 do
+            if w land (1 lsl b) <> 0 then acc := (q.lo + (i * word_bits) + b) :: !acc
+          done
+      done
+    done;
+    !acc
   in
   let after_round r =
-    let sent =
-      if Option.is_none chaos.watch && Option.is_none chaos.online then [] else broadcasters ()
+    let senders =
+      if Option.is_none chaos.watch && Option.is_none chaos.online then [] else broadcasters r
     in
     (match chaos.watch with
     | Some w when !violation = None -> (
@@ -309,7 +514,7 @@ let loop ~dispatch ?observer ?obs ~chaos ~csr ~failures ~max_rounds ~seed proto 
             v_states = states;
             v_metrics = metrics;
             v_crash_rounds = crash;
-            v_broadcasters = sent;
+            v_broadcasters = senders;
           }
       with
       | Some (invariant, detail) ->
@@ -321,22 +526,21 @@ let loop ~dispatch ?observer ?obs ~chaos ~csr ~failures ~max_rounds ~seed proto 
     match chaos.online with
     | Some adversary when not !halted ->
       let report =
-        { rr_round = r; rr_broadcasters = sent; rr_metrics = metrics; rr_crash_rounds = crash }
+        { rr_round = r; rr_broadcasters = senders; rr_metrics = metrics; rr_crash_rounds = crash }
       in
       List.iter
         (fun u -> if u > 0 && u < n && crash.(u) > r + 1 then crash.(u) <- r + 1)
         (adversary report)
     | _ -> ()
   in
-  let traffic = ref false in
   let rounds () =
     while (not !halted) && !round <= max_rounds do
       let r = !round in
       Metrics.note_round metrics r;
       (match obs with Some o -> Obs.on_round o r | None -> ());
-      traffic := dispatch r (step_range r !traffic);
-      (* Every slot of the [next_*] buffers was written this round, so
-         swapping replaces a blit + fill without copying. *)
+      dispatch r (step_part r);
+      (* Every non-empty slot of [next_flight] was written this round and
+         every other one is empty, so swapping replaces a blit + fill. *)
       let fl = !in_flight in
       in_flight := !next_flight;
       next_flight := fl;
@@ -346,7 +550,8 @@ let loop ~dispatch ?observer ?obs ~chaos ~csr ~failures ~max_rounds ~seed proto 
       after_round r;
       if proto.root_done states.(Graph.root) then halted := true;
       incr round
-    done
+    done;
+    Array.iter (fun p -> Metrics.count_work metrics ~visits:p.visits ~steps:p.steps) parts
   in
   (* With [obs], its span collector is ambient for the run (so protocol
      [step] functions can open phase spans) and every span is closed on
@@ -359,12 +564,13 @@ let loop ~dispatch ?observer ?obs ~chaos ~csr ~failures ~max_rounds ~seed proto 
         Obs.finish o));
   (states, metrics, crash, !violation)
 
-let whole_range n _round step = step 0 n
+let whole n = [| (0, n) |]
+let one_part _round step = step 0
 
 let run ?observer ?obs ?(loss = 0.0) ~graph ~failures ~max_rounds ~seed proto =
   if loss < 0.0 || loss >= 1.0 then invalid_arg "Engine.run: loss must be in [0, 1)";
   let states, metrics, _, _ =
-    loop ~dispatch:(whole_range (Graph.n graph)) ?observer ?obs
+    loop ~parts:(whole (Graph.n graph)) ~dispatch:one_part ?observer ?obs
       ~chaos:{ no_chaos with faults = { no_faults with loss } }
       ~csr:(Graph.csr graph) ~failures ~max_rounds ~seed proto
   in
@@ -377,7 +583,7 @@ let run_chaos ?observer ?obs ?(faults = no_faults) ?online ?watch ?(halt_on_viol
   if dup < 0.0 || dup > 1.0 then invalid_arg "Engine.run_chaos: dup must be in [0, 1]";
   if delay < 0.0 || delay > 1.0 then invalid_arg "Engine.run_chaos: delay must be in [0, 1]";
   let states, metrics, crash, violation =
-    loop ~dispatch:(whole_range (Graph.n graph)) ?observer ?obs
+    loop ~parts:(whole (Graph.n graph)) ~dispatch:one_part ?observer ?obs
       ~chaos:{ faults; online; watch; halt_on_violation }
       ~csr:(Graph.csr graph) ~failures ~max_rounds ~seed proto
   in
@@ -388,8 +594,8 @@ let run_chaos ?observer ?obs ?(faults = no_faults) ?online ?watch ?(halt_on_viol
     c_violation = violation;
   }
 
-let run_ranges ~dispatch ~graph ~failures ~max_rounds ~seed proto =
+let run_ranges ~parts ~dispatch ~graph ~failures ~max_rounds ~seed proto =
   let states, metrics, _, _ =
-    loop ~dispatch ~chaos:no_chaos ~csr:graph ~failures ~max_rounds ~seed proto
+    loop ~parts ~dispatch ~chaos:no_chaos ~csr:graph ~failures ~max_rounds ~seed proto
   in
   (states, metrics)

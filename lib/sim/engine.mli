@@ -42,11 +42,11 @@ type ('state, 'msg) protocol = {
 
           In round [r] the loop steps a live node only if its inbox
           (fresh plus delayed messages) is non-empty or its wake round is
-          [<= r].  Otherwise it only clears the node's broadcast slot: it
-          does not read the state, call [step], [observer] or [obs], or
-          allocate.  A round earlier than that smallest one costs time
-          only; a later one changes the run.  {!every_round} is always
-          sound. *)
+          [<= r].  Otherwise it leaves the node alone: it does not read
+          the state, call [step], [observer] or [obs], or allocate, and
+          unless a neighbour broadcast it does not visit the node at
+          all.  A round earlier than that smallest one costs time only;
+          a later one changes the run.  {!every_round} is always sound. *)
 }
 
 val every_round : 'state -> round:int -> int
@@ -88,9 +88,16 @@ val run :
 
     The delivery loop iterates a {!Ftagg_graph.Csr} snapshot of the
     adjacency taken once at run start, allocating nothing per round beyond
-    the inbox cells the [step] API requires, and steps only the nodes
-    with mail or a due [wake] round.  Raises [Invalid_argument] when
-    [failures] does not cover exactly [Graph.n graph] nodes. *)
+    the inbox cells the [step] API requires.  A round costs O(traffic):
+    it visits, in ascending order, only the neighbours of the last
+    round's broadcasters, the nodes whose [wake] round has come (kept in
+    a calendar of per-node bits, one row per wake round mod 32) and the
+    nodes holding delayed mail, plus a scan of a few bitmap rows of n/63
+    words each.  It steps the visited nodes with mail or a due [wake]
+    round; every other node is neither read nor written.
+    {!Metrics.node_visits} and {!Metrics.node_steps} count the two.
+    Raises [Invalid_argument] when [failures] does not cover exactly
+    [Graph.n graph] nodes. *)
 
 (** {2 Chaos instrumentation}
 
@@ -146,8 +153,9 @@ type 'state view = {
       (** nodes that sent a non-empty broadcast this round, ascending —
           the same list as the round's [rr_broadcasters].  A per-node
           check whose inputs change only when a node broadcasts can walk
-          this instead of all [n] nodes.  Built once per round, and only
-          when a watch or an online adversary is present. *)
+          this instead of all [n] nodes.  Read off the round's
+          broadcaster bitmaps once per round, and only when a watch or an
+          online adversary is present. *)
 }
 (** Snapshot handed to a watchdog after each round's steps. *)
 
@@ -197,21 +205,28 @@ val run_chaos :
 (** {2 Partitioned rounds} *)
 
 val run_ranges :
-  dispatch:(int -> (int -> int -> bool) -> bool) ->
+  parts:(int * int) array ->
+  dispatch:(int -> (int -> unit) -> unit) ->
   graph:Ftagg_graph.Csr.t ->
   failures:Failure.t ->
   max_rounds:int ->
   seed:int ->
   ('state, 'msg) protocol ->
   'state array * Metrics.t
-(** {!run}'s round loop on a CSR, with the stepping of each round handed
-    to [dispatch]: [dispatch r step] must call [step lo hi] once for each
-    range of a partition of [\[0, n)] and return whether any call
-    returned [true] (someone broadcast).  Calls for different ranges
-    touch disjoint per-node slots, so they may run on different domains
-    — this is how [Scale.Executor] parallelises a round.  No loss, no
-    observer and no telemetry: those share one PRNG stream or sink in
-    global node order.  With one range per round it is exactly {!run}. *)
+(** {!run}'s round loop on a CSR, split into [parts]: contiguous
+    ascending ranges [(lo, hi)] covering [\[0, n)] (else
+    [Invalid_argument]).  Each partition owns its nodes' slots and its
+    own buffers — its visit marks, wake calendar, broadcaster rows and
+    work counters — and [dispatch r step] must call [step k] once for
+    every partition [k] in each round [r].  Within a round a partition
+    writes only what it owns and reads the other partitions' broadcaster
+    rows of the round before, so the calls may run on different domains
+    once a barrier separates rounds — this is how [Scale.Executor]
+    parallelises a round.  A partition's round costs its share of the
+    traffic plus a scan of the last round's broadcaster bitmaps of every
+    partition.  No loss, no observer and no telemetry: those share one
+    PRNG stream or sink in global node order.  With one partition it is
+    exactly {!run}, and every split visits and steps the same nodes. *)
 
 val run_reference :
   ?observer:(round:int -> node:int -> 'msg list -> unit) ->

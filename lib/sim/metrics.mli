@@ -15,6 +15,10 @@ val charge : t -> node:int -> bits:int -> unit
 val note_round : t -> int -> unit
 (** Record that the given round executed (rounds are 1-based). *)
 
+val count_work : t -> visits:int -> steps:int -> unit
+(** Add to the round loop's work counts: [visits] (node-rounds the loop
+    looked at) and [steps] (calls to the protocol's [step]). *)
+
 val bits_sent : t -> int -> int
 (** Total bits broadcast by a node. *)
 
@@ -28,8 +32,18 @@ val total_bits : t -> int
 val rounds : t -> int
 (** Number of rounds executed before the run halted. *)
 
+val node_visits : t -> int
+(** Node-rounds the round loop visited: every live node every round for
+    [Engine.run_reference]; for the sparse loop, only the nodes that had
+    mail, were due or held delayed mail.  Host-independent, so benches
+    and guards pin it exactly. *)
+
+val node_steps : t -> int
+(** Calls to the protocol's [step]: at most [node_visits]; equal on a
+    failure-free lossless run of the sparse loop. *)
+
 val merge_into : t -> t -> unit
-(** [merge_into acc m] adds [m]'s bit/message counts and round count into
-    [acc] — sequential composition of executions.  Used to account
-    repeated sub-protocol runs (e.g. the COUNT runs of SELECTION) as one
-    execution. *)
+(** [merge_into acc m] adds [m]'s bit/message counts, round count and
+    work counts into [acc] — sequential composition of executions.  Used
+    to account repeated sub-protocol runs (e.g. the COUNT runs of
+    SELECTION) as one execution. *)

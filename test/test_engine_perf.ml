@@ -162,7 +162,8 @@ let wake_soundness =
       wake_is_sound ~graph:g ~failures ~max_rounds:(Agg.duration params) ~seed:s
         (Agg.protocol params))
 
-(* How many times one run calls [step]. *)
+(* How many times one run calls [step], checked against the engine's
+   own step count; and how many nodes the run visited. *)
 let count_steps ~graph ~failures ~max_rounds proto =
   let steps = ref 0 in
   let step ~round ~me ~state ~inbox =
@@ -170,21 +171,24 @@ let count_steps ~graph ~failures ~max_rounds proto =
     proto.Engine.step ~round ~me ~state ~inbox
   in
   let _, m = Engine.run ~graph ~failures ~max_rounds ~seed:1 { proto with Engine.step } in
-  (!steps, Metrics.rounds m)
+  check_int "Metrics.node_steps" !steps (Metrics.node_steps m);
+  (!steps, Metrics.node_visits m, Metrics.rounds m)
 
 (* The frontier's saving, as an exact count: AGG on a failure-free
    100-node grid steps 1,191 of its 25,600 node-rounds (256 rounds), under
-   5% of them. *)
+   5% of them — and, failure-free and lossless, visits exactly the nodes
+   it steps. *)
 let test_frontier_step_count () =
   let n = 100 in
   let g = Gen.grid n in
   let params = params_of g ~inputs:(default_inputs n) in
-  let steps, rounds =
+  let steps, visits, rounds =
     count_steps ~graph:g ~failures:(Failure.none ~n) ~max_rounds:(Agg.duration params)
       (Agg.protocol params)
   in
   check_int "rounds" 256 rounds;
   check_int "node steps" 1191 steps;
+  check_int "node visits" 1191 visits;
   check_true "under 20% of node-rounds" (5 * steps < n * rounds)
 
 (* The pair's schedule crosses the AGG/VERI boundary: under every
@@ -234,12 +238,13 @@ let test_pair_step_count () =
   let n = 100 in
   let g = Gen.grid n in
   let params = params_of ~t:3 g ~inputs:(default_inputs n) in
-  let steps, rounds =
+  let steps, visits, rounds =
     count_steps ~graph:g ~failures:(Failure.none ~n) ~max_rounds:(Pair.duration params)
       (Pair.protocol params)
   in
   check_int "rounds" 439 rounds;
   check_int "node steps" 1685 steps;
+  check_int "node visits" 1685 visits;
   check_true "under 20% of node-rounds" (5 * steps < n * rounds)
 
 (* Algorithm 1 at b = 63, f = 8 on a failure-free 36-node grid (the
@@ -249,13 +254,175 @@ let test_tradeoff_step_count () =
   let g = Gen.grid n in
   let params = params_of g ~inputs:(default_inputs n) in
   let b = 63 and f = 8 in
-  let steps, rounds =
+  let steps, visits, rounds =
     count_steps ~graph:g ~failures:(Failure.none ~n) ~max_rounds:(Tradeoff.max_rounds params ~b)
       (Tradeoff.protocol params ~b ~f)
   in
   check_int "rounds" 247 rounds;
   check_int "node steps" 568 steps;
+  check_int "node visits" 568 visits;
   check_true "under 20% of node-rounds" (5 * steps < n * rounds)
+
+(* ---------- sparse visits: a synthetic protocol with random alarms ---------- *)
+
+(* A node keeps an alarm round and a digest of what it heard.  It
+   changes state or broadcasts only when mail arrives or its alarm has
+   come, so [wake] (the alarm) is sound by construction.  Every step
+   re-arms the alarm from a hash of (node, round, digest): at or before
+   the current round, a few rounds ahead, more than 64 rounds ahead,
+   past [max_rounds], or [max_int] — every way a wake round can land in
+   the engine's calendar or miss it. *)
+type alarm = {
+  alarm : int;
+  heard : int;
+  sent : int;
+}
+
+let rearm ~salt ~max_rounds ~me ~round ~heard =
+  let h = Hashtbl.hash (salt, me, round, heard) in
+  let k = h / 6 in
+  match h mod 6 with
+  | 0 -> round - (k mod 3)
+  | 1 | 2 -> round + 1 + (k mod 6)
+  | 3 -> round + 65 + (k mod 30)
+  | 4 -> max_rounds + 1 + (k mod 5)
+  | _ -> max_int
+
+let alarm_protocol ~salt ~max_rounds =
+  {
+    Engine.init =
+      (fun me ~rng ->
+        let heard = Prng.int rng 1000 in
+        { alarm = rearm ~salt ~max_rounds ~me ~round:0 ~heard; heard; sent = 0 });
+    step =
+      (fun ~round ~me ~state ~inbox ->
+        if inbox = [] && round < state.alarm then (state, [])
+        else begin
+          let heard =
+            List.fold_left (fun h (s, m) -> ((h * 31) + s + m) mod 1_000_003) state.heard inbox
+          in
+          let fire = round >= state.alarm || Hashtbl.hash (salt, me, heard) mod 3 = 0 in
+          let out = if fire then [ heard mod 100 ] else [] in
+          ( {
+              alarm = rearm ~salt ~max_rounds ~me ~round ~heard;
+              heard;
+              sent = state.sent + List.length out;
+            },
+            out )
+        end);
+    msg_bits = (fun m -> 1 + (m mod 7));
+    root_done = (fun _ -> false);
+    wake = (fun st ~round:_ -> st.alarm);
+  }
+
+(* Per-node bits and messages, and rounds. *)
+let same_accounting n a b =
+  Metrics.rounds a = Metrics.rounds b
+  && List.for_all
+       (fun u ->
+         Metrics.bits_sent a u = Metrics.bits_sent b u
+         && Metrics.msgs_sent a u = Metrics.msgs_sent b u)
+       (List.init n Fun.id)
+
+(* [run] with an observer that fails the test if a (round, node) pair
+   is observed twice. *)
+let run_observed ?loss ~graph ~failures ~max_rounds ~seed proto =
+  let seen = Hashtbl.create 64 and once = ref true in
+  let observer ~round ~node _ =
+    if Hashtbl.mem seen (round, node) then once := false;
+    Hashtbl.replace seen (round, node) ()
+  in
+  let states, m = Engine.run ~observer ?loss ~graph ~failures ~max_rounds ~seed proto in
+  (states, m, !once)
+
+let sparse_visits =
+  QCheck.Test.make ~name:"engine: sparse visits = every node, on random alarms" ~count:60
+    QCheck.(quad (int_range 5 40) (int_range 0 1000) (int_range 30 200) (int_range 0 8))
+    (fun (n, s, max_rounds, budget) ->
+      let g = Topo.build (Topo.Random 0.15) ~n ~seed:s in
+      let proto = alarm_protocol ~salt:s ~max_rounds in
+      let failures = Failure.random g ~rng:(Prng.create (s + 3)) ~budget ~max_round:max_rounds in
+      let loss = [| 0.0; 0.1; 0.3 |].(s mod 3) in
+      let seed = s + 1 in
+      (* oblivious crashes, with loss *)
+      let ref_states, ref_m =
+        Engine.run_reference ~loss ~graph:g ~failures ~max_rounds ~seed proto
+      in
+      let states, m, once = run_observed ~loss ~graph:g ~failures ~max_rounds ~seed proto in
+      let oblivious =
+        once && states = ref_states && same_accounting n m ref_m
+        && Metrics.node_steps m <= Metrics.node_visits m
+        && Metrics.node_visits m <= n * Metrics.rounds m
+      in
+      (* online crashes, with loss: the materialised schedule replays *)
+      let online (report : Engine.round_report) =
+        match report.Engine.rr_broadcasters with
+        | [] -> []
+        | l ->
+          if Hashtbl.hash (s, report.Engine.rr_round) mod 4 = 0 then
+            [ List.nth l (s mod List.length l) ]
+          else []
+      in
+      let c =
+        Engine.run_chaos ~faults:{ Engine.no_faults with loss } ~online ~graph:g ~failures
+          ~max_rounds ~seed proto
+      in
+      let replay_states, replay_m =
+        Engine.run_reference ~loss ~graph:g ~failures:c.Engine.c_schedule ~max_rounds ~seed proto
+      in
+      let adaptive =
+        c.Engine.c_states = replay_states && same_accounting n c.Engine.c_metrics replay_m
+      in
+      (* the executor's partitions, lossless *)
+      let base_states, base_m = Engine.run ~graph:g ~failures ~max_rounds ~seed proto in
+      let split =
+        List.for_all
+          (fun domains ->
+            let st, m =
+              Scale_executor.run ~domains ~graph:(Graph.csr g) ~failures ~max_rounds ~seed proto
+            in
+            st = base_states && same_accounting n m base_m
+            && Metrics.node_visits m = Metrics.node_visits base_m
+            && Metrics.node_steps m = Metrics.node_steps base_m)
+          [ 1; 2; 4 ]
+      in
+      oblivious && adaptive && split)
+
+(* A node with mail whose wake round has also come is stepped once: node
+   0 fires its alarm in round 1, and node 1, due in round 2, hears it
+   then and fires; node 0 hears that in round 3.  Mail alone only
+   counts. *)
+let test_mail_and_due_once () =
+  let g = Gen.path 2 in
+  let proto =
+    {
+      Engine.init = (fun me ~rng:_ -> { alarm = me + 1; heard = 0; sent = 0 });
+      step =
+        (fun ~round ~me:_ ~state ~inbox ->
+          if inbox = [] && round < state.alarm then (state, [])
+          else
+            let fire = round >= state.alarm in
+            ( {
+                alarm = (if fire then max_int else state.alarm);
+                heard = state.heard + List.length inbox;
+                sent = state.sent + if fire then 1 else 0;
+              },
+              if fire then [ round ] else [] ));
+      msg_bits = (fun _ -> 1);
+      root_done = (fun _ -> false);
+      wake = (fun st ~round:_ -> st.alarm);
+    }
+  in
+  let log = ref [] in
+  let observer ~round ~node _ = log := (round, node) :: !log in
+  let states, m =
+    Engine.run ~observer ~graph:g ~failures:(Failure.none ~n:2) ~max_rounds:5 ~seed:1 proto
+  in
+  Alcotest.(check (list (pair int int))) "steps" [ (1, 0); (2, 1); (3, 0) ] (List.rev !log);
+  check_int "node 1 heard once" 1 states.(1).heard;
+  check_int "node 1 sent once" 1 states.(1).sent;
+  check_int "visits" 3 (Metrics.node_visits m);
+  check_int "steps" 3 (Metrics.node_steps m)
 
 (* Live bytes per node of a failure-free run's final states, counting the
    [Params] record they all share once and leaving it out, as
@@ -384,4 +551,6 @@ let suite =
     Alcotest.test_case "engine: tradeoff frontier step count" `Quick test_tradeoff_step_count;
     Alcotest.test_case "engine: AGG state bytes per node" `Quick test_agg_state_bytes;
     Alcotest.test_case "engine: pair state bytes per node" `Quick test_pair_state_bytes;
+    QCheck_alcotest.to_alcotest sparse_visits;
+    Alcotest.test_case "engine: mail and a due wake step a node once" `Quick test_mail_and_due_once;
   ]

@@ -161,6 +161,27 @@ let qcheck_tests =
             g (Some 0)
         in
         Path.diameter g = reference);
+    (* Past one 63-source batch: every family up to 300 nodes, with up to
+       four random nodes removed (which often disconnects a sparse
+       family; both must then say None), against one BFS per node. *)
+    Test.make ~name:"diameter = one BFS per node, every family, n <= 300" ~count:12
+      (triple (int_range 8 300) small_int (int_range 0 4))
+      (fun (n, seed, k) ->
+        let rng = Prng.create seed in
+        List.for_all
+          (fun (_, fam) ->
+            let g = Topo.build fam ~n ~seed in
+            let g = Graph.remove_nodes g (List.init k (fun _ -> 1 + Prng.int rng (n - 1))) in
+            let per_node =
+              Graph.fold_nodes
+                (fun u acc ->
+                  match (acc, Path.eccentricity g u) with
+                  | Some m, Some e -> Some (max m e)
+                  | _ -> None)
+                g (Some 0)
+            in
+            Path.diameter g = per_node)
+          (Topo.all_families ~seed));
   ]
 
 let suite =
