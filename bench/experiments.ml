@@ -2346,11 +2346,13 @@ let guard_fleet () =
 (* Re-checks the committed E23 scale matrix: every size present and
    correct, rounds/sec strictly decreasing with N (bigger graphs must
    not mysteriously get faster — that means the sweep was truncated or
-   the workload changed), the 1M footprint under the 4 GiB ceiling and
-   its live bytes/node at most 1,000 (~760 with compact node state,
-   ~1,800 with the eager hash tables it replaced), the 1k differential
-   pin green, and — only when the committed run had >= 4 cores — the
-   4-domain sweep at least 2x the single-domain rate. *)
+   the workload changed), the 1M footprint under the 4 GiB ceiling, its
+   live bytes/node at most 800 (~720-770 with compact node state,
+   ~1,800 with the eager hash tables it replaced) and its rate at least 10.3
+   rounds/s (1.5x the 6.85 read before sparse visits and the BFS
+   layout), the 1k differential pin green, and — only when the
+   committed run had >= 4 cores — the 4-domain sweep at least 2x the
+   single-domain rate. *)
 let guard_scale () =
   let sub = committed "scale" in
   if not (get_bool "pin_ok" sub) then
@@ -2373,8 +2375,9 @@ let guard_scale () =
     [ 1_000; 10_000; 100_000; 1_000_000 ];
   let m = row_for 1_000_000 in
   let bytes_per_node = get_float "bytes_per_node" m in
-  if bytes_per_node > 1000.0 then
-    fail "1M-node state %.0f bytes/node exceeds 1,000" bytes_per_node;
+  if bytes_per_node > 800.0 then fail "1M-node state %.0f bytes/node exceeds 800" bytes_per_node;
+  let rps_1m = get_float "rounds_per_sec" m in
+  if rps_1m < 10.3 then fail "1M-node rate %.2f rounds/s is below 10.3" rps_1m;
   let footprint_mib =
     Float.max
       (bytes_per_node *. 1e6 /. (1024.0 *. 1024.0))
@@ -2398,9 +2401,9 @@ let guard_scale () =
     Printf.printf
       "scale        domain-speedup gate skipped (baseline committed with %d core(s))\n" cores;
   Printf.printf
-    "scale        rounds/sec monotone over 1k..1M, 1M %.0f bytes/node <= 1,000, footprint %.0f \
-     MiB < 4 GiB, pin OK\n"
-    bytes_per_node footprint_mib
+    "scale        rounds/sec monotone over 1k..1M, 1M %.2f rounds/s >= 10.3 at %.0f bytes/node \
+     <= 800, footprint %.0f MiB < 4 GiB, pin OK\n"
+    rps_1m bytes_per_node footprint_mib
 
 (* The committed E24 scenario matrix must exist, cover every
    schedule x backend cell, keep clear skies at 100% completion with

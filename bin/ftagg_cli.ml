@@ -205,6 +205,8 @@ let run_scale ~topology ~n ~seed ~tol ~fmode ~budget ~max_input ~domains ~mem_li
       Printf.printf "work       : %d node visits, %d node steps\n"
         (Metrics.node_visits o.Scale_run.metrics)
         (Metrics.node_steps o.Scale_run.metrics);
+      Printf.printf "layout     : %.1f ms (BFS relabel and map-back)\n"
+        (gauge "scale_layout_seconds" *. 1e3);
       Printf.printf "domains    : %d (%d frontier edges)\n" domains
         (int_of_float (gauge "scale_frontier_edges"));
       Printf.printf "memory     : %.1f bytes/node live, %.1f MiB peak live, %.1f MiB peak RSS\n"

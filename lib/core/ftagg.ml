@@ -106,6 +106,7 @@ module Fleet = Ftagg_fleet.Fleet
 module Bigraph = Ftagg_scale.Bigraph
 module Scale_mem = Ftagg_scale.Mem
 module Scale_executor = Ftagg_scale.Executor
+module Scale_layout = Ftagg_scale.Layout
 module Scale_run = Ftagg_scale.Scale_run
 
 (** {1 Derived queries} *)

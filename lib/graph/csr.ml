@@ -162,6 +162,22 @@ let of_rows ~n ~degree ~iter_row =
   done;
   { n; m = get offsets n / 2; offsets; targets }
 
+(* One pass in the new order, each new row written behind the last, so
+   the offsets need no prefix-sum pass. *)
+let renumber t ~new_id ~old_id =
+  let offsets = make_ints (t.n + 1) and targets = make_ints (2 * t.m) in
+  let w = ref 0 in
+  for v = 0 to t.n - 1 do
+    set offsets v !w;
+    let u = get old_id v in
+    for i = get t.offsets u to get t.offsets (u + 1) - 1 do
+      set targets !w (get new_id (get t.targets i));
+      incr w
+    done
+  done;
+  set offsets t.n !w;
+  { t with offsets; targets }
+
 let n t = t.n
 let num_edges t = t.m
 let degree t u = get t.offsets (u + 1) - get t.offsets u

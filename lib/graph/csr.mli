@@ -7,11 +7,14 @@
     off-heap int arrays (~16 bytes/directed edge), so a 1M-node, 4M-edge
     topology is ~130 MB instead of many GB, and the GC never scans it.
 
-    Rows are sorted ascending with self-loops and duplicates dropped,
-    whichever way the snapshot was built ({!of_iter} from a streamed
-    emission, [Graph.csr] from a materialised graph), so two CSRs of the
-    same edges are equal under [=] and the engine walks neighbours — and
-    draws per-edge fault coins — in the same order on either. *)
+    Rows built from edges are sorted ascending with self-loops and
+    duplicates dropped, whichever way the snapshot was built ({!of_iter}
+    from a streamed emission, [Graph.csr] from a materialised graph), so
+    two CSRs of the same edges are equal under [=] and the engine walks
+    neighbours — and draws per-edge fault coins — in the same order on
+    either.  A {!renumber}ed CSR keeps each row in its source row's
+    order instead, and the engine walks it, and builds inboxes, in that
+    order. *)
 
 type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -21,7 +24,9 @@ type t = private {
   offsets : ints;
       (** [n + 1] entries; node [u]'s neighbours live at indices
           [offsets.{u} .. offsets.{u+1} - 1] of [targets] *)
-  targets : ints;  (** [2m] entries; row [u] sorted ascending *)
+  targets : ints;
+      (** [2m] entries; row [u] sorted ascending, except after
+          {!renumber} *)
 }
 (** Exposed for hot loops; treat the arrays as read-only. *)
 
@@ -38,6 +43,14 @@ val of_rows : n:int -> degree:(int -> int) -> iter_row:(int -> (int -> unit) -> 
     the caller already holds: [iter_row u f] must call [f] on exactly
     [degree u] neighbours of [u], ascending and without duplicates, and
     the rows must be symmetric.  No scratch beyond the two arrays. *)
+
+val renumber : t -> new_id:ints -> old_id:ints -> t
+(** [renumber t ~new_id ~old_id] is [t] with node [u] renamed
+    [new_id.{u}]: row [new_id.{u}] lists [new_id.{v}] for every [v] of
+    row [u], in row [u]'s order, so it is generally not ascending.
+    [new_id] must be a permutation of [\[0, n)] and [old_id] its
+    inverse; neither is checked.  One O(n + m) pass in the new order, no
+    sort. *)
 
 val n : t -> int
 val num_edges : t -> int

@@ -8,7 +8,9 @@
     [Bigraph] of an emission equals [Graph.csr (Graph.of_iter ...)] of
     the same emission under [=], and the executor walking it sees the
     same neighbour order (hence the same inboxes and PRNG streams) as
-    [Engine.run] on the materialised graph. *)
+    [Engine.run] on the materialised graph.  A {!Layout}'s graph is the
+    exception: renumbered rows keep their source order, so they are not
+    ascending and {!validate} rejects them. *)
 
 type ints = Ftagg_graph.Csr.ints
 
@@ -16,7 +18,8 @@ type t = Ftagg_graph.Csr.t = private {
   n : int;  (** node count *)
   m : int;  (** undirected edge count after dedup *)
   offsets : ints;  (** [n + 1] entries *)
-  targets : ints;  (** [2m] entries; row [u] sorted ascending *)
+  targets : ints;
+      (** [2m] entries; row [u] sorted ascending, except on a {!Layout} *)
 }
 (** The engine's CSR, re-exported.  Treat the arrays as read-only. *)
 

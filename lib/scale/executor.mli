@@ -19,10 +19,12 @@
     the materialised graph, for every domain count — it {e is} the
     engine's round loop ({!Ftagg_sim.Engine.run_ranges}): the executor
     only dispatches each round's node ranges to the domains and waits at
-    the barrier.  Message loss is the one [Engine.run] feature {e not}
-    offered: per-edge loss draws consume a shared PRNG stream in global
-    node order, which no partitioning can reproduce; the paper's model is
-    lossless anyway.
+    the barrier.  [run] takes the graph as numbered; [Scale_run.agg]
+    hands it a {!Layout} of the caller's graph, whose run is the
+    isomorphic image of this one.  Message loss is the one [Engine.run]
+    feature {e not} offered: per-edge loss draws consume a shared PRNG
+    stream in global node order, which no partitioning can reproduce;
+    the paper's model is lossless anyway.
 
     Failure schedules apply as in [Engine.run] (crash = stop, not message
     loss).  Torn barriers abort cleanly: an exception in any partition is
@@ -39,7 +41,8 @@ exception
 
 val partitions : n:int -> domains:int -> (int * int) array
 (** The contiguous split: partition [k] owns nodes
-    [\[k·n/D, (k+1)·n/D)]. *)
+    [\[k·n/D, (k+1)·n/D)].  {!Layout} deals its BFS order over these
+    ranges. *)
 
 val frontier_edges : Bigraph.t -> domains:int -> int
 (** Edges whose endpoints live in different partitions — the traffic

@@ -1,14 +1,17 @@
 module Engine = Ftagg_sim.Engine
 module Metrics = Ftagg_sim.Metrics
+module Failure = Ftagg_sim.Failure
 module Graph = Ftagg_graph.Graph
 module Params = Ftagg_proto.Params
 module Agg = Ftagg_proto.Agg
+module Registry = Ftagg_obs.Registry
 
 type outcome = {
   result : Agg.result;
   metrics : Metrics.t;
   rounds : int;
   states : Agg.node array;
+  caller_id : int -> int;
 }
 
 let params ?(c = 2) ?(t = 1) ~graph ~inputs () =
@@ -18,13 +21,55 @@ let params ?(c = 2) ?(t = 1) ~graph ~inputs () =
 
 let protocol p = Agg.protocol p
 
-let outcome (states, metrics) =
-  { result = Agg.root_result states.(Graph.root); metrics; rounds = Metrics.rounds metrics; states }
+let outcome ?(caller_id = Fun.id) (states, metrics) =
+  {
+    result = Agg.root_result states.(Graph.root);
+    metrics;
+    rounds = Metrics.rounds metrics;
+    states;
+    caller_id;
+  }
 
-let agg ?domains ?meter ?registry ~graph ~failures ~params ~seed () =
-  outcome
-    (Executor.run ?domains ?meter ?registry ~graph ~failures ~max_rounds:(Agg.duration params)
-       ~seed (protocol params))
+(* The run on [Layout.make graph ~domains]: inputs and crash rounds are
+   permuted in, states and metrics mapped back to the caller's ids.  A
+   schedule without crashes is the same under every numbering. *)
+let agg ?(domains = 1) ?meter ?registry ~graph ~failures ~params ~seed () =
+  let n = Bigraph.n graph in
+  if params.Params.n <> n || Array.length (Failure.crash_rounds failures) <> n then
+    invalid_arg "Scale_run.agg: params or failures do not cover the graph's nodes";
+  let t0 = Unix.gettimeofday () in
+  let layout = Layout.make graph ~domains in
+  (* Only the ids outlive the run, not the renumbered CSR. *)
+  let ids = layout.Layout.caller_id in
+  let caller_id v = Bigarray.Array1.unsafe_get ids v in
+  let inputs = params.Params.inputs in
+  let lparams =
+    Params.with_inputs params ~caaf:params.Params.caaf
+      ~inputs:(Array.init n (fun v -> inputs.(caller_id v)))
+  in
+  let lfailures =
+    if Failure.crashed_nodes failures = [] then failures
+    else
+      let crash = Failure.crash_rounds failures in
+      Failure.of_crash_rounds (Array.init n (fun v -> crash.(caller_id v)))
+  in
+  let relabel_s = Unix.gettimeofday () -. t0 in
+  let states, metrics =
+    Executor.run ~domains ?meter ?registry ~graph:layout.Layout.graph ~failures:lfailures
+      ~max_rounds:(Agg.duration params) ~seed (protocol lparams)
+  in
+  let t1 = Unix.gettimeofday () in
+  let states =
+    let back = Array.make n states.(Graph.root) in
+    Array.iteri (fun v st -> back.(caller_id v) <- st) states;
+    back
+  in
+  Metrics.relabel metrics caller_id;
+  (match registry with
+  | Some reg when Registry.enabled () ->
+    Registry.set_gauge reg "scale_layout_seconds" (relabel_s +. Unix.gettimeofday () -. t1)
+  | _ -> ());
+  outcome ~caller_id (states, metrics)
 
 let reference ~graph ~failures ~params ~seed =
   outcome

@@ -10,10 +10,17 @@
 
 type outcome = {
   result : Ftagg_proto.Agg.result;
-  metrics : Ftagg_sim.Metrics.t;
+  metrics : Ftagg_sim.Metrics.t;  (** indexed by the caller's node ids *)
   rounds : int;
   states : Ftagg_proto.Agg.node array;
-      (** per-node final protocol states, for differential comparison *)
+      (** per-node final protocol states, indexed by the caller's node
+          ids, for differential comparison *)
+  caller_id : int -> int;
+      (** The caller's id of the node the run numbered [v].  The ids
+          {e inside} a state (its own, its parent's, its children's, its
+          ancestors', its selected sources) are the run's: map them
+          through [caller_id].  The identity for {!reference}; for
+          {!agg}, [Layout.caller_id]. *)
 }
 
 val params :
@@ -38,7 +45,17 @@ val agg :
   seed:int ->
   unit ->
   outcome
-(** One AGG execution of [Agg.duration params] rounds on the executor. *)
+(** One AGG execution of [Agg.duration params] rounds on the executor,
+    on [Layout.make graph ~domains] (built on every call, never cached):
+    the inputs and crash rounds are permuted into the layout's ids, and
+    the states and metrics come back indexed by the caller's.  The run is
+    the isomorphic image of [Executor.run] on [graph] itself (see
+    {!Layout}), so the result, rounds, CC, total bits, node visits and
+    steps and every node's bits and messages are the same.  [registry]
+    additionally receives the gauge [scale_layout_seconds]: the wall time
+    of the relabel (BFS, gather, permuted inputs and crash rounds) plus
+    the map-back.  Raises [Invalid_argument] when [params] or [failures]
+    does not cover exactly [Bigraph.n graph] nodes. *)
 
 val reference :
   graph:Ftagg_graph.Graph.t ->

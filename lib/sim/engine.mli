@@ -24,9 +24,12 @@ type ('state, 'msg) protocol = {
     inbox:(node_id * 'msg) list ->
     'state * 'msg list;
       (** One round of local computation.  [inbox] holds the logical
-          payloads received this round with their senders, in sender order.
-          The returned payloads are broadcast together; an empty list means
-          the node stays silent. *)
+          payloads received this round with their senders, senders in the
+          order of the receiver's CSR row: ascending ids on every CSR
+          built from edges, a renumbered row's source order on a
+          [Scale.Layout] (so the inbox is the source run's, relabelled).
+          The returned payloads are broadcast together; an empty list
+          means the node stays silent. *)
   msg_bits : 'msg -> int;
       (** Bit width charged per logical payload. *)
   root_done : 'state -> bool;

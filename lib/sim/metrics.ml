@@ -1,6 +1,6 @@
 type t = {
-  bits : int array;
-  msgs : int array;
+  mutable bits : int array;
+  mutable msgs : int array;
   mutable last_round : int;
   mutable visits : int;
   mutable steps : int;
@@ -26,6 +26,16 @@ let total_bits t = Array.fold_left ( + ) 0 t.bits
 let rounds t = t.last_round
 let node_visits t = t.visits
 let node_steps t = t.steps
+
+(* Two scatters through one fresh array: [bits] into it, then [msgs]
+   into the old [bits] array, every slot of which the permutation
+   overwrites. *)
+let relabel t f =
+  let bits = Array.make (Array.length t.bits) 0 and msgs = t.bits in
+  Array.iteri (fun u b -> bits.(f u) <- b) t.bits;
+  Array.iteri (fun u c -> msgs.(f u) <- c) t.msgs;
+  t.bits <- bits;
+  t.msgs <- msgs
 
 let merge_into acc m =
   if Array.length acc.bits <> Array.length m.bits then

@@ -42,6 +42,12 @@ val node_steps : t -> int
 (** Calls to the protocol's [step]: at most [node_visits]; equal on a
     failure-free lossless run of the sparse loop. *)
 
+val relabel : t -> (int -> int) -> unit
+(** [relabel m f] moves node [u]'s bit and message counts to node [f u],
+    in place, allocating one array of [n]; [f] must be a permutation of
+    the node ids.  Rounds and work counts stay.  [Scale_run] maps a run
+    on its layout back to the caller's ids with it. *)
+
 val merge_into : t -> t -> unit
 (** [merge_into acc m] adds [m]'s bit/message counts, round count and
     work counts into [acc] — sequential composition of executions.  Used

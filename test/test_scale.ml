@@ -225,6 +225,136 @@ let test_executor_counters () =
   check_true "minor words gauge present"
     (Registry.gauge reg "scale_minor_words_per_round" <> None)
 
+(* ---------------------------------------------------------------- *)
+(* Layout: BFS order from the root, dealt over the partitions        *)
+(* ---------------------------------------------------------------- *)
+
+let layout_specs =
+  [ Bigraph.Grid; Bigraph.Torus; Bigraph.Random_regular 4; Bigraph.Pref_attach 2 ]
+
+let row g u =
+  let r = ref [] in
+  Bigraph.iter_neighbors g u (fun w -> r := w :: !r);
+  List.rev !r
+
+let test_layout_shape () =
+  List.iter
+    (fun spec ->
+      List.iter
+        (fun domains ->
+          let n = 60 in
+          let bg = Bigraph.build spec ~n ~seed in
+          let l = Scale_layout.make bg ~domains in
+          let name = Printf.sprintf "%s d=%d" (Bigraph.spec_name spec) domains in
+          let caller v = l.Scale_layout.caller_id.{v} in
+          check_int (name ^ ": root stays 0") Graph.root (caller Graph.root);
+          let layout_id = Array.make n (-1) in
+          for v = 0 to n - 1 do
+            layout_id.(caller v) <- v
+          done;
+          check_true (name ^ ": bijection") (Array.for_all (fun v -> v >= 0) layout_id);
+          let lg = l.Scale_layout.graph in
+          check_int (name ^ ": edges") (Bigraph.num_edges bg) (Bigraph.num_edges lg);
+          for v = 0 to n - 1 do
+            check_true
+              (Printf.sprintf "%s: row %d keeps its source order" name v)
+              (row lg v = List.map (fun w -> layout_id.(w)) (row bg (caller v)))
+          done;
+          (* Each partition holds its share of every BFS level, levels in
+             order; with n a multiple of [domains] the shares differ by at
+             most one node. *)
+          let dist = Array.make n (-1) and queue = Queue.create () in
+          dist.(Graph.root) <- 0;
+          Queue.push Graph.root queue;
+          while not (Queue.is_empty queue) do
+            let u = Queue.pop queue in
+            Bigraph.iter_neighbors bg u (fun w ->
+                if dist.(w) < 0 then begin
+                  dist.(w) <- dist.(u) + 1;
+                  Queue.push w queue
+                end)
+          done;
+          let ecc = Array.fold_left max 0 dist in
+          let parts = Scale_executor.partitions ~n ~domains in
+          let share = Array.make_matrix domains (ecc + 1) 0 in
+          Array.iteri
+            (fun k (lo, hi) ->
+              for v = lo to hi - 1 do
+                let level = dist.(caller v) in
+                share.(k).(level) <- share.(k).(level) + 1;
+                if v > lo then
+                  check_true
+                    (Printf.sprintf "%s: partition %d levels in order at %d" name k v)
+                    (dist.(caller (v - 1)) <= level)
+              done)
+            parts;
+          for level = 0 to ecc do
+            let counts = Array.map (fun row -> row.(level)) share in
+            check_true
+              (Printf.sprintf "%s: level %d dealt evenly" name level)
+              (Array.fold_left max 0 counts - Array.fold_left min max_int counts <= 1)
+          done)
+        [ 1; 2; 3; 4 ])
+    layout_specs
+
+let test_layout_small_and_disconnected () =
+  (* more partitions than nodes: empty ranges are skipped, the root still
+     lands on 0 *)
+  List.iter
+    (fun n ->
+      let l = Scale_layout.make (Bigraph.build Bigraph.Grid ~n ~seed) ~domains:4 in
+      check_int (Printf.sprintf "n=%d < domains: root stays 0" n) 0 l.Scale_layout.caller_id.{0};
+      check_true
+        (Printf.sprintf "n=%d < domains: bijection" n)
+        (List.sort compare (List.init n (fun v -> l.Scale_layout.caller_id.{v}))
+        = List.init n Fun.id))
+    [ 2; 3 ];
+  (* nodes the BFS never reaches follow the reached ones, ascending *)
+  let bg = Bigraph.of_iter ~n:6 (fun emit -> emit 0 3; emit 3 5; emit 1 4) in
+  let l = Scale_layout.make bg ~domains:1 in
+  check_true "unreached nodes last, ascending"
+    (List.init 6 (fun v -> l.Scale_layout.caller_id.{v}) = [ 0; 3; 5; 1; 2; 4 ])
+
+(* A run on the layout against the run on the generated labels, under the
+   permutation: result, rounds, CC, total bits, node visits and steps,
+   every node's bits and messages, and every node's parent. *)
+let layout_run_matches ~spec ~n ~seed ~t ~domains ~crashes =
+  let graph = Bigraph.build spec ~n ~seed in
+  let params = Scale_run.params ~t ~graph ~inputs:(default_inputs n) () in
+  let rng = Prng.create seed in
+  let failures =
+    Failure.of_list ~n
+      (List.init crashes (fun _ ->
+           (1 + Prng.int rng (n - 1), 1 + Prng.int rng (Agg.duration params))))
+  in
+  let states, metrics =
+    Scale_executor.run ~domains ~graph ~failures ~max_rounds:(Agg.duration params) ~seed
+      (Scale_run.protocol params)
+  in
+  let o = Scale_run.agg ~domains ~graph ~failures ~params ~seed () in
+  let m = o.Scale_run.metrics in
+  Agg.root_result states.(Graph.root) = o.Scale_run.result
+  && Metrics.rounds metrics = o.Scale_run.rounds
+  && Metrics.cc metrics = Metrics.cc m
+  && Metrics.total_bits metrics = Metrics.total_bits m
+  && Metrics.node_visits metrics = Metrics.node_visits m
+  && Metrics.node_steps metrics = Metrics.node_steps m
+  && List.for_all
+       (fun u ->
+         Metrics.bits_sent metrics u = Metrics.bits_sent m u
+         && Metrics.msgs_sent metrics u = Metrics.msgs_sent m u
+         && Agg.parent states.(u)
+            = (match Agg.parent o.Scale_run.states.(u) with -1 -> -1 | p -> o.Scale_run.caller_id p))
+       (List.init n Fun.id)
+
+let test_layout_run_small () =
+  List.iter
+    (fun n ->
+      check_true
+        (Printf.sprintf "grid n=%d on 4 domains: layout run = generated-label run" n)
+        (layout_run_matches ~spec:Bigraph.Grid ~n ~seed ~t:1 ~domains:4 ~crashes:1))
+    [ 2; 3 ]
+
 (* A trivial counting protocol for executor-mechanics tests: every node
    broadcasts its id every round. *)
 let chatty_protocol ?(raise_at = -1) ?(raise_me = -1) () =
@@ -288,6 +418,13 @@ let qcheck_tests =
         && Metrics.cc base.Scale_run.metrics = Metrics.cc split.Scale_run.metrics
         && Metrics.total_bits base.Scale_run.metrics
            = Metrics.total_bits split.Scale_run.metrics);
+    Test.make ~name:"a run on the layout is the generated-label run, relabelled" ~count:60
+      (quad (int_range 0 3) (int_range 0 46) (int_range 0 1000)
+         (triple (int_range 1 3) (int_range 0 2) (int_range 0 3)))
+      (fun (family, size, s, (t, d, crashes)) ->
+        let spec = List.nth layout_specs family in
+        let n = size + (match spec with Bigraph.Torus -> 9 | Bigraph.Grid -> 2 | _ -> 5) in
+        layout_run_matches ~spec ~n ~seed:s ~t ~domains:(List.nth [ 1; 2; 4 ] d) ~crashes);
     Test.make ~name:"streamed CSR equals materialised CSR on random graphs" ~count:40
       (pair (int_range 5 80) (int_range 0 1000))
       (fun (n, s) ->
@@ -315,6 +452,9 @@ let suite =
       ("executor: partitions cover", test_partitions_cover);
       ("executor: frontier edges", test_frontier_edges);
       ("executor: registry counters", test_executor_counters);
+      ("layout: root, bijection, row order, dealt levels", test_layout_shape);
+      ("layout: n < domains, unreached nodes", test_layout_small_and_disconnected);
+      ("layout: run with n < domains", test_layout_run_small);
       ("executor: torn barrier aborts cleanly", test_torn_barrier);
       ("executor: memory ceiling aborts run", test_ceiling_aborts_run);
     ]
