@@ -1,7 +1,8 @@
 (* The reproduction harness's experiments: one per figure/table of the
    paper (see DESIGN.md's per-experiment index), plus bechamel wall-clock
-   micro-benchmarks.  [main.ml] runs them by name; [golden.ml] runs the
-   print-only form the golden files in test/golden/ diff.
+   micro-benchmarks.  Each is one record of [registry] at the end of this
+   file; [main.ml] runs records by id, [golden.ml] prints the golden ones
+   for test/golden/experiments.expected, and [guard] runs their guards.
 
    Measured numbers come from the simulator under the paper's bit
    accounting; "bound" columns evaluate the theorem formulas with all
@@ -24,9 +25,6 @@ let seeds = [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 (* ------------------------------------------------------------------ *)
 
 let e1 () =
-  header
-    "E1 | Figure 1 — communication-time tradeoff for SUM\n\
-     brute-force (TC=O(1)), folklore (TC=O(f)), Algorithm 1 (tunable b)";
   let n = 64 in
   let g = Gen.grid n in
   let inputs = Array.make n 3 in
@@ -111,7 +109,6 @@ let e1 () =
 (* ------------------------------------------------------------------ *)
 
 let e2 () =
-  header "E2 | Table 2 — guarantees of AGG and VERI in the three scenarios";
   let t = 4 in
   let trials = 25 in
   let tally name runs =
@@ -209,16 +206,9 @@ let agg_veri_costs ~which () =
   let n = 64 in
   let g = Gen.grid n in
   let inputs = Array.make n 5 in
-  let title, budget_of =
-    match which with
-    | `Agg ->
-      ( "E3 | Theorem 3 — AGG: TC <= 11c flooding rounds, CC <= (11t+14)(logN+5)",
-        Params.agg_bit_budget )
-    | `Veri ->
-      ( "E4 | Theorem 6 — VERI: TC <= 8c flooding rounds, CC <= (5t+7)(3logN+10)",
-        Params.veri_bit_budget )
+  let budget_of =
+    match which with `Agg -> Params.agg_bit_budget | `Veri -> Params.veri_bit_budget
   in
-  header title;
   let table =
     Table.create
       [
@@ -282,7 +272,6 @@ let e4 () = agg_veri_costs ~which:`Veri ()
 (* ------------------------------------------------------------------ *)
 
 let e5 () =
-  header "E5 | Theorem 1 — Algorithm 1 CC = O(f/b*log^2 N + log^2 N), TC <= b";
   let b = 126 in
   let run_one ~n ~f ~s =
     let g = Gen.grid n in
@@ -339,7 +328,6 @@ let e5 () =
 (* ------------------------------------------------------------------ *)
 
 let e6 () =
-  header "E6 | Theorem 12 & [4] — UNIONSIZECP: measured CC between the two bounds";
   let table =
     Table.create
       [
@@ -381,7 +369,6 @@ let e6 () =
      bound — the near-tight regime Theorem 12 establishes.\n"
 
 let e7 () =
-  header "E7 | Theorem 8 — EQUALITYCP <= UNIONSIZECP + O(log q) + O(log n)";
   let table =
     Table.create
       [
@@ -431,7 +418,6 @@ let e7 () =
 (* ------------------------------------------------------------------ *)
 
 let e8 () =
-  header "E8 | Lemma 11 / Theorem 9 — Sperner rank certificate";
   let table =
     Table.create
       [
@@ -464,7 +450,6 @@ let e8 () =
 (* ------------------------------------------------------------------ *)
 
 let e9 () =
-  header "E9 | Unknown-f doubling trick — CC tracks the actual failure count";
   let n = 64 in
   let g = Gen.grid n in
   let params = Params.make ~c:2 ~graph:g ~inputs:(Array.make n 3) () in
@@ -515,7 +500,6 @@ let e9 () =
 (* ------------------------------------------------------------------ *)
 
 let e10 () =
-  header "E10 | §2 — the same Algorithm 1 computes any CAAF";
   let n = 49 in
   let g = Gen.grid n in
   let rng = Prng.create 77 in
@@ -564,7 +548,6 @@ let e10 () =
 (* ------------------------------------------------------------------ *)
 
 let e11 () =
-  header "E11 | Ablations — removing §4.2 speculation or §4.3 witnesses breaks AGG";
   let n = 20 in
   let g = Gen.ring n in
   let inputs = Array.init n (fun i -> i + 1) in
@@ -629,9 +612,6 @@ let e11 () =
 (* ------------------------------------------------------------------ *)
 
 let e12 () =
-  header
-    "E12 | Zero-error vs approximate aggregation\n\
-     Algorithm 1 (this paper) vs push-sum gossip [8] and synopsis diffusion [14]";
   let n = 64 in
   let g = Gen.grid n in
   let inputs = Array.make n 10 in
@@ -716,8 +696,6 @@ let e12 () =
 (* ------------------------------------------------------------------ *)
 
 let e13 () =
-  header
-    "E13 | Partition argument — two-party transcripts of Algorithm 1 across cuts";
   let table =
     Table.create
       [
@@ -771,9 +749,6 @@ let e13 () =
 (* ------------------------------------------------------------------ *)
 
 let e14 () =
-  header
-    "E14 | FT0 landscape — Algorithm 1's worst measured CC over\n\
-     topology families x adversary schedules (N = 48, f = 10, b = 63)";
   let land_ = Worstcase.sweep_tradeoff ~n:48 ~f:10 ~b:63 ~seed:3 () in
   (* per-family maxima as a bar chart *)
   let families =
@@ -804,9 +779,6 @@ let e14 () =
 (* ------------------------------------------------------------------ *)
 
 let e15 () =
-  header
-    "E15 | Derandomization ablation — Algorithm 1's sampled intervals vs a\n\
-     sequential scan, under per-interval LFC chains";
   (* 8x8 grid; the BFS tree hangs columns from the top row, so killing a
      vertical run of t nodes in a fresh column during interval j's
      aggregation phase plants an LFC (live descendants below, reattached
@@ -875,9 +847,6 @@ let e15 () =
 (* ------------------------------------------------------------------ *)
 
 let e16 () =
-  header
-    "E16 | Out-of-model exploration — the crash-only guarantees do not\n\
-     survive lossy links (the paper's model assumes reliable broadcast)";
   let n = 36 in
   let g = Gen.grid n in
   let params = Params.make ~c:2 ~t:3 ~graph:g ~inputs:(Array.init n (fun i -> i + 1)) () in
@@ -930,10 +899,6 @@ let e16 () =
      only, exactly as the paper's model states — loss needs different techniques.\n"
 
 let e17 () =
-  header
-    "E17 | Chaos campaign — adaptive (traffic-aware) adversaries vs the paper's\n\
-     oblivious schedules at the same edge-failure budget, plus the\n\
-     duplication/delay fault boundary (extending E16's loss boundary)";
   let n = 30 and t = 3 in
   let fams =
     [ ("grid", Gen.Grid); ("caterpillar", Gen.Caterpillar); ("regular4", Gen.Random_regular 4) ]
@@ -1095,7 +1060,6 @@ let e17 () =
 (* ------------------------------------------------------------------ *)
 
 let timing () =
-  header "timing | bechamel wall-clock micro-benchmarks";
   let open Bechamel in
   let open Toolkit in
   let g36 = Gen.grid 36 in
@@ -1177,10 +1141,6 @@ let perf_seed_proto params =
 (* ------------------------------------------------------------------ *)
 
 let e18 () =
-  header
-    "E18 | Telemetry — where Algorithm 1's bits go, by protocol phase\n\
-     256-node grid, f=16, b swept; spans attribute every broadcast to the\n\
-     AGG/VERI phase (or tradeoff fallback) active at the sender";
   let n = 256 in
   let g = Gen.grid n in
   let inputs = Array.init n (fun k -> (k mod 10) + 1) in
@@ -1246,22 +1206,7 @@ let e18 () =
 let q4 x = Float.round (x *. 1e4) /. 1e4
 let q2 x = Float.round (x *. 1e2) /. 1e2
 
-(* BENCH_engine.json is shared by [perf] (the top-level engine fields),
-   [e19] ("service_throughput"), [e20] ("cross_protocol"), [e21]
-   ("update_lag"), [e22] ("fleet"), [e23] ("scale") and [e24]
-   ("scenarios"): each regenerates only its own key, through
-   [write_baseline], and preserves the others'. *)
-let bench_engine_others keys =
-  match Bench_io.read_file ~path:"BENCH_engine.json" with
-  | Ok (Bench_io.Obj old) -> List.filter (fun (k, _) -> not (List.mem k keys)) old
-  | Ok _ | Error _ | (exception Sys_error _) -> []
-
-(* Replace one experiment's key in BENCH_engine.json, keeping the rest. *)
-let write_baseline key payload =
-  Bench_io.write_file ~path:"BENCH_engine.json"
-    (Bench_io.Obj (bench_engine_others [ key ] @ [ (key, payload) ]))
-
-(* [perf]'s workload, which [guard] re-runs: AGG on a failure-free
+(* [perf]'s workload, which [guard_perf] re-runs: AGG on a failure-free
    256-node grid, 424 rounds per run. *)
 let perf_workload () =
   let n = 256 in
@@ -1269,7 +1214,7 @@ let perf_workload () =
   let params = Params.make ~c:2 ~graph:g ~inputs:(Array.make n 3) () in
   (g, params, Failure.none ~n, Agg.duration params)
 
-(* [perf]'s pair workload, which [guard] re-counts: one AGG+VERI pair at
+(* [perf]'s pair workload, which [guard_perf] re-counts: one AGG+VERI pair at
    t = 3 on a failure-free 100-node grid, 439 rounds per run — the run
    whose step count test_engine_perf.ml pins. *)
 let perf_pair_workload () =
@@ -1283,7 +1228,7 @@ let perf_reps = List.concat_map (fun s -> [ s; s + 100; s + 200 ]) seeds
 (* [perf]'s timed sweep ([run] on each of [perf_reps]), after one warm-up
    run: the fastest of five sweeps, as (wall, rounds/sec).  Host-noise
    episodes only ever slow a sweep down, so the fastest is the steadiest
-   estimate of the code's speed, for the baseline and for [guard]. *)
+   estimate of the code's speed, for the baseline and for [guard_perf]. *)
 let perf_sweep ~dur run =
   ignore (run 0);
   let best = ref infinity in
@@ -1306,10 +1251,6 @@ let node_work run proto =
   (!steps, Metrics.node_visits m)
 
 let perf () =
-  header
-    "PERF | engine hot path — reference (seed) pipeline vs CSR engine, every round vs frontier\n\
-     256-node grid, AGG, and 100-node grid, AGG+VERI pair; identical metrics required;\n\
-     JSON to BENCH_engine.json";
   let g, params, failures, dur = perf_workload () in
   let every = { (Agg.protocol params) with Engine.wake = Engine.every_round } in
   let reference seed proto = Engine.run_reference ~graph:g ~failures ~max_rounds:dur ~seed proto in
@@ -1378,6 +1319,8 @@ let perf () =
   Printf.printf "%-34s %8.3f s  (%d domains, %.2fx vs serial; %d core(s))\n"
     "fast pipeline via Sweep" sweep_wall domains (fast_wall /. sweep_wall) cores;
   Printf.printf "metrics identical across %d seeds: %b\n" (List.length seeds) identical;
+  if speedup < 3.0 then
+    Printf.printf "WARNING: speedup %.2fx is below the 3x target for this benchmark\n" speedup;
   let row engine wall rps (steps, visits) =
     Bench_io.(
       Obj
@@ -1389,62 +1332,53 @@ let perf () =
           ("node_visits_per_run", Int visits);
         ])
   in
-  let json =
-    Bench_io.(
-      Obj
-        [
-          ("benchmark", String "engine-hot-path");
-          ("graph", String "grid");
-          ("n", Int (Graph.n g));
-          ("protocol", String "AGG");
-          ("rounds_per_run", Int dur);
-          ("runs_timed", Int (List.length perf_reps));
-          ("timing", String "fastest of 5 sweeps after a warm-up run");
-          ("cores", Int cores);
-          ("metrics_identical", Bool identical);
-          ( "seed_pipeline",
-            row "reference (list-based), exec-tagged messages" seed_wall seed_rps seed_work );
-          ( "every_round_pipeline",
-            row "CSR delivery loop, raw message bodies, wake = every_round" every_wall every_rps
-              every_work );
-          ( "overhauled_pipeline",
-            row "CSR delivery loop, raw message bodies, AGG's wake (frontier rounds)" fast_wall
-              fast_rps fast_work );
-          ("speedup", Float (q2 speedup));
-          ("frontier_speedup", Float (q2 frontier_speedup));
-          ( "pair",
-            Obj
-              [
-                ("graph", String "grid");
-                ("n", Int (Graph.n pg));
-                ("protocol", String "AGG+VERI pair, t=3");
-                ("rounds_per_run", Int pdur);
-                ("runs_timed", Int (List.length perf_reps));
-                ("cores", Int cores);
-                ("metrics_identical", Bool pair_identical);
-                ( "every_round",
-                  row "CSR delivery loop, wake = every_round" pair_every_wall pair_every_rps
-                    pair_every_work );
-                ( "frontier",
-                  row "CSR delivery loop, Pair.wake (frontier rounds)" pair_fast_wall
-                    pair_fast_rps pair_fast_work );
-                ("frontier_speedup", Float (q2 pair_speedup));
-              ] );
-          ( "sweep",
-            Obj
-              [
-                ("domains", Int domains);
-                ("wall_s", Float (q4 sweep_wall));
-                ("speedup_vs_serial", Float (q2 (fast_wall /. sweep_wall)));
-              ] );
-        ])
-  in
-  let fields = match json with Bench_io.Obj f -> f | _ -> assert false in
-  Bench_io.write_file ~path:"BENCH_engine.json"
-    (Bench_io.Obj (fields @ bench_engine_others (List.map fst fields)));
-  Printf.printf "wrote BENCH_engine.json\n";
-  if speedup < 3.0 then
-    Printf.printf "WARNING: speedup %.2fx is below the 3x target for this benchmark\n" speedup
+  Bench_io.
+    [
+      ("benchmark", String "engine-hot-path");
+      ("graph", String "grid");
+      ("n", Int (Graph.n g));
+      ("protocol", String "AGG");
+      ("rounds_per_run", Int dur);
+      ("runs_timed", Int (List.length perf_reps));
+      ("timing", String "fastest of 5 sweeps after a warm-up run");
+      ("cores", Int cores);
+      ("metrics_identical", Bool identical);
+      ( "seed_pipeline",
+        row "reference (list-based), exec-tagged messages" seed_wall seed_rps seed_work );
+      ( "every_round_pipeline",
+        row "CSR delivery loop, raw message bodies, wake = every_round" every_wall every_rps
+          every_work );
+      ( "overhauled_pipeline",
+        row "CSR delivery loop, raw message bodies, AGG's wake (frontier rounds)" fast_wall
+          fast_rps fast_work );
+      ("speedup", Float (q2 speedup));
+      ("frontier_speedup", Float (q2 frontier_speedup));
+      ( "pair",
+        Obj
+          [
+            ("graph", String "grid");
+            ("n", Int (Graph.n pg));
+            ("protocol", String "AGG+VERI pair, t=3");
+            ("rounds_per_run", Int pdur);
+            ("runs_timed", Int (List.length perf_reps));
+            ("cores", Int cores);
+            ("metrics_identical", Bool pair_identical);
+            ( "every_round",
+              row "CSR delivery loop, wake = every_round" pair_every_wall pair_every_rps
+                pair_every_work );
+            ( "frontier",
+              row "CSR delivery loop, Pair.wake (frontier rounds)" pair_fast_wall pair_fast_rps
+                pair_fast_work );
+            ("frontier_speedup", Float (q2 pair_speedup));
+          ] );
+      ( "sweep",
+        Obj
+          [
+            ("domains", Int domains);
+            ("wall_s", Float (q4 sweep_wall));
+            ("speedup_vs_serial", Float (q2 (fast_wall /. sweep_wall)));
+          ] );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E19 — service throughput: jobs/sec and cache hit rate vs queue      *)
@@ -1452,10 +1386,6 @@ let perf () =
 (* ------------------------------------------------------------------ *)
 
 let e19 () =
-  header
-    "E19 | service throughput — jobs/sec and cache hit rate\n\
-     60 jobs (20 distinct x 3 tenants) through the scheduler, swept over\n\
-     queue capacity and domain count; JSON to BENCH_engine.json";
   let module S = Service.Scheduler in
   let module R = Service.Reconfig in
   let n = 36 in
@@ -1557,8 +1487,7 @@ let e19 () =
           ("cells", List cells);
         ])
   in
-  write_baseline "service_throughput" payload;
-  Printf.printf "wrote BENCH_engine.json (service_throughput)\n"
+  [ ("service_throughput", payload) ]
 
 (* ------------------------------------------------------------------ *)
 (* E20 — cross-protocol matrix over the backend registry               *)
@@ -1571,13 +1500,9 @@ let q6 x = Float.round (x *. 1e6) /. 1e6
    headline contrast is the crash rows — flow-updating's crash-reset
    flows recover the routed mass, so its error re-converges toward zero,
    while push-sum's destroyed mass leaves a permanent bias.  That strict
-   inequality is asserted here and re-checked by [guard] against the
-   committed BENCH_engine.json. *)
-let e20_table () =
-  header
-    "E20 | Cross-protocol matrix — correctness guarantee x CC x TC per backend\n\
-     same topology, inputs, budget and crash schedule for every backend;\n\
-     JSON to BENCH_engine.json (cross_protocol)";
+   inequality is asserted here and re-checked by [guard_cross_protocol]
+   against the committed BENCH_engine.json. *)
+let e20 () =
   let n = 36 in
   let g = Gen.grid n in
   let inputs = Array.make n 10 in
@@ -1683,11 +1608,7 @@ let e20_table () =
                  rows) );
         ])
   in
-  payload
-
-let e20 () =
-  write_baseline "cross_protocol" (e20_table ());
-  Printf.printf "wrote BENCH_engine.json (cross_protocol)\n"
+  [ ("cross_protocol", payload) ]
 
 (* ------------------------------------------------------------------ *)
 (* E21 — update lag: client-observed latency through a live handoff    *)
@@ -1703,10 +1624,6 @@ let e20 () =
    as the tail (the request that rides retry/backoff across the gap) and
    [failed_requests] must stay 0: zero downtime as the client sees it. *)
 let e21 () =
-  header
-    "E21 | update lag — client-observed latency through a live handoff\n\
-     sustained load, takeover mid-stream (fd-pass and rebind legs);\n\
-     per-request percentiles to BENCH_engine.json (update_lag)";
   let module L = Transport.Listener in
   let module C = Transport.Client in
   let module H = Transport.Handoff in
@@ -1856,8 +1773,7 @@ let e21 () =
           ("legs", List legs);
         ])
   in
-  write_baseline "update_lag" payload;
-  Printf.printf "wrote BENCH_engine.json (update_lag)\n"
+  [ ("update_lag", payload) ]
 
 (* ------------------------------------------------------------------ *)
 (* E22 — fleet scaling: jobs/sec vs server process count, cold vs      *)
@@ -1865,10 +1781,6 @@ let e21 () =
 (* ------------------------------------------------------------------ *)
 
 let e22 () =
-  header
-    "E22 | fleet scaling — jobs/sec vs process count, cold vs warm\n\
-     forked server processes on unix sockets sharing one outcome store,\n\
-     driven by the consistent-hash fan-out client; JSON to BENCH_engine.json (fleet)";
   let module L = Transport.Listener in
   let module C = Transport.Client in
   let module Srv = Service.Server in
@@ -1991,8 +1903,7 @@ let e22 () =
   let payload =
     Bench_io.(Obj [ ("jobs", Int n_jobs); ("distinct", Int n_jobs); ("rows", List rows) ])
   in
-  write_baseline "fleet" payload;
-  Printf.printf "wrote BENCH_engine.json (fleet)\n"
+  [ ("fleet", payload) ]
 
 (* ------------------------------------------------------------------ *)
 (* E23 — N-scaling: AGG through the massive-scale executor             *)
@@ -2005,11 +1916,6 @@ let e22 () =
    sweep for constrained environments (CI smoke).  JSON under the
    "scale" key of BENCH_engine.json; [guard_scale] re-checks it. *)
 let e23 () =
-  header
-    "E23 | N-scaling — AGG on streamed graphs through the scale executor\n\
-     random-regular(4) at N = 1k / 10k / 100k / 1M, rounds/sec and\n\
-     bytes/node per size; domain sweep at 100k; pin at 1k; JSON to\n\
-     BENCH_engine.json";
   let seed = 7 in
   let max_n =
     match Option.bind (Sys.getenv_opt "FTAGG_E23_MAX_N") int_of_string_opt with
@@ -2122,8 +2028,7 @@ let e23 () =
           ("domain_sweep", List sweep_rows);
         ])
   in
-  write_baseline "scale" payload;
-  Printf.printf "wrote BENCH_engine.json (scale)\n"
+  [ ("scale", payload) ]
 
 (* ------------------------------------------------------------------ *)
 (* E24 — churn & elasticity: the scenario matrix                       *)
@@ -2135,11 +2040,7 @@ let e23 () =
    identical join/crash schedules and identical percentile tables), so
    the JSON payload is a stable committed baseline; [guard_scenarios]
    re-checks it. *)
-let e24_table () =
-  header
-    "E24 | churn & elasticity — scenario matrix over topology generations\n\
-     4 schedules x {agg, flowupdating}, 5 generations x 3 runs on an evolving grid;\n\
-     percentile completion + p95 per-node bandwidth; JSON to BENCH_engine.json";
+let e24 () =
   let spec = Scenario.default in
   let reports = Scenario.run spec in
   Table.print (Scenario.table reports);
@@ -2169,43 +2070,24 @@ let e24_table () =
         ("rows", Bench_io.List (List.map Scenario.report_to_json reports));
       ]
   in
-  (payload, List.length reports)
-
-let e24 () =
-  let payload, rows = e24_table () in
-  write_baseline "scenarios" payload;
-  Printf.printf "\nwrote scenario matrix (%d rows) to BENCH_engine.json\n" rows
+  [ ("scenarios", payload) ]
 
 (* ------------------------------------------------------------------ *)
-(* guard — CI regression gate on the engine hot path                   *)
+(* guards — CI regression gates on the committed BENCH_engine.json     *)
 (* ------------------------------------------------------------------ *)
 
-(* Re-checking the committed baseline.  Every sub-guard reads its own
-   key of BENCH_engine.json through [committed] and the typed getters
-   below; any shape mismatch raises [Guard_failed], which [guard] reports
-   under the sub-guard's name. *)
+(* Re-checking the committed baseline.  Every experiment's guard reads
+   its own keys of BENCH_engine.json through [committed] and the typed
+   getters below; any shape mismatch raises [Guard_failed], which [guard]
+   reports under the experiment's id. *)
 exception Guard_failed of string
 
 let fail fmt = Printf.ksprintf (fun msg -> raise (Guard_failed msg)) fmt
 
-(* The experiment that writes each committed key. *)
-let baseline_writers =
-  [
-    ("overhauled_pipeline", "perf"); ("pair", "perf"); ("cross_protocol", "e20");
-    ("update_lag", "e21");
-    ("fleet", "e22"); ("scale", "e23"); ("scenarios", "e24");
-  ]
-
-let committed key =
-  match Bench_io.read_file ~path:"BENCH_engine.json" with
-  | exception Sys_error e -> fail "%s" e
-  | Error e -> fail "%s" e
-  | Ok json -> (
-    match Bench_io.member key json with
-    | Some sub -> sub
-    | None ->
-      fail "no %s object in BENCH_engine.json (run bench %s)" key
-        (List.assoc key baseline_writers))
+let committed baseline key =
+  match Bench_io.member key baseline with
+  | Some sub -> sub
+  | None -> fail "no %s object in BENCH_engine.json" key
 
 let field conv what k j =
   match Option.bind (Bench_io.member k j) conv with
@@ -2219,11 +2101,23 @@ let get_bool = field Bench_io.to_bool "boolean"
 let get_list = field Bench_io.to_list "list"
 let get_obj = field Option.some "object"
 
-(* The frontier's work as counts, independent of host speed: [perf]'s
-   AGG run must step and visit no more nodes than the committed
-   [overhauled_pipeline] row, and its pair run no more than
-   [pair.frontier]. *)
-let guard_frontier_steps () =
+(* [perf]'s guard.  Re-times the fast engine on [perf]'s exact config and
+   fails when rounds/sec drops more than 30% below the committed
+   [overhauled_pipeline] row: the gate on accidental de-optimisation of
+   the round kernel.  Then re-counts the frontier's work, which does not
+   depend on host speed: [perf]'s AGG run must step and visit no more
+   nodes than that row, and its pair run no more than [pair.frontier]. *)
+let guard_perf baseline =
+  let fast = committed baseline "overhauled_pipeline" in
+  let baseline_rps = get_float "rounds_per_sec" fast in
+  let g, params, failures, dur = perf_workload () in
+  let csr seed = Engine.run ~graph:g ~failures ~max_rounds:dur ~seed in
+  let wall, rps = perf_sweep ~dur (fun s -> csr s (Agg.protocol params)) in
+  let ratio = rps /. baseline_rps in
+  Printf.printf "baseline  %9.0f rounds/sec (BENCH_engine.json)\n" baseline_rps;
+  Printf.printf "measured  %9.0f rounds/sec (%.3f s, fastest of 5 sweeps)\n" rps wall;
+  Printf.printf "ratio     %9.2fx (gate: >= 0.70)\n" ratio;
+  if ratio < 0.7 then fail "hot path regressed more than 30%% vs the committed baseline";
   let check ~who ~label row (steps, visits) =
     List.iter
       (fun (noun, count) ->
@@ -2234,19 +2128,17 @@ let guard_frontier_steps () =
           committed)
       [ ("steps", steps); ("visits", visits) ]
   in
-  let g, params, failures, dur = perf_workload () in
-  check ~who:"AGG" ~label:"" (committed "overhauled_pipeline")
-    (node_work (Engine.run ~graph:g ~failures ~max_rounds:dur ~seed:1) (Agg.protocol params));
+  check ~who:"AGG" ~label:"" fast (node_work (csr 1) (Agg.protocol params));
   let g, params, failures, dur = perf_pair_workload () in
   check ~who:"the pair" ~label:"pair "
-    (get_obj "frontier" (committed "pair"))
+    (get_obj "frontier" (committed baseline "pair"))
     (node_work (Engine.run ~graph:g ~failures ~max_rounds:dur ~seed:1) (Pair.protocol params))
 
 (* The committed E20 matrix must exist, cover the registry, and keep the
    mass-conservation contrast: on every crash row set, flow-updating's
    relative error strictly below push-sum's. *)
-let guard_cross_protocol () =
-  let rows = get_list "rows" (committed "cross_protocol") in
+let guard_cross_protocol baseline =
+  let rows = get_list "rows" (committed baseline "cross_protocol") in
   List.iter
     (fun bk ->
       if not (List.exists (fun r -> get_str "backend" r = bk) rows) then
@@ -2284,8 +2176,8 @@ let guard_cross_protocol () =
    (ordered) percentiles, and at least one client reconnect per leg —
    proof a handoff actually happened mid-stream.  Machine-dependent
    absolute timings are deliberately not gated. *)
-let guard_update_lag () =
-  let legs = get_list "legs" (committed "update_lag") in
+let guard_update_lag baseline =
+  let legs = get_list "legs" (committed baseline "update_lag") in
   List.iter
     (fun name ->
       let l =
@@ -2293,7 +2185,7 @@ let guard_update_lag () =
           List.find_opt (fun l -> Bench_io.member "leg" l = Some (Bench_io.String name)) legs
         with
         | Some l -> l
-        | None -> fail "leg %S missing (run bench e21)" name
+        | None -> fail "leg %S missing" name
       in
       if get_int "requests" l < 100 then fail "%s: too few requests to mean anything" name;
       if get_int "failed_requests" l <> 0 then
@@ -2311,14 +2203,14 @@ let guard_update_lag () =
         p50 p95 p99 mx)
     [ "unix_fd_pass"; "tcp_rebind" ]
 
-let guard_fleet () =
-  let sub = committed "fleet" in
+let guard_fleet baseline =
+  let sub = committed baseline "fleet" in
   let jobs = get_int "jobs" sub in
   let rows = get_list "rows" sub in
   let get_row p =
     match List.find_opt (fun r -> get_int "processes" r = p) rows with
     | Some r -> r
-    | None -> fail "no row for %d process(es) (run bench e22)" p
+    | None -> fail "no row for %d process(es)" p
   in
   let prev_cold = ref 0. in
   List.iter
@@ -2353,15 +2245,15 @@ let guard_fleet () =
    layout), the 1k differential pin green, and — only when the
    committed run had >= 4 cores — the 4-domain sweep at least 2x the
    single-domain rate. *)
-let guard_scale () =
-  let sub = committed "scale" in
+let guard_scale baseline =
+  let sub = committed baseline "scale" in
   if not (get_bool "pin_ok" sub) then
     fail "pin_ok is not true (executor diverged from Engine.run_reference)";
   let rows = get_list "rows" sub in
   let row_for n =
     match List.find_opt (fun r -> get_int "n" r = n) rows with
     | Some r -> r
-    | None -> fail "no row for N=%d (run bench e23 uncapped)" n
+    | None -> fail "no row for N=%d (run it without FTAGG_E23_MAX_N)" n
   in
   let prev_rps = ref infinity in
   List.iter
@@ -2409,12 +2301,12 @@ let guard_scale () =
    schedule x backend cell, keep clear skies at 100% completion with
    ordered latency percentiles everywhere, and keep flow-updating's
    worst relative error under churn bounded. *)
-let guard_scenarios () =
-  let rows = get_list "rows" (committed "scenarios") in
+let guard_scenarios baseline =
+  let rows = get_list "rows" (committed baseline "scenarios") in
   let row s bk =
     match List.find_opt (fun r -> get_str "schedule" r = s && get_str "backend" r = bk) rows with
     | Some r -> r
-    | None -> fail "no row for %s/%s (run bench e24)" s bk
+    | None -> fail "no row for %s/%s" s bk
   in
   List.iter
     (fun s ->
@@ -2445,80 +2337,161 @@ let guard_scenarios () =
      bounded  OK\n"
     (List.length rows)
 
-(* Re-times the fast engine on [perf]'s exact config and compares
-   rounds/sec against the committed BENCH_engine.json.  More than a 30%
-   drop fails the process (exit 1) — the CI gate for accidental
-   de-optimisation of the CSR delivery loop.  Also re-counts the
-   frontier's node steps ([guard_frontier_steps]) and re-validates the
-   committed E20-E24 tables ([guard_cross_protocol] and the rest).  Unlike
-   [perf]/[e20] it never rewrites the baseline, and it is not part of the
-   default experiment list: run it explicitly as `bench/main.exe -- guard`. *)
+
+(* ------------------------------------------------------------------ *)
+(* the registry                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* One record per experiment.  [claim] is the header printed above its
+   output.  [run] prints the experiment's tables and returns the
+   BENCH_engine.json fields it owns ([] for most).  [guard] re-checks
+   the committed baseline.  [golden] puts its output in
+   test/golden/experiments.expected, so it must be a pure function of
+   its seeds. *)
+type experiment = {
+  id : string;
+  claim : string;
+  run : unit -> (string * Bench_io.json) list;
+  guard : (Bench_io.json -> unit) option;
+  golden : bool;
+}
+
+let no_json print () =
+  print ();
+  []
+
+let registry =
+  [
+    { id = "e1"; run = no_json e1; guard = None; golden = true;
+      claim = "E1 | Figure 1 — communication-time tradeoff for SUM\n\
+               brute-force (TC=O(1)), folklore (TC=O(f)), Algorithm 1 (tunable b)" };
+    { id = "e2"; run = no_json e2; guard = None; golden = true;
+      claim = "E2 | Table 2 — guarantees of AGG and VERI in the three scenarios" };
+    { id = "e3"; run = no_json e3; guard = None; golden = true;
+      claim = "E3 | Theorem 3 — AGG: TC <= 11c flooding rounds, CC <= (11t+14)(logN+5)" };
+    { id = "e4"; run = no_json e4; guard = None; golden = true;
+      claim = "E4 | Theorem 6 — VERI: TC <= 8c flooding rounds, CC <= (5t+7)(3logN+10)" };
+    { id = "e5"; run = no_json e5; guard = None; golden = true;
+      claim = "E5 | Theorem 1 — Algorithm 1 CC = O(f/b*log^2 N + log^2 N), TC <= b" };
+    { id = "e6"; run = no_json e6; guard = None; golden = true;
+      claim = "E6 | Theorem 12 & [4] — UNIONSIZECP: measured CC between the two bounds" };
+    { id = "e7"; run = no_json e7; guard = None; golden = true;
+      claim = "E7 | Theorem 8 — EQUALITYCP <= UNIONSIZECP + O(log q) + O(log n)" };
+    { id = "e8"; run = no_json e8; guard = None; golden = true;
+      claim = "E8 | Lemma 11 / Theorem 9 — Sperner rank certificate" };
+    { id = "e9"; run = no_json e9; guard = None; golden = true;
+      claim = "E9 | Unknown-f doubling trick — CC tracks the actual failure count" };
+    { id = "e10"; run = no_json e10; guard = None; golden = true;
+      claim = "E10 | §2 — the same Algorithm 1 computes any CAAF" };
+    { id = "e11"; run = no_json e11; guard = None; golden = true;
+      claim = "E11 | Ablations — removing §4.2 speculation or §4.3 witnesses breaks AGG" };
+    { id = "e12"; run = no_json e12; guard = None; golden = true;
+      claim = "E12 | Zero-error vs approximate aggregation\n\
+               Algorithm 1 (this paper) vs push-sum gossip [8] and synopsis diffusion [14]" };
+    { id = "e13"; run = no_json e13; guard = None; golden = true;
+      claim = "E13 | Partition argument — two-party transcripts of Algorithm 1 across cuts" };
+    { id = "e14"; run = no_json e14; guard = None; golden = true;
+      claim = "E14 | FT0 landscape — Algorithm 1's worst measured CC over\n\
+               topology families x adversary schedules (N = 48, f = 10, b = 63)" };
+    { id = "e15"; run = no_json e15; guard = None; golden = true;
+      claim = "E15 | Derandomization ablation — Algorithm 1's sampled intervals vs a\n\
+               sequential scan, under per-interval LFC chains" };
+    { id = "e16"; run = no_json e16; guard = None; golden = true;
+      claim = "E16 | Out-of-model exploration — the crash-only guarantees do not\n\
+               survive lossy links (the paper's model assumes reliable broadcast)" };
+    { id = "e17"; run = no_json e17; guard = None; golden = true;
+      claim = "E17 | Chaos campaign — adaptive (traffic-aware) adversaries vs the paper's\n\
+               oblivious schedules at the same edge-failure budget, plus the\n\
+               duplication/delay fault boundary (extending E16's loss boundary)" };
+    { id = "e18"; run = no_json e18; guard = None; golden = true;
+      claim = "E18 | Telemetry — where Algorithm 1's bits go, by protocol phase\n\
+               256-node grid, f=16, b swept; spans attribute every broadcast to the\n\
+               AGG/VERI phase (or tradeoff fallback) active at the sender" };
+    { id = "e19"; run = e19; guard = None; golden = false;
+      claim = "E19 | service throughput — jobs/sec and cache hit rate\n\
+               60 jobs (20 distinct x 3 tenants) through the scheduler, swept over\n\
+               queue capacity and domain count; JSON to BENCH_engine.json" };
+    { id = "e20"; run = e20; guard = Some guard_cross_protocol; golden = true;
+      claim = "E20 | Cross-protocol matrix — correctness guarantee x CC x TC per backend\n\
+               same topology, inputs, budget and crash schedule for every backend;\n\
+               JSON to BENCH_engine.json (cross_protocol)" };
+    { id = "e21"; run = e21; guard = Some guard_update_lag; golden = false;
+      claim = "E21 | update lag — client-observed latency through a live handoff\n\
+               sustained load, takeover mid-stream (fd-pass and rebind legs);\n\
+               per-request percentiles to BENCH_engine.json (update_lag)" };
+    { id = "e22"; run = e22; guard = Some guard_fleet; golden = false;
+      claim = "E22 | fleet scaling — jobs/sec vs process count, cold vs warm\n\
+               forked server processes on unix sockets sharing one outcome store,\n\
+               driven by the consistent-hash fan-out client; JSON to BENCH_engine.json (fleet)" };
+    { id = "e23"; run = e23; guard = Some guard_scale; golden = false;
+      claim = "E23 | N-scaling — AGG on streamed graphs through the scale executor\n\
+               random-regular(4) at N = 1k / 10k / 100k / 1M, rounds/sec and\n\
+               bytes/node per size; domain sweep at 100k; pin at 1k; JSON to\n\
+               BENCH_engine.json" };
+    { id = "e24"; run = e24; guard = Some guard_scenarios; golden = true;
+      claim = "E24 | churn & elasticity — scenario matrix over topology generations\n\
+               4 schedules x {agg, flowupdating}, 5 generations x 3 runs on an evolving grid;\n\
+               percentile completion + p95 per-node bandwidth; JSON to BENCH_engine.json" };
+    { id = "timing"; run = no_json timing; guard = None; golden = false;
+      claim = "timing | bechamel wall-clock micro-benchmarks" };
+    { id = "perf"; run = perf; guard = Some guard_perf; golden = false;
+      claim = "PERF | engine hot path — reference (seed) pipeline vs CSR engine, every round vs \
+               frontier\n\
+               256-node grid, AGG, and 100-node grid, AGG+VERI pair; identical metrics required;\n\
+               JSON to BENCH_engine.json" };
+  ]
+
+(* Prints [e]'s claim and tables; returns the fields [e] owns. *)
+let exec e =
+  header e.claim;
+  e.run ()
+
+(* Merges [fields] into BENCH_engine.json: a key already there is
+   replaced in place, so regenerating an unchanged payload leaves the
+   file byte-identical, and a new key is appended. *)
+let write_fields fields =
+  let old =
+    match Bench_io.read_file ~path:"BENCH_engine.json" with
+    | Ok (Bench_io.Obj old) -> old
+    | Ok _ | Error _ | (exception Sys_error _) -> []
+  in
+  let kept = List.map (fun (k, v) -> (k, Option.value (List.assoc_opt k fields) ~default:v)) old in
+  let added = List.filter (fun (k, _) -> not (List.mem_assoc k old)) fields in
+  Bench_io.write_file ~path:"BENCH_engine.json" (Bench_io.Obj (kept @ added));
+  Printf.printf "wrote BENCH_engine.json (%s)\n" (String.concat ", " (List.map fst fields))
+
+(* The CI regression gate: every registered guard, in registry order,
+   against the committed BENCH_engine.json, which it never rewrites.
+   Exits 3 when the file cannot be read and 1 on the first failed guard,
+   named by its experiment's id.  Anything a guard did not anticipate (a
+   malformed or pre-upgrade baseline) is reported the same way instead
+   of as a raw backtrace. *)
 let guard () =
   header
     "GUARD | bench regression gate — fast engine vs committed BENCH_engine.json\n\
      fails (exit 1) if rounds/sec drops more than 30% below the baseline or\n\
      the frontier (AGG or the pair) steps more nodes than the committed count";
-  match get_float "rounds_per_sec" (committed "overhauled_pipeline") with
-  | exception Guard_failed e ->
-    Printf.eprintf "guard: cannot read the committed baseline: %s\n" e;
-    exit 3
-  | baseline_rps ->
-    let g, params, failures, dur = perf_workload () in
-    let run_fast s =
-      Engine.run ~graph:g ~failures ~max_rounds:dur ~seed:s (Agg.protocol params)
-    in
-    let wall, rps = perf_sweep ~dur run_fast in
-    let ratio = rps /. baseline_rps in
-    Printf.printf "baseline  %9.0f rounds/sec (BENCH_engine.json)\n" baseline_rps;
-    Printf.printf "measured  %9.0f rounds/sec (%.3f s, fastest of 5 sweeps)\n" rps wall;
-    Printf.printf "ratio     %9.2fx (gate: >= 0.70)\n" ratio;
-    if ratio < 0.7 then begin
-      Printf.printf "guard: FAIL — hot path regressed more than 30%% vs the committed baseline\n";
-      exit 1
-    end
-    else begin
-      (* Sub-guards raise [Guard_failed] with a reason on every expected
-         shape mismatch or failed check; this wrapper reports it, and
-         turns anything they did not anticipate (a malformed or
-         pre-upgrade committed baseline) into the same clear failure
-         instead of a raw backtrace. *)
-      let subguard name f =
-        try f () with
+  let baseline =
+    match Bench_io.read_file ~path:"BENCH_engine.json" with
+    | Ok json -> json
+    | Error e | (exception Sys_error e) ->
+      Printf.eprintf "guard: cannot read the committed baseline: %s\n" e;
+      exit 3
+  in
+  List.iter
+    (fun e ->
+      match e.guard with
+      | None -> ()
+      | Some check -> (
+        try check baseline with
         | Guard_failed msg ->
-          Printf.eprintf "guard: %s — %s\n" name msg;
+          Printf.eprintf "guard: %s — %s\n" e.id msg;
           exit 1
-        | e ->
+        | exn ->
           Printf.eprintf
             "guard: %s — unexpected error re-checking the committed baseline: %s\n\
-             (BENCH_engine.json stale or malformed? regenerate it with bench/main.exe)\n"
-            name (Printexc.to_string e);
-          exit 1
-      in
-      subguard "frontier_steps" guard_frontier_steps;
-      subguard "cross_protocol" guard_cross_protocol;
-      subguard "update_lag" guard_update_lag;
-      subguard "fleet" guard_fleet;
-      subguard "scale" guard_scale;
-      subguard "scenarios" guard_scenarios;
-      Printf.printf "guard: OK\n"
-    end
-
-let all_experiments =
-  [
-    ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
-    ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
-    ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15); ("e16", e16);
-    ("e17", e17); ("e18", e18); ("e19", e19); ("e20", e20); ("e21", e21);
-    ("e22", e22); ("e23", e23); ("e24", e24); ("timing", timing); ("perf", perf);
-  ]
-
-(* Runnable only by name — never part of the no-args "run everything"
-   sweep (guard exits nonzero by design, and must not overwrite
-   timings). *)
-let on_request_only = [ ("guard", guard) ]
-
-(* The print-only half of the experiments whose [run] also writes a
-   BENCH_engine.json key: the golden files diff these, so a golden rule
-   neither reads nor rewrites the committed baseline. *)
-let print_only =
-  [ ("e20", fun () -> ignore (e20_table ())); ("e24", fun () -> ignore (e24_table ())) ]
+             (BENCH_engine.json stale or malformed? regenerate it with bench/main.exe %s)\n"
+            e.id (Printexc.to_string exn) e.id;
+          exit 1))
+    registry;
+  Printf.printf "guard: OK\n"

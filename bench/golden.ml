@@ -1,22 +1,15 @@
-(* Prints the named experiments for the golden files in test/golden/:
-   e20 and e24 in their print-only form, without the BENCH_engine.json
-   write, and every other experiment as [main.exe] runs it.  The golden
-   rules name only experiments that then write nothing.
+(* Prints every experiment [experiments.ml] marks golden, in registry
+   order: test/golden/experiments.expected.  It writes no
+   BENCH_engine.json field, so the golden rule neither reads nor
+   rewrites the committed baseline.
 
-     dune exec bench/golden.exe -- e20 *)
+     dune exec bench/golden.exe *)
 
 open Experiments
 
 let () =
-  Array.iteri
-    (fun i pick ->
-      if i > 0 then
-        match List.assoc_opt pick print_only with
-        | Some f -> f ()
-        | None -> (
-          match List.assoc_opt pick all_experiments with
-          | Some f -> f ()
-          | None ->
-            Printf.eprintf "unknown experiment %S\n" pick;
-            exit 3))
-    Sys.argv
+  if Array.length Sys.argv > 1 then begin
+    prerr_endline "golden.exe takes no arguments";
+    exit 3
+  end;
+  List.iter (fun e -> if e.golden then ignore (exec e)) registry

@@ -134,6 +134,22 @@ let exec_row ?obs ~what ~view ~name ~graph ~failures ~params ~b ~f ~seed () =
 
 let print_evidence = List.iter (fun (k, v) -> Printf.printf "%-11s: %s\n" k v)
 
+(* The executor's partition count, shared by run and stats: below 1 is
+   bad input, one line and exit 3. *)
+let domains_arg =
+  let check d =
+    if d < 1 then begin
+      Printf.eprintf "ftagg: --domains must be at least 1 (got %d)\n" d;
+      exit 3
+    end;
+    d
+  in
+  Term.(
+    const check
+    $ Arg.(
+        value & opt int 1
+        & info [ "domains" ] ~doc:"Executor partitions, one OCaml domain each (with --scale)."))
+
 (* The massive-scale data path: a streamed Bigraph CSR through the
    partitioned executor (lib/scale), never materialising the adjacency
    sets.  Supports the streaming topology specs (grid, torus, regular)
@@ -251,11 +267,6 @@ let run_cmd =
              grid, torus and regular topologies and the none/chain failure modes; \
              $(b,--protocol), $(b,--backend) and $(b,--aggregate) are ignored (AGG over SUM).")
   in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~doc:"Executor partitions, one OCaml domain each (with --scale).")
-  in
   let mem_limit =
     Arg.(
       value
@@ -308,7 +319,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run a protocol on a generated topology under an adversary.")
     Term.(
       const run $ protocol $ topology $ nodes $ seed $ caaf $ b_arg $ f_arg $ tolerance_arg
-      $ failures_arg $ budget_arg $ max_input $ backend $ scale $ domains $ mem_limit $ pin)
+      $ failures_arg $ budget_arg $ max_input $ backend $ scale $ domains_arg $ mem_limit $ pin)
 
 let graph_cmd =
   let run topology n seed =
@@ -525,11 +536,6 @@ let stats_cmd =
              words/round, peak RSS).  Grid/torus/regular topologies, no failures; \
              $(b,--protocol) is ignored.")
   in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~doc:"Executor partitions, one OCaml domain each (with --scale).")
-  in
   let run protocol topology n seed b f tol fmode prom scale domains =
     let protocol, value, code, cc, rounds, registry =
       if scale then begin
@@ -606,7 +612,7 @@ let stats_cmd =
           the massive-scale executor's scale_* series).")
     Term.(
       const run $ protocol_arg $ topology $ nodes $ seed $ b_arg $ f_arg $ tolerance_arg
-      $ failures_arg $ prom $ scale $ domains)
+      $ failures_arg $ prom $ scale $ domains_arg)
 
 let rank_cmd =
   let q = Arg.(value & opt int 7 & info [ "q" ] ~doc:"Alphabet size (>= 2).") in
