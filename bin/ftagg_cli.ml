@@ -151,9 +151,8 @@ let domains_arg =
         & info [ "domains" ] ~doc:"Executor partitions, one OCaml domain each (with --scale)."))
 
 (* The massive-scale data path: a streamed Bigraph CSR through the
-   partitioned executor (lib/scale), never materialising the adjacency
-   sets.  Supports the streaming topology specs (grid, torus, regular)
-   and the failure modes that need no materialised graph (none, chain).
+   partitioned executor (lib/scale).  Supports the streaming topology
+   specs (grid, torus, regular) and the failure modes none and chain.
    Returns the process exit code. *)
 let run_scale ~topology ~n ~seed ~tol ~fmode ~budget ~max_input ~domains ~mem_limit ~pin =
   match Bigraph.spec_of_family topology with
@@ -178,8 +177,8 @@ let run_scale ~topology ~n ~seed ~tol ~fmode ~budget ~max_input ~domains ~mem_li
       match String.lowercase_ascii fmode with
       | "none" -> Failure.none ~n
       | "random" ->
-        (* The global default adversary samples over a materialised graph;
-           at scale fall back to the failure-free run rather than refuse
+        (* --scale runs the none and chain schedules only; the global
+           default falls back to the failure-free run rather than refuse
            a bare [ftagg run --scale]. *)
         Printf.eprintf "ftagg: --scale has no %S adversary; running failure-free\n" fmode;
         Failure.none ~n
@@ -231,10 +230,10 @@ let run_scale ~topology ~n ~seed ~tol ~fmode ~budget ~max_input ~domains ~mem_li
         (gauge "scale_peak_rss_kb" /. 1024.0);
       if not pin then code
       else begin
-        (* Differential pin: materialise the same topology and replay the
-           identical run through the every-node spec.  Meant for small n
-           (the reference engine allocates adjacency sets). *)
-        let r = Scale_run.reference ~graph:(Bigraph.to_graph bg) ~failures ~params ~seed in
+        (* Differential pin: replay the identical run on the same graph
+           through the every-node spec.  Meant for small n (the reference
+           engine steps every node every round and builds list inboxes). *)
+        let r = Scale_run.reference ~graph:bg ~failures ~params ~seed in
         let ok = Scale_run.agrees r o in
         Printf.printf "pin        : %s\n"
           (if ok then "OK (byte-identical to Engine.run_reference)"
@@ -262,8 +261,8 @@ let run_cmd =
       value & flag
       & info [ "scale" ]
           ~doc:
-            "Run AGG on the massive-scale data path: a streamed CSR graph (never materialised) \
-             through the multi-domain partitioned executor, with memory metering.  Supports \
+            "Run AGG on the massive-scale data path: a streamed CSR graph through the \
+             multi-domain partitioned executor, with memory metering.  Supports \
              grid, torus and regular topologies and the none/chain failure modes; \
              $(b,--protocol), $(b,--backend) and $(b,--aggregate) are ignored (AGG over SUM).")
   in
@@ -279,11 +278,11 @@ let run_cmd =
       value & flag
       & info [ "pin" ]
           ~doc:
-            "After the scale run, materialise the same topology, replay through the reference \
-             engine (Engine.run_reference, which steps every node every round) and compare \
-             results, rounds, CC, total bits and every node's bits and messages; exit 1 on \
-             mismatch.  Small n only — the reference engine allocates the full adjacency \
-             structure.")
+            "After the scale run, replay it on the same graph through the reference engine \
+             (Engine.run_reference, which steps every node every round) and compare results, \
+             rounds, CC, total bits and every node's bits and messages; exit 1 on mismatch.  \
+             Small n only — the reference engine builds list inboxes for every node every \
+             round.")
   in
   let run protocol topology n seed caaf b f tol fmode budget max_input backend_opt scale domains
       mem_limit pin =

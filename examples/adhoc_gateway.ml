@@ -29,9 +29,8 @@ let () =
   (* A relay cluster near the backbone's end fails while aggregation
      runs, severing a handful of stations. *)
   let b = 64 and f = 10 in
-  let failures =
-    Failure.kill_nodes ~n ~nodes:[ 26; 27; 28 ] ~round:(3 * Network.diameter net)
-  in
+  let burst_round = 3 * Network.diameter net in
+  let failures = Failure.kill_nodes ~n ~nodes:[ 26; 27; 28 ] ~round:burst_round in
   Printf.printf "burst: relays 26, 27, 28 fail early in the window\n";
 
   (* Worst latency (MAX). *)
@@ -54,11 +53,10 @@ let () =
      higher percentile). *)
   let sorted = Array.copy latencies in
   Array.sort compare sorted;
-  let survivors =
-    Path.reachable_from_root (Graph.remove_nodes (Network.graph net) [ 26; 27; 28 ])
-  in
+  let alive = Checker.survivors ~graph:(Network.graph net) ~failures ~round:burst_round in
   let surv_sorted =
-    List.map (fun i -> latencies.(i)) survivors |> List.sort compare |> Array.of_list
+    List.filteri (fun i _ -> alive.(i)) (Array.to_list latencies)
+    |> List.sort compare |> Array.of_list
   in
   Printf.printf "reference         : k=%d over all stations = %d ms, over %d survivors = %d ms\n"
     k

@@ -61,20 +61,25 @@ let rec sort_range a lo hi =
 (* Streaming build                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* 2^20 ints = 8 MB per chunk.  Even, so (u, v) pairs never straddle a
-   chunk boundary. *)
-let chunk_words = 1 lsl 20
+(* Endpoints are buffered in chunks that start at 2^10 ints and double
+   up to 2^20 (8 MB), so a small graph allocates a few KB and a large one
+   a list of 8 MB chunks.  Every size is even, so (u, v) pairs never
+   straddle a chunk boundary. *)
+let first_chunk = 1 lsl 10
+let max_chunk = 1 lsl 20
 
 let of_iter ~n iter =
   if n <= 0 then invalid_arg "Csr.of_iter: n must be positive";
-  (* Pass 1: stream endpoint pairs into fixed-size chunks. *)
+  (* Pass 1: stream endpoint pairs into the chunks.  A full chunk is
+     exactly as long as its array. *)
   let full = ref [] in
-  let cur = ref (make_ints chunk_words) in
+  let cur = ref (make_ints first_chunk) in
   let len = ref 0 in
   let push x =
-    if !len = chunk_words then begin
+    let size = Bigarray.Array1.dim !cur in
+    if !len = size then begin
       full := !cur :: !full;
-      cur := make_ints chunk_words;
+      cur := make_ints (min (2 * size) max_chunk);
       len := 0
     end;
     set !cur !len x;
@@ -94,7 +99,7 @@ let of_iter ~n iter =
         i := !i + 2
       done
     in
-    List.iter (fun c -> scan c chunk_words) (List.rev !full);
+    List.iter (fun c -> scan c (Bigarray.Array1.dim c)) (List.rev !full);
     scan !cur !len
   in
   (* Pass 2: degree count, prefix sums, fill (reusing the degree array as
@@ -144,23 +149,6 @@ let of_iter ~n iter =
   set offsets n !w;
   let targets = Bigarray.Array1.sub targets 0 !w in
   { n; m = !w / 2; offsets; targets }
-
-(* Rows already sorted and deduplicated (a materialised graph's
-   adjacency sets): one prefix sum, one fill, no chunk buffering. *)
-let of_rows ~n ~degree ~iter_row =
-  let offsets = make_ints (n + 1) in
-  set offsets 0 0;
-  for u = 0 to n - 1 do
-    set offsets (u + 1) (get offsets u + degree u)
-  done;
-  let targets = make_ints (get offsets n) in
-  for u = 0 to n - 1 do
-    let i = ref (get offsets u) in
-    iter_row u (fun v ->
-        set targets !i v;
-        incr i)
-  done;
-  { n; m = get offsets n / 2; offsets; targets }
 
 (* One pass in the new order, each new row written behind the last, so
    the offsets need no prefix-sum pass. *)

@@ -1,20 +1,17 @@
 (** Packed compressed-sparse-row adjacency over Bigarray-backed int
-    arrays — the one adjacency representation every round loop walks.
+    arrays: the one adjacency representation of the library.  {!Graph.t}
+    is this type, and every round loop walks it.
 
-    The set-backed {!Graph.t} costs one [Set.Make(Int)] node per edge
-    endpoint (~hundreds of bytes/edge with boxing) — fine at 10^3 nodes,
-    hopeless at 10^6.  A [Csr.t] stores the same adjacency as two flat
-    off-heap int arrays (~16 bytes/directed edge), so a 1M-node, 4M-edge
-    topology is ~130 MB instead of many GB, and the GC never scans it.
+    The adjacency is two flat off-heap int arrays (~16 bytes per directed
+    edge), so a 1M-node, 4M-edge topology is ~130 MB and the GC never
+    scans it.
 
-    Rows built from edges are sorted ascending with self-loops and
-    duplicates dropped, whichever way the snapshot was built ({!of_iter}
-    from a streamed emission, [Graph.csr] from a materialised graph), so
-    two CSRs of the same edges are equal under [=] and the engine walks
-    neighbours — and draws per-edge fault coins — in the same order on
-    either.  A {!renumber}ed CSR keeps each row in its source row's
-    order instead, and the engine walks it, and builds inboxes, in that
-    order. *)
+    Rows built by {!of_iter} are sorted ascending with self-loops and
+    duplicates dropped, so two CSRs of the same edges are equal under [=]
+    and the engine walks neighbours, and draws per-edge fault coins, in
+    ascending order.  A {!renumber}ed CSR keeps each row in its source
+    row's order instead, and the engine walks it, and builds inboxes, in
+    that order. *)
 
 type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -31,18 +28,11 @@ type t = private {
 (** Exposed for hot loops; treat the arrays as read-only. *)
 
 val of_iter : n:int -> ((int -> int -> unit) -> unit) -> t
-(** [of_iter ~n iter] builds the CSR from [iter emit] without
-    materialising a graph: endpoints are buffered in fixed 8 MB chunks,
-    then counted, prefix-summed, filled, and each row sorted and
+(** [of_iter ~n iter] builds the CSR from [iter emit]: endpoints are
+    buffered in chunks that start at 2^10 ints and double up to 2^20
+    (8 MB), then counted, prefix-summed, filled, and each row sorted and
     deduplicated in place.  Duplicate edges collapse; self-loops and
-    out-of-range endpoints raise [Invalid_argument] (matching
-    [Graph.of_iter]). *)
-
-val of_rows : n:int -> degree:(int -> int) -> iter_row:(int -> (int -> unit) -> unit) -> t
-(** [of_rows ~n ~degree ~iter_row] fills the arrays straight from rows
-    the caller already holds: [iter_row u f] must call [f] on exactly
-    [degree u] neighbours of [u], ascending and without duplicates, and
-    the rows must be symmetric.  No scratch beyond the two arrays. *)
+    out-of-range endpoints raise [Invalid_argument]. *)
 
 val renumber : t -> new_id:ints -> old_id:ints -> t
 (** [renumber t ~new_id ~old_id] is [t] with node [u] renamed

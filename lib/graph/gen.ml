@@ -15,10 +15,10 @@ let check_n name n min_n =
   if n < min_n then invalid_arg (Printf.sprintf "Gen.%s: need n >= %d" name min_n)
 
 (* Every family is defined as an edge *emitter*: a function that calls
-   [emit u v] once per edge.  [Graph.of_iter] consumes the emission for
-   the small-graph constructors below, and [Scale.Bigraph] streams the
-   very same emission into a packed CSR — one edge source, two sinks,
-   and no intermediate [(int * int) list] is ever materialised. *)
+   [emit u v] once per edge.  [Graph.of_iter] streams the emission into
+   the packed CSR for the constructors below, and [Scale.Bigraph] for the
+   scale specs: one edge source, one builder, and no intermediate
+   [(int * int) list]. *)
 
 let iter_path n emit =
   check_n "path" n 2;

@@ -38,8 +38,8 @@ val iter_edges : family -> n:int -> seed:int -> (int -> int -> unit) -> unit
     families; sinks must dedupe, as {!Graph.of_iter} and [Scale.Bigraph]
     both do).  This is the {e single} edge source: [build family ~n ~seed]
     is exactly [Graph.of_iter ~n (iter_edges family ~n ~seed)], so a
-    streamed CSR built from the same emission is identical to the
-    materialised graph's adjacency.  Never allocates an edge list. *)
+    [Scale.Bigraph] built from the same emission is the same graph.
+    Never allocates an edge list. *)
 
 val family_name : family -> string
 

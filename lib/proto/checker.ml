@@ -1,17 +1,33 @@
 module Graph = Ftagg_graph.Graph
-module Path = Ftagg_graph.Path
+module Csr = Ftagg_graph.Csr
 module Failure = Ftagg_sim.Failure
 
-(* The nodes not failed in the model's sense at [round]: alive, and
-   still connected to the root in the surviving topology (§2). *)
-let connected ~graph ~failures ~round =
-  let surviving = Graph.remove_nodes graph (Failure.crashed_by failures ~round) in
-  let ok = Array.make (Graph.n graph) false in
-  List.iter (fun u -> ok.(u) <- true) (Path.reachable_from_root surviving);
+(* The nodes not failed in the model's sense at [round] (§2): one BFS
+   from the root over the graph's rows that never enters a node crashed
+   by [round]. *)
+let survivors ~graph ~failures ~round =
+  let n = Graph.n graph in
+  let ok = Array.make n false in
+  let alive v = Failure.is_alive failures ~node:v ~round in
+  if alive Graph.root then begin
+    let queue = Array.make n Graph.root in
+    let head = ref 0 and tail = ref 1 in
+    ok.(Graph.root) <- true;
+    while !head < !tail do
+      let u = queue.(!head) in
+      incr head;
+      Csr.iter_neighbors graph u (fun v ->
+          if (not ok.(v)) && alive v then begin
+            ok.(v) <- true;
+            queue.(!tail) <- v;
+            incr tail
+          end)
+    done
+  end;
   ok
 
 let correctness_sets ~graph ~failures ~end_round ~inputs =
-  let in_base = connected ~graph ~failures ~round:end_round in
+  let in_base = survivors ~graph ~failures ~round:end_round in
   let base = ref [] and optional = ref [] in
   for u = Graph.n graph - 1 downto 0 do
     if in_base.(u) then base := inputs.(u) :: !base else optional := inputs.(u) :: !optional
@@ -25,7 +41,7 @@ let result_correct ~graph ~failures ~end_round ~params result =
   Ftagg_caaf.Caaf.is_correct params.Params.caaf ~base ~optional result
 
 let model_edge_failures ~graph ~failures ~round =
-  let ok = connected ~graph ~failures ~round in
+  let ok = survivors ~graph ~failures ~round in
   Graph.fold_edges (fun u v acc -> if ok.(u) && ok.(v) then acc else acc + 1) graph 0
 
 type agg_trace = {
@@ -59,7 +75,7 @@ let critical_failures tr =
 (* "Failed" in the model's sense at a given round: crashed, or disconnected
    from the root by others' crashes (§2). *)
 let failed_at tr ~round =
-  let ok = connected ~graph:tr.graph ~failures:tr.failures ~round in
+  let ok = survivors ~graph:tr.graph ~failures:tr.failures ~round in
   fun u -> not ok.(u)
 
 (* Global round of a node's aggregation action: phase 2 starts at

@@ -1,5 +1,6 @@
 module Graph = Ftagg_graph.Graph
 module Gen = Ftagg_graph.Gen
+module Path = Ftagg_graph.Path
 module Csr = Ftagg_graph.Csr
 module Prng = Ftagg_util.Prng
 
@@ -7,12 +8,6 @@ include Csr
 
 (* Typed, so the Bigarray reads compile to inline loads. *)
 let get (a : ints) i = Bigarray.Array1.unsafe_get a i
-
-let to_graph t =
-  Graph.of_iter ~n:t.n (fun emit ->
-      for u = 0 to t.n - 1 do
-        iter_neighbors t u (fun v -> if v > u then emit u v)
-      done)
 
 (* ------------------------------------------------------------------ *)
 (* Scale topologies                                                    *)
@@ -88,21 +83,6 @@ let degree_histogram t =
   done;
   Hashtbl.fold (fun d c acc -> (d, c) :: acc) tbl [] |> List.sort compare
 
-let has_edge t u v =
-  (* binary search in row u *)
-  let lo = ref (get t.offsets u) and hi = ref (get t.offsets (u + 1)) in
-  let found = ref false in
-  while (not !found) && !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let x = get t.targets mid in
-    if x = v then found := true else if x < v then lo := mid + 1 else hi := mid
-  done;
-  !found
-
-let connected t =
-  let _, _, visited = bfs t ~dist:(make_ints t.n) ~queue:(make_ints t.n) Graph.root in
-  visited = t.n
-
 (* Double sweep: BFS from the root, then from the farthest node found. *)
 let pseudo_diameter t =
   let dist = make_ints t.n and queue = make_ints t.n in
@@ -122,10 +102,10 @@ let validate ?spec t =
         if v < 0 || v >= t.n then bad "node %d: target %d out of range" u v;
         if v = u then bad "node %d: self-loop" u;
         if i > lo && v <= get t.targets (i - 1) then bad "node %d: row not strictly ascending" u;
-        if not (has_edge t v u) then bad "edge %d-%d not symmetric" u v
+        if not (Graph.has_edge t v u) then bad "edge %d-%d not symmetric" u v
       done
     done;
-    if not (connected t) then bad "graph is disconnected from the root";
+    if not (Path.is_connected t) then bad "graph is disconnected from the root";
     (match spec with
     | None -> ()
     | Some s ->

@@ -1,16 +1,13 @@
-(** Streaming million-node graphs: scale topologies emitted straight
-    into a {!Ftagg_graph.Csr}, plus the validation and structure queries
-    a scale run needs without ever materialising a {!Ftagg_graph.Graph}.
+(** Million-node topologies: scale generators emitted straight into a
+    {!Ftagg_graph.Graph.t} (the flat {!Ftagg_graph.Csr} adjacency), plus
+    the validation and structure queries a scale run needs.
 
     {!of_iter} consumes the same [emit u v] emission that
     [Gen.iter_edges] produces (one edge source for both the small-graph
-    and the scale path).  Its rows follow the CSR row discipline, so a
-    [Bigraph] of an emission equals [Graph.csr (Graph.of_iter ...)] of
-    the same emission under [=], and the executor walking it sees the
-    same neighbour order (hence the same inboxes and PRNG streams) as
-    [Engine.run] on the materialised graph.  A {!Layout}'s graph is the
-    exception: renumbered rows keep their source order, so they are not
-    ascending and {!validate} rejects them. *)
+    and the scale path), so a [Bigraph] of an emission {e is} the
+    [Graph.of_iter] of it, and [Checker], the failure generators and
+    [Params] take it as it is.  A {!Layout}'s graph has rows in their
+    source order, not ascending, so {!validate} rejects it. *)
 
 type ints = Ftagg_graph.Csr.ints
 
@@ -21,13 +18,11 @@ type t = Ftagg_graph.Csr.t = private {
   targets : ints;
       (** [2m] entries; row [u] sorted ascending, except on a {!Layout} *)
 }
-(** The engine's CSR, re-exported.  Treat the arrays as read-only. *)
+(** The engine's CSR, which is [Graph.t], re-exported.  Treat the
+    arrays as read-only. *)
 
 val of_iter : n:int -> ((int -> int -> unit) -> unit) -> t
 (** {!Ftagg_graph.Csr.of_iter}. *)
-
-val to_graph : t -> Ftagg_graph.Graph.t
-(** Materialise (small graphs only — costs what [Graph.t] costs). *)
 
 val n : t -> int
 val num_edges : t -> int
@@ -55,8 +50,8 @@ val spec_of_family : Ftagg_graph.Gen.family -> spec option
 
 val iter_spec : spec -> n:int -> seed:int -> (int -> int -> unit) -> unit
 (** The edge emission: grid/torus/random-regular delegate to
-    [Gen.iter_edges] (same seed ⇒ same edges as the materialised
-    generators); preferential attachment is native here. *)
+    [Gen.iter_edges] (same seed ⇒ the same graph as [Gen.build]);
+    preferential attachment is native here. *)
 
 val build : spec -> n:int -> seed:int -> t
 (** [of_iter ~n (iter_spec spec ~n ~seed)]. *)
@@ -68,12 +63,11 @@ val degree_histogram : t -> (int * int) list
 
 val validate : ?spec:spec -> t -> (unit, string) result
 (** Structural soundness: every row strictly ascending (no self-loops or
-    duplicates), adjacency symmetric, graph connected from the root; with
+    duplicates), adjacency symmetric ([Graph.has_edge]), graph connected
+    from the root ([Path.is_connected]); with
     [?spec], additionally that the degree histogram fits the family's
     envelope (grid/torus within [1..4] resp. [2..4], random-regular
     within [2..k+2], preferential attachment minimum ≥ 1). *)
-
-val connected : t -> bool
 
 val pseudo_diameter : t -> int
 (** Double-sweep BFS lower bound on the diameter (exact on trees, and on

@@ -16,7 +16,7 @@
 
     {b Differential pin}: with the same [seed], [failures] and topology,
     [run] produces byte-identical states and metrics to [Engine.run] on
-    the materialised graph, for every domain count — it {e is} the
+    the same graph, for every domain count — it {e is} the
     engine's round loop ({!Ftagg_sim.Engine.run_ranges}): the executor
     only dispatches each round's node ranges to the domains and waits at
     the barrier.  [run] takes the graph as numbered; [Scale_run.agg]

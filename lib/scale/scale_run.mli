@@ -2,11 +2,11 @@
     entry point the CLI ([ftagg run --scale]), the bench (e23) and the
     tests share.
 
-    [Params] are constructed without ever materialising the graph:
     {!params} derives the diameter from {!Bigraph.pseudo_diameter}
-    (exact all-pairs BFS being infeasible at 10^6 nodes).  For
-    differential pins, pass the {e same} [Params.t] to {!reference} and
-    to {!agg} — the executor then {!agrees} with the spec. *)
+    ([Params.make]'s exact all-pairs BFS being infeasible at 10^6
+    nodes).  For differential pins, pass the {e same} graph and
+    [Params.t] to {!reference} and to {!agg} — the executor then
+    {!agrees} with the spec. *)
 
 type outcome = {
   result : Ftagg_proto.Agg.result;
@@ -58,14 +58,15 @@ val agg :
     does not cover exactly [Bigraph.n graph] nodes. *)
 
 val reference :
-  graph:Ftagg_graph.Graph.t ->
+  graph:Bigraph.t ->
   failures:Ftagg_sim.Failure.t ->
   params:Ftagg_proto.Params.t ->
   seed:int ->
   outcome
-(** The same execution through [Engine.run_reference], the every-node
-    spec that ignores [wake]: the other side of a differential pin.
-    Small graphs only — the spec walks adjacency lists. *)
+(** The same execution on the same graph through
+    [Engine.run_reference], the every-node spec that ignores [wake]: the
+    other side of a differential pin.  Small graphs only — the spec
+    steps every node every round and builds list inboxes. *)
 
 val agrees : outcome -> outcome -> bool
 (** Same result, rounds, CC and total bits, and the same bits and

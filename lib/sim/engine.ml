@@ -222,9 +222,8 @@ let clear p row u =
 
 (* The one round loop.  Observationally identical to [run_reference]
    (same final states, metrics and PRNG streams), but the delivery walks
-   a CSR snapshot with no per-round set filtering and no closure
-   allocation — the only allocations left are the inbox cells the
-   protocol API requires.
+   the graph's CSR rows in place with no closure allocation — the only
+   allocations left are the inbox cells the protocol API requires.
 
    Sparse rounds: round [r] visits, in ascending order, only the nodes
    that can act — the neighbours of round [r − 1]'s broadcasters, the
@@ -251,9 +250,9 @@ let clear p row u =
    [Executor] runs them on different domains.  Per-edge fault coins come
    from one shared stream in global node order, so callers that split
    the range pass no faults, [observer] or [obs]. *)
-let loop ~parts ~dispatch ?observer ?obs ~chaos ~csr ~failures ~max_rounds ~seed proto =
-  let n = Csr.n csr in
-  let offsets = csr.Csr.offsets and targets = csr.Csr.targets in
+let loop ~parts ~dispatch ?observer ?obs ~chaos ~graph ~failures ~max_rounds ~seed proto =
+  let n = Csr.n graph in
+  let offsets = graph.Csr.offsets and targets = graph.Csr.targets in
   let crash = Failure.crash_rounds failures in
   if Array.length crash <> n then invalid_arg "Engine: failure schedule size mismatch";
   let next = Array.fold_left (fun at (lo, hi) -> if lo = at && hi >= lo then hi else -1) 0 parts in
@@ -297,7 +296,7 @@ let loop ~parts ~dispatch ?observer ?obs ~chaos ~csr ~failures ~max_rounds ~seed
   (* Per-edge coin outcomes of the node being visited: 0 = nothing
      delivered, else the copy count (1, or 2 when duplicated), plus 4
      when delayed. *)
-  let flags = if lossy then Array.make (max 1 (Csr.max_degree csr)) 0 else [||] in
+  let flags = if lossy then Array.make (max 1 (Csr.max_degree graph)) 0 else [||] in
   let draw p = p > 0.0 && Prng.float loss_rng 1.0 < p in
   (* One forward walk draws every coin in ascending neighbour order —
      loss, then dup, then delay, each only when its probability is
@@ -572,7 +571,7 @@ let run ?observer ?obs ?(loss = 0.0) ~graph ~failures ~max_rounds ~seed proto =
   let states, metrics, _, _ =
     loop ~parts:(whole (Graph.n graph)) ~dispatch:one_part ?observer ?obs
       ~chaos:{ no_chaos with faults = { no_faults with loss } }
-      ~csr:(Graph.csr graph) ~failures ~max_rounds ~seed proto
+      ~graph ~failures ~max_rounds ~seed proto
   in
   (states, metrics)
 
@@ -585,7 +584,7 @@ let run_chaos ?observer ?obs ?(faults = no_faults) ?online ?watch ?(halt_on_viol
   let states, metrics, crash, violation =
     loop ~parts:(whole (Graph.n graph)) ~dispatch:one_part ?observer ?obs
       ~chaos:{ faults; online; watch; halt_on_violation }
-      ~csr:(Graph.csr graph) ~failures ~max_rounds ~seed proto
+      ~graph ~failures ~max_rounds ~seed proto
   in
   {
     c_states = states;
@@ -596,6 +595,6 @@ let run_chaos ?observer ?obs ?(faults = no_faults) ?online ?watch ?(halt_on_viol
 
 let run_ranges ~parts ~dispatch ~graph ~failures ~max_rounds ~seed proto =
   let states, metrics, _, _ =
-    loop ~parts ~dispatch ~chaos:no_chaos ~csr:graph ~failures ~max_rounds ~seed proto
+    loop ~parts ~dispatch ~chaos:no_chaos ~graph ~failures ~max_rounds ~seed proto
   in
   (states, metrics)

@@ -89,8 +89,9 @@ val run :
     the bench harness can demonstrate (E16) that the crash-only guarantees
     do not survive lossy links.
 
-    The delivery loop iterates a {!Ftagg_graph.Csr} snapshot of the
-    adjacency taken once at run start, allocating nothing per round beyond
+    The delivery loop reads the graph's rows in place (a
+    {!Ftagg_graph.Graph.t} is the flat {!Ftagg_graph.Csr} adjacency, so
+    no run copies or rebuilds it), allocating nothing per round beyond
     the inbox cells the [step] API requires.  A round costs O(traffic):
     it visits, in ascending order, only the neighbours of the last
     round's broadcasters, the nodes whose [wake] round has come (kept in
@@ -210,13 +211,13 @@ val run_chaos :
 val run_ranges :
   parts:(int * int) array ->
   dispatch:(int -> (int -> unit) -> unit) ->
-  graph:Ftagg_graph.Csr.t ->
+  graph:Ftagg_graph.Graph.t ->
   failures:Failure.t ->
   max_rounds:int ->
   seed:int ->
   ('state, 'msg) protocol ->
   'state array * Metrics.t
-(** {!run}'s round loop on a CSR, split into [parts]: contiguous
+(** {!run}'s round loop, split into [parts]: contiguous
     ascending ranges [(lo, hi)] covering [\[0, n)] (else
     [Invalid_argument]).  Each partition owns its nodes' slots and its
     own buffers — its visit marks, wake calendar, broadcaster rows and

@@ -503,7 +503,8 @@ let full_scan_watch ~bit_cap ~params ~graph (view : Pair.node Engine.view) =
 
 (* Planted caps (negative, tight and loose), faults and an adaptive
    adversary, and watches handed a graph without some edges or without
-   one node (so parents stop being neighbours, the removed node first):
+   one node's edges (so parents stop being neighbours, the cut-off node
+   first):
    the shipped pair watch and a full scan in front of a second copy of it
    must stop at the same first (round, invariant, detail).  The bare bit
    cap is also checked on a protocol whose root is silent. *)
@@ -523,17 +524,16 @@ let test_watch_matches_full_scan () =
     (fun (family, seed) ->
       let graph = Gen.build family ~n ~seed in
       let params = params_of ~t:2 graph ~inputs:(default_inputs n) in
-      let thinned =
+      let keep_edges keep =
         Graph.of_edges ~n
-          (Graph.fold_edges
-             (fun u v acc -> if (u + v) mod 3 <> 0 then (u, v) :: acc else acc)
-             graph [])
+          (Graph.fold_edges (fun u v acc -> if keep u v then (u, v) :: acc else acc) graph [])
       in
+      let thinned = keep_edges (fun u v -> (u + v) mod 3 <> 0) in
       let planted =
         List.concat_map
           (fun g -> List.map (fun cap -> (g, cap)) [ None; Some (-1); Some 0; Some 40; Some 150 ])
           [ graph; thinned ]
-        @ List.init (n - 1) (fun u -> (Graph.remove_nodes graph [ u + 1 ], None))
+        @ List.init (n - 1) (fun u -> (keep_edges (fun a b -> a <> u + 1 && b <> u + 1), None))
       in
       List.iter
         (fun (wgraph, bit_cap) ->

@@ -123,6 +123,41 @@ let test_lfc_fragment_cut () =
   check_true "critical chain is an LFC"
     (Checker.has_lfc tr ~veri_end:(Agg.duration params + 100))
 
+(* [Checker.survivors] against a reference built here: reachability
+   from the root in the graph without the crashed nodes' edges, minus the
+   crashed nodes; and [model_edge_failures] against the edges with an
+   endpoint outside that set.  Every family, n >= 9 (the torus's
+   minimum). *)
+let qcheck_tests =
+  let open QCheck in
+  [
+    Test.make ~name:"survivors = root reachability without the crashed nodes' edges" ~count:200
+      (quad (int_range 0 10) (int_range 9 40) small_int (int_range 0 60))
+      (fun (family, n, seed, round) ->
+        let families = Topo.all_families ~seed in
+        let _, fam = List.nth families (family mod List.length families) in
+        let g = Topo.build fam ~n ~seed in
+        let rng = Prng.create seed in
+        let failures =
+          Failure.of_list ~n
+            (List.init (Prng.int rng n) (fun _ -> (1 + Prng.int rng (n - 1), 1 + Prng.int rng 50)))
+        in
+        let crashed u = not (Failure.is_alive failures ~node:u ~round) in
+        let cut =
+          Graph.of_edges ~n
+            (Graph.fold_edges
+               (fun u v acc -> if crashed u || crashed v then acc else (u, v) :: acc)
+               g [])
+        in
+        let expect = Array.make n false in
+        List.iter (fun u -> if not (crashed u) then expect.(u) <- true) (Path.reachable_from_root cut);
+        let outside =
+          Graph.fold_edges (fun u v k -> if expect.(u) && expect.(v) then k else k + 1) g 0
+        in
+        Checker.survivors ~graph:g ~failures ~round = expect
+        && Checker.model_edge_failures ~graph:g ~failures ~round = outside);
+  ]
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -139,3 +174,4 @@ let suite =
       ("checker: late failures not LFC", test_lfc_late_failures_ignored);
       ("checker: critical chain LFC", test_lfc_fragment_cut);
     ]
+  @ List.map QCheck_alcotest.to_alcotest qcheck_tests

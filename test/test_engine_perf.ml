@@ -379,7 +379,7 @@ let sparse_visits =
         List.for_all
           (fun domains ->
             let st, m =
-              Scale_executor.run ~domains ~graph:(Graph.csr g) ~failures ~max_rounds ~seed proto
+              Scale_executor.run ~domains ~graph:g ~failures ~max_rounds ~seed proto
             in
             st = base_states && same_accounting n m base_m
             && Metrics.node_visits m = Metrics.node_visits base_m

@@ -258,8 +258,10 @@ let test_two_tier () =
   check_int "root degree = clusters" 4 (Graph.degree g 0);
   (* a dead head leaves its cluster reachable via the member detour *)
   let head1 = 1 + (1 * 6) in
-  let survivors = Path.reachable_from_root (Graph.remove_nodes g [ head1 ]) in
-  check_true "detour keeps most of the cluster" (List.length survivors >= 20)
+  let failures = Failure.kill_nodes ~n:25 ~nodes:[ head1 ] ~round:1 in
+  let survivors = Checker.survivors ~graph:g ~failures ~round:1 in
+  check_true "detour keeps most of the cluster"
+    (Array.fold_left (fun k ok -> if ok then k + 1 else k) 0 survivors >= 20)
 
 let test_random_regular_shape () =
   let g = Gen.random_regular ~n:40 ~degree:4 ~seed:3 in

@@ -3,8 +3,7 @@
 open Ftagg
 open Helpers
 
-(* The list view via the streaming fold — the [Graph.edges] list path is
-   deprecated. *)
+(* The edge list, ascending, through the fold. *)
 let edge_list g = List.rev (Graph.fold_edges (fun u v acc -> (u, v) :: acc) g [])
 
 let test_of_edges_basic () =
@@ -26,15 +25,6 @@ let test_of_edges_rejects () =
   Alcotest.check_raises "out of range"
     (Invalid_argument "Graph.of_edges: endpoint out of range") (fun () ->
       ignore (Graph.of_edges ~n:3 [ (0, 3) ]))
-
-let test_remove_nodes () =
-  let g = Graph.of_edges ~n:4 [ (0, 1); (1, 2); (2, 3) ] in
-  let g' = Graph.remove_nodes g [ 1 ] in
-  check_true "removed not mem" (not (Graph.mem g' 1));
-  check_int "edges after removal" 1 (Graph.num_edges g');
-  check_true "neighbors exclude removed" (Graph.neighbors g' 0 = []);
-  (* the original graph is untouched *)
-  check_int "original intact" 3 (Graph.num_edges g)
 
 let test_neighbors_sorted () =
   let g = Graph.of_edges ~n:5 [ (2, 4); (2, 0); (2, 3); (2, 1) ] in
@@ -110,6 +100,13 @@ let test_random_connected_seeded () =
   let c = Gen.random_connected ~n:30 ~p:0.1 ~seed:4 in
   check_true "different seed, different graph" (edge_list a <> edge_list c)
 
+let largest_eccentricity g =
+  List.fold_left
+    (fun acc u ->
+      match (acc, Path.eccentricity g u) with Some m, Some e -> Some (max m e) | _ -> None)
+    (Some 0)
+    (List.init (Graph.n g) Fun.id)
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -133,13 +130,19 @@ let qcheck_tests =
       (fun (n, seed) ->
         let g = Topo.random_connected ~n ~p:0.08 ~seed in
         let removed = [ 1 + (seed mod (n - 1)); 1 + ((seed * 7) mod (n - 1)) ] in
-        let g' = Graph.remove_nodes g removed in
+        let g' =
+          Graph.of_edges ~n
+            (Graph.fold_edges
+               (fun u v acc ->
+                 if List.mem u removed || List.mem v removed then acc else (u, v) :: acc)
+               g [])
+        in
         let before = Path.reachable_from_root g in
         let after = Path.reachable_from_root g' in
         List.for_all (fun u -> List.mem u before) after);
-    (* [Path.diameter] searches a CSR snapshot; the list-based
-       [Path.eccentricity] stays the reference.  Sparse random edge sets
-       are often disconnected, and removed nodes must be skipped. *)
+    (* [Path.diameter] sweeps 63 sources at a time; one
+       [Path.eccentricity] per node stays the reference.  Sparse random
+       edge sets are often disconnected. *)
     Test.make ~name:"diameter is the largest eccentricity, or None" ~count:200
       (triple (int_range 1 24) (int_range 0 100) small_int)
       (fun (n, percent, seed) ->
@@ -150,37 +153,17 @@ let qcheck_tests =
             if Prng.int rng 100 < percent / 3 then edges := (u, v) :: !edges
           done
         done;
-        let removed = List.filter (fun _ -> Prng.int rng 4 = 0) (List.init n Fun.id) in
-        let g = Graph.remove_nodes (Graph.of_edges ~n !edges) removed in
-        let reference =
-          Graph.fold_nodes
-            (fun u acc ->
-              match (acc, Path.eccentricity g u) with
-              | Some m, Some e -> Some (max m e)
-              | _ -> None)
-            g (Some 0)
-        in
-        Path.diameter g = reference);
-    (* Past one 63-source batch: every family up to 300 nodes, with up to
-       four random nodes removed (which often disconnects a sparse
-       family; both must then say None), against one BFS per node. *)
+        let g = Graph.of_edges ~n !edges in
+        Path.diameter g = largest_eccentricity g);
+    (* Past one 63-source batch: every family up to 300 nodes, against
+       one BFS per node. *)
     Test.make ~name:"diameter = one BFS per node, every family, n <= 300" ~count:12
-      (triple (int_range 8 300) small_int (int_range 0 4))
-      (fun (n, seed, k) ->
-        let rng = Prng.create seed in
+      (pair (int_range 8 300) small_int)
+      (fun (n, seed) ->
         List.for_all
           (fun (_, fam) ->
             let g = Topo.build fam ~n ~seed in
-            let g = Graph.remove_nodes g (List.init k (fun _ -> 1 + Prng.int rng (n - 1))) in
-            let per_node =
-              Graph.fold_nodes
-                (fun u acc ->
-                  match (acc, Path.eccentricity g u) with
-                  | Some m, Some e -> Some (max m e)
-                  | _ -> None)
-                g (Some 0)
-            in
-            Path.diameter g = per_node)
+            Path.diameter g = largest_eccentricity g)
           (Topo.all_families ~seed));
   ]
 
@@ -191,7 +174,6 @@ let suite =
       ("graph: of_edges", test_of_edges_basic);
       ("graph: dedup", test_of_edges_dedup);
       ("graph: rejects bad edges", test_of_edges_rejects);
-      ("graph: remove_nodes", test_remove_nodes);
       ("graph: neighbors sorted", test_neighbors_sorted);
       ("path: bfs on path", test_bfs_path);
       ("path: bfs unreachable", test_bfs_unreachable);

@@ -15,37 +15,55 @@ let seed = 11
 (* Bigraph                                                           *)
 (* ---------------------------------------------------------------- *)
 
+(* [Bigraph.of_iter] ([Csr.of_iter]) against rows computed here: each
+   node's emitted neighbours, sorted and deduplicated. *)
+let model_rows ~n iter =
+  let rows = Array.make n [] in
+  iter (fun u v ->
+      rows.(u) <- v :: rows.(u);
+      rows.(v) <- u :: rows.(v));
+  Array.map (List.sort_uniq compare) rows
+
+let row g u =
+  let r = ref [] in
+  Bigraph.iter_neighbors g u (fun w -> r := w :: !r);
+  List.rev !r
+
+let of_iter_matches_model ~n iter =
+  let g = Bigraph.of_iter ~n iter in
+  let rows = model_rows ~n iter in
+  Array.init n (row g) = rows
+  && 2 * Bigraph.num_edges g = Array.fold_left (fun k r -> k + List.length r) 0 rows
+
+(* Every edge twice more, once reversed: duplicates in both directions. *)
+let doubled iter emit =
+  iter (fun u v ->
+      emit u v;
+      emit v u;
+      emit u v)
+
 let test_bigraph_matches_csr () =
   List.iter
     (fun (name, fam) ->
       List.iter
         (fun n ->
-          let g = Topo.build fam ~n ~seed in
-          let bg = Bigraph.of_iter ~n (Topo.iter_edges fam ~n ~seed) in
+          let iter = Topo.iter_edges fam ~n ~seed in
           check_true
-            (Printf.sprintf "%s n=%d: streamed CSR = materialised CSR" name n)
-            (bg = Graph.csr g);
-          check_int (Printf.sprintf "%s n=%d: edge count" name n) (Graph.num_edges g)
-            (Bigraph.num_edges bg))
+            (Printf.sprintf "%s n=%d: streamed CSR = model rows" name n)
+            (of_iter_matches_model ~n iter);
+          check_true
+            (Printf.sprintf "%s n=%d: doubled emission = model rows" name n)
+            (of_iter_matches_model ~n (doubled iter));
+          check_true
+            (Printf.sprintf "%s n=%d: the generator is of_iter of its emission" name n)
+            (Topo.build fam ~n ~seed = Bigraph.of_iter ~n iter))
         [ 12; 40 ])
-    (Topo.all_families ~seed)
-
-let test_graph_csr_removal () =
-  (* removed nodes get empty rows and vanish from their neighbours' rows *)
-  let g = Graph.remove_nodes (Topo.build Topo.Grid ~n:30 ~seed) [ 7 ] in
-  let c = Graph.csr g in
-  check_int "removed node row empty" 0 (Bigraph.degree c 7);
-  for u = 0 to 29 do
-    let row = ref [] in
-    Bigraph.iter_neighbors c u (fun v -> row := v :: !row);
-    check_true (Printf.sprintf "row %d = neighbors" u) (List.rev !row = Graph.neighbors g u)
-  done
-
-let test_bigraph_roundtrip () =
-  let g = Topo.build Topo.Torus ~n:25 ~seed in
-  let back = Bigraph.to_graph (Graph.csr g) in
-  let edges gr = List.rev (Graph.fold_edges (fun u v acc -> (u, v) :: acc) gr []) in
-  check_true "to_graph round-trips edges" (edges g = edges back)
+    (Topo.all_families ~seed);
+  (* 89,700 endpoints: past six chunk boundaries (2^10, 2^11, ...). *)
+  check_true "complete n=300 = model rows"
+    (of_iter_matches_model ~n:300 (Topo.iter_edges Topo.Complete ~n:300 ~seed));
+  check_true "complete n=300 doubled = model rows"
+    (of_iter_matches_model ~n:300 (doubled (Topo.iter_edges Topo.Complete ~n:300 ~seed)))
 
 let test_bigraph_dedup_and_rejects () =
   let bg = Bigraph.of_iter ~n:3 (fun emit -> emit 0 1; emit 1 0; emit 0 1; emit 1 2) in
@@ -57,7 +75,7 @@ let test_bigraph_dedup_and_rejects () =
       ignore (Bigraph.of_iter ~n:3 (fun emit -> emit 0 3)))
 
 let test_degree_histogram () =
-  let bg = Graph.csr (Topo.star 10) in
+  let bg = Topo.star 10 in
   check_true "star histogram" (Bigraph.degree_histogram bg = [ (1, 9); (9, 1) ])
 
 let test_validate_specs () =
@@ -79,7 +97,7 @@ let test_pref_attach_shape () =
   let m = 2 in
   let bg = Bigraph.build (Bigraph.Pref_attach m) ~n:500 ~seed in
   check_int "n" 500 (Bigraph.n bg);
-  check_true "connected" (Bigraph.connected bg);
+  check_true "connected" (Path.is_connected bg);
   check_true "root is a hub" (Bigraph.degree bg Graph.root >= m);
   let min_deg = ref max_int in
   for u = 0 to 499 do
@@ -88,14 +106,13 @@ let test_pref_attach_shape () =
   check_true "min degree >= 1" (!min_deg >= 1);
   (* determinism *)
   let bg' = Bigraph.build (Bigraph.Pref_attach m) ~n:500 ~seed in
-  check_true "same seed, same graph" (bg = Graph.csr (Bigraph.to_graph bg'))
+  check_true "same seed, same graph" (bg = bg')
 
 let test_pseudo_diameter () =
   List.iter
     (fun (name, g) ->
       let exact = match Path.diameter g with Some d -> d | None -> assert false in
-      check_int (name ^ " pseudo-diameter exact") exact
-        (Bigraph.pseudo_diameter (Graph.csr g)))
+      check_int (name ^ " pseudo-diameter exact") exact (Bigraph.pseudo_diameter g))
     [ ("path", Topo.path 50); ("grid", Topo.grid 49); ("star", Topo.star 20);
       ("binary_tree", Topo.binary_tree 31) ]
 
@@ -129,8 +146,7 @@ let test_mem_meter () =
    rounds are checked against it, not against another frontier run. *)
 let check_pin name ~graph ~failures ~params ~domains =
   let spec = Scale_run.reference ~graph ~failures ~params ~seed in
-  let bg = Graph.csr graph in
-  let scale = Scale_run.agg ~domains ~graph:bg ~failures ~params ~seed () in
+  let scale = Scale_run.agg ~domains ~graph ~failures ~params ~seed () in
   check_true (name ^ ": result") (spec.Scale_run.result = scale.Scale_run.result);
   check_int (name ^ ": rounds") spec.Scale_run.rounds scale.Scale_run.rounds;
   check_int (name ^ ": cc") (Metrics.cc spec.Scale_run.metrics) (Metrics.cc scale.Scale_run.metrics);
@@ -170,8 +186,7 @@ let test_pin_across_seeds () =
     (fun s ->
       let out = Run.agg ~graph ~failures:(Failure.none ~n) ~params ~seed:s () in
       let scale =
-        Scale_run.agg ~domains:3 ~graph:(Graph.csr graph) ~failures:(Failure.none ~n)
-          ~params ~seed:s ()
+        Scale_run.agg ~domains:3 ~graph ~failures:(Failure.none ~n) ~params ~seed:s ()
       in
       check_true (Printf.sprintf "seed %d result" s) (out.Run.result = scale.Scale_run.result);
       check_int
@@ -203,7 +218,7 @@ let test_partitions_cover () =
   Array.iteri (fun u c -> check_int (Printf.sprintf "node %d owned once" u) 1 c) covered
 
 let test_frontier_edges () =
-  let bg = Graph.csr (Topo.path 10) in
+  let bg = Topo.path 10 in
   check_int "path split in two" 1 (Scale_executor.frontier_edges bg ~domains:2);
   check_int "one partition, no frontier" 0 (Scale_executor.frontier_edges bg ~domains:1)
 
@@ -231,11 +246,6 @@ let test_executor_counters () =
 
 let layout_specs =
   [ Bigraph.Grid; Bigraph.Torus; Bigraph.Random_regular 4; Bigraph.Pref_attach 2 ]
-
-let row g u =
-  let r = ref [] in
-  Bigraph.iter_neighbors g u (fun w -> r := w :: !r);
-  List.rev !r
 
 let test_layout_shape () =
   List.iter
@@ -315,6 +325,40 @@ let test_layout_small_and_disconnected () =
   check_true "unreached nodes last, ascending"
     (List.init 6 (fun v -> l.Scale_layout.caller_id.{v}) = [ 0; 3; 5; 1; 2; 4 ])
 
+(* A layout's rows keep their source rows' order, so they are not
+   ascending: [Graph.has_edge] and [Graph.neighbors] must not assume they
+   are.  The reference is the generated graph's adjacency under the
+   permutation. *)
+let test_layout_unsorted_rows () =
+  let n = 60 in
+  let g = Bigraph.build (Bigraph.Random_regular 4) ~n ~seed in
+  let l = Scale_layout.make g ~domains:2 in
+  let lg = l.Scale_layout.graph and caller v = l.Scale_layout.caller_id.{v} in
+  let layout_id = Array.make n (-1) in
+  for v = 0 to n - 1 do
+    layout_id.(caller v) <- v
+  done;
+  let adjacent = Array.make_matrix n n false in
+  Graph.iter_edges g (fun u v ->
+      adjacent.(u).(v) <- true;
+      adjacent.(v).(u) <- true);
+  check_true "some row is not ascending"
+    (List.exists (fun v -> row lg v <> List.sort compare (row lg v)) (List.init n Fun.id));
+  let all = List.init n Fun.id in
+  for v = 0 to n - 1 do
+    check_true
+      (Printf.sprintf "neighbors %d: the source row's order" v)
+      (Graph.neighbors lg v = List.map (fun w -> layout_id.(w)) (row g (caller v)));
+    check_true
+      (Printf.sprintf "has_edge %d: exactly the permuted adjacency" v)
+      (List.filter (Graph.has_edge lg v) all
+      = List.filter (fun w -> adjacent.(caller v).(caller w)) all)
+  done;
+  check_true "has_edge is false out of range"
+    (not (Graph.has_edge lg 0 n || Graph.has_edge lg (-1) 0));
+  check_int "iter_edges: each edge once, u < v" (Graph.num_edges g)
+    (Graph.fold_edges (fun u v k -> if u < v then k + 1 else k) lg 0)
+
 (* A run on the layout against the run on the generated labels, under the
    permutation: result, rounds, CC, total bits, node visits and steps,
    every node's bits and messages, and every node's parent. *)
@@ -371,7 +415,7 @@ let chatty_protocol ?(raise_at = -1) ?(raise_me = -1) () =
 
 let test_torn_barrier () =
   let n = 40 in
-  let bg = Graph.csr (Topo.ring n) in
+  let bg = Topo.ring n in
   (try
      ignore
        (Scale_executor.run ~domains:2 ~graph:bg ~failures:(Failure.none ~n) ~max_rounds:10
@@ -392,7 +436,7 @@ let test_torn_barrier () =
 
 let test_ceiling_aborts_run () =
   let n = 40 in
-  let bg = Graph.csr (Topo.ring n) in
+  let bg = Topo.ring n in
   let meter = Scale_mem.create ~limit_bytes:1 ~check_every:2 ~n () in
   (try
      ignore
@@ -409,10 +453,9 @@ let qcheck_tests =
       (fun (n, s, domains) ->
         let graph = Topo.build (Topo.Random 0.1) ~n ~seed:s in
         let params = Params.make ~c:2 ~t:1 ~graph ~inputs:(Array.make n 1) () in
-        let bg = Graph.csr graph in
         let failures = Failure.none ~n in
-        let base = Scale_run.agg ~domains:1 ~graph:bg ~failures ~params ~seed:s () in
-        let split = Scale_run.agg ~domains ~graph:bg ~failures ~params ~seed:s () in
+        let base = Scale_run.agg ~domains:1 ~graph ~failures ~params ~seed:s () in
+        let split = Scale_run.agg ~domains ~graph ~failures ~params ~seed:s () in
         base.Scale_run.result = split.Scale_run.result
         && base.Scale_run.rounds = split.Scale_run.rounds
         && Metrics.cc base.Scale_run.metrics = Metrics.cc split.Scale_run.metrics
@@ -425,11 +468,15 @@ let qcheck_tests =
         let spec = List.nth layout_specs family in
         let n = size + (match spec with Bigraph.Torus -> 9 | Bigraph.Grid -> 2 | _ -> 5) in
         layout_run_matches ~spec ~n ~seed:s ~t ~domains:(List.nth [ 1; 2; 4 ] d) ~crashes);
-    Test.make ~name:"streamed CSR equals materialised CSR on random graphs" ~count:40
-      (pair (int_range 5 80) (int_range 0 1000))
-      (fun (n, s) ->
-        let fam = Topo.Random 0.1 in
-        Bigraph.of_iter ~n (Topo.iter_edges fam ~n ~seed:s) = Graph.csr (Topo.build fam ~n ~seed:s));
+    (* Every family, n >= 9 (the torus's minimum). *)
+    Test.make ~name:"streamed CSR equals materialised CSR rows: every family, doubled emissions"
+      ~count:40
+      (quad (int_range 0 10) (int_range 9 80) (int_range 0 1000) bool)
+      (fun (family, n, s, twice) ->
+        let families = Topo.all_families ~seed:s in
+        let _, fam = List.nth families (family mod List.length families) in
+        let iter = Topo.iter_edges fam ~n ~seed:s in
+        of_iter_matches_model ~n (if twice then doubled iter else iter));
   ]
 
 let suite =
@@ -437,8 +484,6 @@ let suite =
     (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
       ("bigraph: streamed = materialised CSR", test_bigraph_matches_csr);
-      ("graph: csr drops removed nodes", test_graph_csr_removal);
-      ("bigraph: to_graph round-trip", test_bigraph_roundtrip);
       ("bigraph: dedup and rejects", test_bigraph_dedup_and_rejects);
       ("bigraph: degree histogram", test_degree_histogram);
       ("bigraph: validate specs", test_validate_specs);
@@ -454,6 +499,7 @@ let suite =
       ("executor: registry counters", test_executor_counters);
       ("layout: root, bijection, row order, dealt levels", test_layout_shape);
       ("layout: n < domains, unreached nodes", test_layout_small_and_disconnected);
+      ("layout: has_edge and neighbors on unsorted rows", test_layout_unsorted_rows);
       ("layout: run with n < domains", test_layout_run_small);
       ("executor: torn barrier aborts cleanly", test_torn_barrier);
       ("executor: memory ceiling aborts run", test_ceiling_aborts_run);

@@ -44,16 +44,13 @@ let test_select_interval_under_failures () =
   let g, inputs, params = setup ~seed:5 () in
   List.iter
     (fun seed ->
-      let failures =
-        Failure.random g ~rng:(Prng.create (seed * 17)) ~budget:4 ~max_round:2000
-      in
+      let max_round = 2000 in
+      let failures = Failure.random g ~rng:(Prng.create (seed * 17)) ~budget:4 ~max_round in
       let k = 12 in
       let o = Selection.select ~graph:g ~failures ~params ~b:50 ~f:4 ~k ~seed in
       let all_kth = Selection.kth_smallest (Array.to_list inputs) k in
-      let survivors =
-        Path.reachable_from_root (Graph.remove_nodes g (Failure.crashed_nodes failures))
-      in
-      let surv_inputs = List.map (fun i -> inputs.(i)) survivors in
+      let survivors = Checker.survivors ~graph:g ~failures ~round:max_round in
+      let surv_inputs = List.filteri (fun i _ -> survivors.(i)) (Array.to_list inputs) in
       let surv_kth =
         if k <= List.length surv_inputs then Selection.kth_smallest surv_inputs k
         else params.Params.max_input
