@@ -73,22 +73,40 @@ let online_of_strategy strategy g ~rng ~budget =
   in
   match strategy with
   | Top_talkers ->
-    fun report ->
-      (* Kill the current bandwidth leader: the live non-root node with the
-         most bits sent so far.  Early in the run this is the tree-
-         construction frontier around the root — traffic-aware placement the
-         oblivious generators cannot express. *)
-      let best = ref (-1) and best_bits = ref 0 in
-      for u = 1 to n - 1 do
-        if (not crashed.(u)) && report.Engine.rr_crash_rounds.(u) > report.Engine.rr_round
-        then begin
-          let b = Metrics.bits_sent report.Engine.rr_metrics u in
-          if b > !best_bits then begin
-            best := u;
-            best_bits := b
-          end
+    (* Kill the current bandwidth leader: the live non-root node with the
+       most bits sent so far, ties to the smaller id.  Early in the run
+       this is the tree-construction frontier around the root — traffic-
+       aware placement the oblivious generators cannot express.  Only a
+       round's broadcasters gain bits, and a node that stops being
+       eligible never is again, so the leader is kept from one report to
+       the next and only the broadcasters can overtake it.  All [n] nodes
+       are scanned only when the leader stops being eligible.  No node
+       has bits before the run's first report, so [-1] is right then. *)
+    let eligible (report : Engine.round_report) u =
+      (not crashed.(u)) && report.Engine.rr_crash_rounds.(u) > report.Engine.rr_round
+    in
+    let best = ref (-1) and best_bits = ref 0 in
+    let consider report u =
+      if u <> Graph.root && eligible report u then begin
+        let b = Metrics.bits_sent report.Engine.rr_metrics u in
+        if b > !best_bits || (b = !best_bits && b > 0 && u < !best) then begin
+          best := u;
+          best_bits := b
         end
-      done;
+      end
+    in
+    fun report ->
+      if !best >= 0 && not (eligible report !best) then begin
+        best := -1;
+        best_bits := 0;
+        for u = 1 to n - 1 do
+          consider report u
+        done
+      end
+      else begin
+        if !best >= 0 then best_bits := Metrics.bits_sent report.Engine.rr_metrics !best;
+        List.iter (consider report) report.Engine.rr_broadcasters
+      end;
       if !best < 0 then [] else try_crash report !best
   | First_speakers ->
     fun report ->

@@ -73,5 +73,6 @@ val pseudo_diameter : t -> int
 (** Double-sweep BFS lower bound on the diameter (exact on trees, and on
     the generators above empirically tight): BFS from the root, then BFS
     again from the farthest node found.  At least 1.  The scale
-    substitute for [Params.make]'s exact all-pairs computation, which is
-    infeasible at 10^6 nodes. *)
+    substitute for [Params.make]'s exact [Path.diameter], which on
+    expanders such as random-regular still sweeps most nodes as BFS
+    sources: infeasible at 10^6 nodes. *)

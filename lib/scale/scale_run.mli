@@ -3,8 +3,8 @@
     tests share.
 
     {!params} derives the diameter from {!Bigraph.pseudo_diameter}
-    ([Params.make]'s exact all-pairs BFS being infeasible at 10^6
-    nodes).  For differential pins, pass the {e same} graph and
+    ([Params.make]'s exact diameter sweeps most nodes of an expander as
+    BFS sources, infeasible at 10^6 nodes).  For differential pins, pass the {e same} graph and
     [Params.t] to {!reference} and to {!agg} — the executor then
     {!agrees} with the spec. *)
 

@@ -149,8 +149,8 @@ let qcheck_tests =
                (fun u v acc -> if crashed u || crashed v then acc else (u, v) :: acc)
                g [])
         in
-        let expect = Array.make n false in
-        List.iter (fun u -> if not (crashed u) then expect.(u) <- true) (Path.reachable_from_root cut);
+        let dist = Path.bfs cut Graph.root in
+        let expect = Array.init n (fun u -> (not (crashed u)) && dist.(u) <> max_int) in
         let outside =
           Graph.fold_edges (fun u v k -> if expect.(u) && expect.(v) then k else k + 1) g 0
         in

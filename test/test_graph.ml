@@ -51,11 +51,18 @@ let test_diameter_disconnected () =
   check_true "disconnected diameter" (Path.diameter g = None);
   check_true "not connected" (not (Path.is_connected g))
 
+(* The nodes [src] reaches, ascending. *)
+let reach g src =
+  let dist = Path.bfs g src in
+  List.filter (fun v -> dist.(v) <> max_int) (List.init (Graph.n g) Fun.id)
+
 let test_component_of () =
   let g = Graph.of_edges ~n:5 [ (0, 1); (1, 2); (3, 4) ] in
-  check_true "component of 0" (Path.component_of g 0 = [ 0; 1; 2 ]);
-  check_true "component of 3" (Path.component_of g 3 = [ 3; 4 ]);
-  check_true "root reach" (Path.reachable_from_root g = [ 0; 1; 2 ])
+  check_true "component of 0" (reach g 0 = [ 0; 1; 2 ]);
+  check_true "component of 3" (reach g 3 = [ 3; 4 ]);
+  check_true "root reach"
+    (Checker.survivors ~graph:g ~failures:(Failure.none ~n:5) ~round:1
+    = [| true; true; true; false; false |])
 
 let test_grid_structure () =
   let g = Gen.grid 9 in
@@ -100,12 +107,73 @@ let test_random_connected_seeded () =
   let c = Gen.random_connected ~n:30 ~p:0.1 ~seed:4 in
   check_true "different seed, different graph" (edge_list a <> edge_list c)
 
+(* The reference: one [Path.eccentricity] per node, [None] at the first
+   node that cannot reach every node. *)
 let largest_eccentricity g =
-  List.fold_left
-    (fun acc u ->
-      match (acc, Path.eccentricity g u) with Some m, Some e -> Some (max m e) | _ -> None)
-    (Some 0)
-    (List.init (Graph.n g) Fun.id)
+  let rec go u acc =
+    if u = Graph.n g then Some acc
+    else match Path.eccentricity g u with Some e -> go (u + 1) (max acc e) | None -> None
+  in
+  go 0 0
+
+(* Edge sets for the diameter property on [n] nodes, relabelled by a
+   random permutation so the root and the id order land anywhere in the
+   shape:
+   - 0: [k] random pairs, [k] up to [4n], often disconnected;
+   - 1: a random tree, from a path to a bushy one;
+   - 2: a path that ends in a clique;
+   - 3: two cliques joined by a path;
+   - 4: a grid with a pendant path off one of its nodes.
+   Cliques are kept to 120 nodes, so the fringe of 2 and 3 can still
+   fill two batches of 63 and the per-node reference stays cheap. *)
+let shape_edges ~n ~shape rng =
+  let edges = ref [] in
+  let edge u v = if u <> v then edges := (u, v) :: !edges in
+  let path lo hi =
+    for v = lo to hi - 1 do
+      edge v (v + 1)
+    done
+  in
+  let clique lo hi =
+    for u = lo to hi do
+      for v = u + 1 to hi do
+        edge u v
+      done
+    done
+  in
+  let clique_size limit = 1 + Prng.int rng (max 1 (min 120 limit)) in
+  (match shape with
+  | 0 ->
+    for _ = 1 to Prng.int rng ((4 * n) + 1) do
+      edge (Prng.int rng n) (Prng.int rng n)
+    done
+  | 1 ->
+    let span = 1 + Prng.int rng n in
+    for v = 1 to n - 1 do
+      edge v (v - 1 - Prng.int rng (min v span))
+    done
+  | 2 ->
+    let k = clique_size n in
+    path 0 (n - k);
+    clique (n - k) (n - 1)
+  | 3 ->
+    let k1 = clique_size (n - 1) in
+    let k2 = clique_size (n - k1) in
+    clique 0 (k1 - 1);
+    path (k1 - 1) (n - k2);
+    clique (n - k2) (n - 1)
+  | _ ->
+    let cells = 1 + Prng.int rng n in
+    let w = max 1 (int_of_float (sqrt (float_of_int cells))) in
+    for v = 0 to cells - 1 do
+      if v mod w + 1 < w && v + 1 < cells then edge v (v + 1);
+      if v + w < cells then edge v (v + w)
+    done;
+    edge (Prng.int rng cells) (cells mod n);
+    path cells (n - 1));
+  let label = Array.init n Fun.id in
+  Prng.shuffle rng label;
+  List.map (fun (u, v) -> (label.(u), label.(v))) !edges
 
 let qcheck_tests =
   let open QCheck in
@@ -137,23 +205,16 @@ let qcheck_tests =
                  if List.mem u removed || List.mem v removed then acc else (u, v) :: acc)
                g [])
         in
-        let before = Path.reachable_from_root g in
-        let after = Path.reachable_from_root g' in
+        let before = reach g Graph.root in
+        let after = reach g' Graph.root in
         List.for_all (fun u -> List.mem u before) after);
-    (* [Path.diameter] sweeps 63 sources at a time; one
-       [Path.eccentricity] per node stays the reference.  Sparse random
-       edge sets are often disconnected. *)
-    Test.make ~name:"diameter is the largest eccentricity, or None" ~count:200
-      (triple (int_range 1 24) (int_range 0 100) small_int)
-      (fun (n, percent, seed) ->
-        let rng = Prng.create seed in
-        let edges = ref [] in
-        for u = 0 to n - 1 do
-          for v = u + 1 to n - 1 do
-            if Prng.int rng 100 < percent / 3 then edges := (u, v) :: !edges
-          done
-        done;
-        let g = Graph.of_edges ~n !edges in
+    (* [Path.diameter] stops its sweep early from a centre it guesses;
+       one [Path.eccentricity] per node stays the reference.  Past 63
+       nodes, on shapes whose centre is easy to misplace. *)
+    Test.make ~name:"diameter is the largest eccentricity, or None" ~count:300
+      (triple (int_range 1 300) (int_range 0 4) small_int)
+      (fun (n, shape, seed) ->
+        let g = Graph.of_edges ~n (shape_edges ~n ~shape (Prng.create seed)) in
         Path.diameter g = largest_eccentricity g);
     (* Past one 63-source batch: every family up to 300 nodes, against
        one BFS per node. *)
