@@ -7,20 +7,30 @@ type json =
   | List of json list
   | Obj of (string * json) list
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
+(* [s]'s JSON string contents, escaped straight into [buf]: each run of
+   bytes that needs no escape is copied whole. *)
+let add_escaped buf s =
+  let start = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring buf s !start (i - !start);
+      (match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\t' -> Buffer.add_string buf "\\t"
       | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+      start := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !start (String.length s - !start)
+
+let add_quoted buf s =
+  Buffer.add_char buf '"';
+  add_escaped buf s;
+  Buffer.add_char buf '"'
 
 let float_repr x =
   if Float.is_nan x then "null"
@@ -40,10 +50,7 @@ let rec emit buf ~indent ~level v =
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float x -> Buffer.add_string buf (float_repr x)
-  | String s ->
-    Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
-    Buffer.add_char buf '"'
+  | String s -> add_quoted buf s
   | List [] -> Buffer.add_string buf "[]"
   | List items ->
     Buffer.add_char buf '[';
@@ -71,9 +78,8 @@ let rec emit buf ~indent ~level v =
           nl ()
         end;
         pad (level + 1);
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
-        Buffer.add_string buf "\": ";
+        add_quoted buf k;
+        Buffer.add_string buf ": ";
         emit buf ~indent ~level:(level + 1) item)
       fields;
     nl ();

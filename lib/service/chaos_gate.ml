@@ -40,7 +40,7 @@ let via ?(cancel_every = 0) scheduler =
     incr trial;
     match Scheduler.submit scheduler (spec_of_scenario sc) with
     | Error _ -> None (* backpressure: the service refused the trial *)
-    | Ok id ->
+    | Ok (id, _) ->
       if cancel_every > 0 && !trial mod cancel_every = 0 && Scheduler.cancel scheduler id then
         None (* cancelled before dispatch: the trial never ran *)
       else begin

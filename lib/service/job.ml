@@ -67,46 +67,91 @@ type executed = { outcome : outcome; violation : Engine.violation option }
 
 (* ---- canonical digest ---- *)
 
-let protocol_token = function
-  | Tradeoff { b; f } -> Printf.sprintf "tradeoff:%d:%d" b f
-  | Brute -> "brute"
-  | Unknown_f -> "unknown_f"
-  | Chaos_pair { bit_cap } ->
-    Printf.sprintf "chaos_pair:%s" (match bit_cap with Some c -> string_of_int c | None -> "-")
+(* [i]'s decimal digits, as [string_of_int] prints them, written straight
+   into [buf].  A negative [i] writes its last digit separately, so
+   [min_int] is never negated. *)
+let rec add_digits buf i =
+  if i >= 10 then add_digits buf (i / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (i mod 10)))
 
-let failures_token = function
-  | Generated { mode; budget } -> Printf.sprintf "gen:%s:%d" mode budget
+let add_int buf i =
+  if i >= 0 then add_digits buf i
+  else begin
+    Buffer.add_char buf '-';
+    if i <= -10 then add_digits buf (-(i / 10));
+    Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (i mod 10)))
+  end
+
+let add_protocol buf = function
+  | Tradeoff { b; f } ->
+    Buffer.add_string buf "tradeoff:";
+    add_int buf b;
+    Buffer.add_char buf ':';
+    add_int buf f
+  | Brute -> Buffer.add_string buf "brute"
+  | Unknown_f -> Buffer.add_string buf "unknown_f"
+  | Chaos_pair { bit_cap } -> (
+    Buffer.add_string buf "chaos_pair:";
+    match bit_cap with Some c -> add_int buf c | None -> Buffer.add_char buf '-')
+
+let add_failures buf = function
+  | Generated { mode; budget } ->
+    Buffer.add_string buf "gen:";
+    Buffer.add_string buf mode;
+    Buffer.add_char buf ':';
+    add_int buf budget
   | Explicit schedule ->
-    "exp:" ^ String.concat "," (List.map (fun (u, r) -> Printf.sprintf "%d@%d" u r) schedule)
+    Buffer.add_string buf "exp:";
+    List.iteri
+      (fun i (u, r) ->
+        if i > 0 then Buffer.add_char buf ',';
+        add_int buf u;
+        Buffer.add_char buf '@';
+        add_int buf r)
+      schedule
 
-(* FNV-1a over the canonical request string.  Tenant, priority and
-   deadline are deliberately excluded: they change who waits and for how
-   long, not what is computed, so two tenants asking the same question
-   share one cache entry. *)
+(* FNV-1a over the canonical request string, built in one buffer:
+   family, n, topo_seed, the inputs joined by commas, c, t, the
+   lower-cased aggregate, the protocol and failure tokens and the seed,
+   joined by '|'.  Tenant, priority and deadline are deliberately
+   excluded: they change who waits and for how long, not what is
+   computed, so two tenants asking the same question share one cache
+   entry. *)
 let digest spec =
-  let canonical =
-    String.concat "|"
-      [
-        Incident.family_to_string spec.family;
-        string_of_int spec.n;
-        string_of_int spec.topo_seed;
-        String.concat "," (Array.to_list (Array.map string_of_int spec.inputs));
-        string_of_int spec.c;
-        string_of_int spec.t;
-        String.lowercase_ascii spec.caaf;
-        protocol_token spec.protocol;
-        failures_token spec.failures;
-        string_of_int spec.seed;
-      ]
-  in
-  Printf.sprintf "%016Lx" (Ftagg_util.Fnv.hash canonical)
+  let buf = Buffer.create 256 in
+  let sep () = Buffer.add_char buf '|' in
+  Buffer.add_string buf (Incident.family_to_string spec.family);
+  sep ();
+  add_int buf spec.n;
+  sep ();
+  add_int buf spec.topo_seed;
+  sep ();
+  Array.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char buf ',';
+      add_int buf x)
+    spec.inputs;
+  sep ();
+  add_int buf spec.c;
+  sep ();
+  add_int buf spec.t;
+  sep ();
+  String.iter (fun c -> Buffer.add_char buf (Char.lowercase_ascii c)) spec.caaf;
+  sep ();
+  add_protocol buf spec.protocol;
+  sep ();
+  add_failures buf spec.failures;
+  sep ();
+  add_int buf spec.seed;
+  Printf.sprintf "%016Lx" (Ftagg_util.Fnv.hash (Buffer.contents buf))
 
 (* The cache key adds the topology generation the digest deliberately
    leaves out: same question, later generation → different key, so a
    churned topology can never be answered from a stale entry. *)
-let cache_key spec =
-  if spec.generation = 0 then digest spec
-  else Printf.sprintf "%s@g%d" (digest spec) spec.generation
+let key_of_digest spec digest =
+  if spec.generation = 0 then digest else digest ^ "@g" ^ string_of_int spec.generation
+
+let cache_key spec = key_of_digest spec (digest spec)
 
 (* ---- JSON codec ---- *)
 

@@ -87,6 +87,11 @@ val cache_key : spec -> string
     cached under generation [g - 1], even when the spec digests agree —
     the topology may have churned underneath it. *)
 
+val key_of_digest : spec -> string -> string
+(** [key_of_digest spec (digest spec)] is [cache_key spec], without
+    hashing the spec again: admission digests each job once and keeps
+    both. *)
+
 val to_json : spec -> Ftagg_runner.Bench_io.json
 (** The resolved wire/checkpoint form; [of_json ∘ to_json] is the
     identity on specs. *)

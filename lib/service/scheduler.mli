@@ -67,9 +67,10 @@ val restore :
 val store : t -> Ftagg_store.Store.t option
 val store_stats : t -> Ftagg_store.Store.stats option
 
-val submit : t -> Job.spec -> (string, Queue.reject) result
-(** Admit a job; returns its fresh id, or the backpressure reason when
-    the queue is full. *)
+val submit : t -> Job.spec -> (string * string, Queue.reject) result
+(** Admit a job; returns its fresh id and its {!Job.digest}, or the
+    backpressure reason when the queue is full.  The spec is digested
+    once, here: the queue entry keeps the cache key {!tick} looks up. *)
 
 val cancel : t -> string -> bool
 (** Remove a still-queued job.  [false] if unknown, already running, or

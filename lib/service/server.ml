@@ -126,11 +126,11 @@ let handle_submit t json =
     | Error reason -> err ~op:"submit" "bad_request" [ ("detail", Bench_io.String reason) ]
     | Ok spec -> (
       match Scheduler.submit t.scheduler spec with
-      | Ok id ->
+      | Ok (id, digest) ->
         ok "submit"
           [
             ("id", Bench_io.String id);
-            ("digest", Bench_io.String (Job.digest spec));
+            ("digest", Bench_io.String digest);
             ("status", Bench_io.String "queued");
             depth_field t;
           ]

@@ -391,6 +391,134 @@ let test_histogram_lookup () =
   | Some h -> check_int "labelled series found" 1 h.Registry.h_count
   | None -> Alcotest.fail "labelled histogram missing"
 
+(* --- Bench_io writer bytes ---
+
+   The reference emitter is the writer as it was before it escaped into
+   its output buffer: each string escaped into a buffer of its own, then
+   copied.  It is kept verbatim, and the writer must match it byte for
+   byte, indented or not. *)
+
+let reference_escape s =
+  let buf = Buffer.create (String.length s + 2) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let reference_float_repr x =
+  if Float.is_nan x then "null"
+  else if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.1f" x
+  else if Float.abs x = Float.infinity then "null"
+  else
+    let s = Printf.sprintf "%.12g" x in
+    if float_of_string s = x then s else Printf.sprintf "%.17g" x
+
+let rec reference_emit buf ~indent ~level v =
+  let pad l = if indent then Buffer.add_string buf (String.make (2 * l) ' ') in
+  let nl () = if indent then Buffer.add_char buf '\n' in
+  match v with
+  | Bench_io.Null -> Buffer.add_string buf "null"
+  | Bench_io.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Bench_io.Int i -> Buffer.add_string buf (string_of_int i)
+  | Bench_io.Float x -> Buffer.add_string buf (reference_float_repr x)
+  | Bench_io.String s ->
+    Buffer.add_char buf '"';
+    Buffer.add_string buf (reference_escape s);
+    Buffer.add_char buf '"'
+  | Bench_io.List [] -> Buffer.add_string buf "[]"
+  | Bench_io.List items ->
+    Buffer.add_char buf '[';
+    nl ();
+    List.iteri
+      (fun i item ->
+        if i > 0 then begin
+          Buffer.add_char buf ',';
+          nl ()
+        end;
+        pad (level + 1);
+        reference_emit buf ~indent ~level:(level + 1) item)
+      items;
+    nl ();
+    pad level;
+    Buffer.add_char buf ']'
+  | Bench_io.Obj [] -> Buffer.add_string buf "{}"
+  | Bench_io.Obj fields ->
+    Buffer.add_char buf '{';
+    nl ();
+    List.iteri
+      (fun i (k, item) ->
+        if i > 0 then begin
+          Buffer.add_char buf ',';
+          nl ()
+        end;
+        pad (level + 1);
+        Buffer.add_char buf '"';
+        Buffer.add_string buf (reference_escape k);
+        Buffer.add_string buf "\": ";
+        reference_emit buf ~indent ~level:(level + 1) item)
+      fields;
+    nl ();
+    pad level;
+    Buffer.add_char buf '}'
+
+let reference_to_string ~indent v =
+  let buf = Buffer.create 1024 in
+  reference_emit buf ~indent ~level:0 v;
+  if indent then Buffer.add_char buf '\n';
+  Buffer.contents buf
+
+(* Every escape class, often: quote, backslash, newline, tab, carriage
+   return, the other bytes below 0x20, bytes from 0x80 up, and plain
+   printable runs between them. *)
+let escape_class_char =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ '"'; '\\'; '\n'; '\t'; '\r' ];
+        char_range '\000' '\031';
+        char_range '\128' '\255';
+        char_range ' ' '~';
+      ])
+
+let rec json_gen depth =
+  let open QCheck.Gen in
+  let str = string_size ~gen:escape_class_char (0 -- 12) in
+  let leaf =
+    oneof
+      [
+        map (fun s -> Bench_io.String s) str;
+        map (fun i -> Bench_io.Int i) (oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ]);
+        map (fun b -> Bench_io.Bool b) bool;
+        return Bench_io.Null;
+        map (fun f -> Bench_io.Float f) (oneof [ float; oneofl [ nan; infinity; 0.5; -1e20 ] ]);
+      ]
+  in
+  if depth = 0 then leaf
+  else
+    oneof
+      [
+        leaf;
+        map (fun l -> Bench_io.List l) (list_size (0 -- 4) (json_gen (depth - 1)));
+        map (fun kvs -> Bench_io.Obj kvs) (list_size (0 -- 4) (pair str (json_gen (depth - 1))));
+      ]
+
+let writer_bytes_tests =
+  [
+    QCheck.Test.make ~name:"Bench_io: writer bytes equal the reference emitter" ~count:500
+      (QCheck.make (json_gen 3))
+      (fun j ->
+        Bench_io.to_string ~indent:false j = reference_to_string ~indent:false j
+        && Bench_io.to_string ~indent:true j = reference_to_string ~indent:true j);
+  ]
+
 (* --- Bench_io round trip (satellite: JSON string escaping) --- *)
 
 let qcheck_tests =
@@ -482,4 +610,4 @@ let suite =
       ("percentile: degenerate histograms", test_percentile_degenerate);
       ("registry: histogram lookup by name + labels", test_histogram_lookup);
     ]
-  @ List.map QCheck_alcotest.to_alcotest qcheck_tests
+  @ List.map QCheck_alcotest.to_alcotest (qcheck_tests @ writer_bytes_tests)

@@ -255,10 +255,11 @@ let test_job_of_json_defaults_and_errors () =
 
 let test_scheduler_cache_hit () =
   let t = Scheduler.create ~settings:(settings ~batch:1 ()) () in
-  let id1 = Result.get_ok (Scheduler.submit t (spec ())) in
-  let id2 = Result.get_ok (Scheduler.submit t (spec ~tenant:"other" ()))
+  let id1, digest1 = Result.get_ok (Scheduler.submit t (spec ())) in
+  let id2, _ = Result.get_ok (Scheduler.submit t (spec ~tenant:"other" ()))
   and _ = check_true "ids are fresh" true in
   check_true "distinct ids" (id1 <> id2);
+  check_true "submit returns the spec's digest" (digest1 = Job.digest (spec ()));
   (match Scheduler.tick t () with
   | [ c ] ->
     check_true "first executes" (not c.Scheduler.cached);
@@ -292,8 +293,8 @@ let test_scheduler_cache_hit () =
 
 let test_scheduler_cancel_and_deadline () =
   let t = Scheduler.create ~settings:(settings ~batch:4 ()) () in
-  let id1 = Result.get_ok (Scheduler.submit t (spec ())) in
-  let id2 = Result.get_ok (Scheduler.submit t (spec ~seed:8 ())) in
+  let id1, _ = Result.get_ok (Scheduler.submit t (spec ())) in
+  let id2, _ = Result.get_ok (Scheduler.submit t (spec ~seed:8 ())) in
   check_true "cancel a queued job" (Scheduler.cancel t id2);
   check_true "cancel is idempotent-false" (not (Scheduler.cancel t id2));
   check_true "unknown id" (not (Scheduler.cancel t "j999"));
@@ -304,7 +305,7 @@ let test_scheduler_cancel_and_deadline () =
   (* a job whose queue wait exceeds its deadline expires instead of running *)
   let t2 = Scheduler.create ~settings:(settings ~batch:1 ()) () in
   ignore (Scheduler.submit t2 (spec ()));
-  let expiring = Result.get_ok (Scheduler.submit t2 (spec ~seed:9 ~deadline:0 ())) in
+  let expiring, _ = Result.get_ok (Scheduler.submit t2 (spec ~seed:9 ~deadline:0 ())) in
   ignore (Scheduler.tick t2 ()) (* runs the first job; the deadline-0 job now waited 1 > 0 *);
   match Scheduler.tick t2 () with
   | [ c ] ->
@@ -349,7 +350,7 @@ let test_scheduler_checkpoint_restore () =
   check_int "backlog restored" 2 (Scheduler.depth t');
   check_int "completions restored" 1 (Scheduler.completed_count t');
   (* a post-restart duplicate of the completed job hits the re-seeded cache *)
-  let dup = Result.get_ok (Scheduler.submit t' (spec ())) in
+  let dup, _ = Result.get_ok (Scheduler.submit t' (spec ())) in
   check_true "ids never collide across the restart" (not (String.equal dup "j1"));
   let cs = Scheduler.drain t' in
   check_int "backlog + duplicate drained" 3 (List.length cs);
@@ -357,6 +358,7 @@ let test_scheduler_checkpoint_restore () =
   check_true "duplicate served from the restored cache" dup_c.Scheduler.cached;
   check_true "every drained job succeeded"
     (List.for_all (fun c -> Result.is_ok c.Scheduler.outcome) cs);
+  check_int "completions counted across the restart" 4 (Scheduler.completed_count t');
   Sys.remove path
 
 (* --- checkpoint codec --- *)
@@ -652,6 +654,148 @@ let test_job_digest_golden () =
         expect (Job.digest s))
     vectors
 
+(* --- the digest against its specification ---
+
+   The reference is the string-concatenating construction [Job.digest]
+   had before it wrote the canonical bytes into one buffer, kept here
+   verbatim with its per-byte FNV-1a: every spec must still digest, and
+   key, to the same hex string. *)
+
+let reference_fnv s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c ->
+      h := Int64.logxor !h (Int64.of_int (Char.code c));
+      h := Int64.mul !h 0x100000001b3L)
+    s;
+  !h
+
+let reference_digest (spec : Job.spec) =
+  let protocol_token = function
+    | Job.Tradeoff { b; f } -> Printf.sprintf "tradeoff:%d:%d" b f
+    | Job.Brute -> "brute"
+    | Job.Unknown_f -> "unknown_f"
+    | Job.Chaos_pair { bit_cap } ->
+      Printf.sprintf "chaos_pair:%s" (match bit_cap with Some c -> string_of_int c | None -> "-")
+  in
+  let failures_token = function
+    | Job.Generated { mode; budget } -> Printf.sprintf "gen:%s:%d" mode budget
+    | Job.Explicit schedule ->
+      "exp:" ^ String.concat "," (List.map (fun (u, r) -> Printf.sprintf "%d@%d" u r) schedule)
+  in
+  let canonical =
+    String.concat "|"
+      [
+        Incident.family_to_string spec.Job.family;
+        string_of_int spec.Job.n;
+        string_of_int spec.Job.topo_seed;
+        String.concat "," (Array.to_list (Array.map string_of_int spec.Job.inputs));
+        string_of_int spec.Job.c;
+        string_of_int spec.Job.t;
+        String.lowercase_ascii spec.Job.caaf;
+        protocol_token spec.Job.protocol;
+        failures_token spec.Job.failures;
+        string_of_int spec.Job.seed;
+      ]
+  in
+  Printf.sprintf "%016Lx" (reference_fnv canonical)
+
+let reference_cache_key (spec : Job.spec) =
+  if spec.Job.generation = 0 then reference_digest spec
+  else Printf.sprintf "%s@g%d" (reference_digest spec) spec.Job.generation
+
+(* Ints over the whole range, weighted towards the edges of the decimal
+   writer: signs, one and two digits, [min_int] and [max_int]. *)
+let any_int =
+  QCheck.Gen.(
+    oneof
+      [
+        int;
+        small_signed_int;
+        oneofl [ min_int; min_int + 1; max_int; 0; -1; 1; 9; 10; -9; -10; -11; 100; -100 ];
+      ])
+
+let spec_gen =
+  let open QCheck.Gen in
+  let family =
+    oneof
+      [
+        oneofl
+          Topo.[ Path; Ring; Grid; Star; Binary_tree; Complete; Caterpillar; Lollipop; Torus ];
+        map (fun p -> Topo.Random p) (float_bound_inclusive 1.);
+        map (fun k -> Topo.Random_regular k) any_int;
+      ]
+  in
+  let mixed_case name =
+    map
+      (fun flips ->
+        String.mapi
+          (fun i c -> if List.nth flips (i mod List.length flips) then Char.uppercase_ascii c else c)
+          name)
+      (list_size (1 -- 8) bool)
+  in
+  let caaf =
+    oneof
+      [
+        oneofl [ "sum"; "max"; "min"; "count"; "gcd"; "and"; "or" ] >>= mixed_case;
+        string_size ~gen:char (0 -- 8);
+      ]
+  in
+  let protocol =
+    oneof
+      [
+        map2 (fun b f -> Job.Tradeoff { b; f }) any_int any_int;
+        return Job.Brute;
+        return Job.Unknown_f;
+        map (fun bit_cap -> Job.Chaos_pair { bit_cap }) (opt any_int);
+      ]
+  in
+  let failures =
+    oneof
+      [
+        map2
+          (fun mode budget -> Job.Generated { mode; budget })
+          (oneof [ oneofl Failure.modes; string_size ~gen:printable (0 -- 6) ])
+          any_int;
+        return (Job.Explicit []);
+        map (fun l -> Job.Explicit l) (list_size (0 -- 6) (pair any_int any_int));
+      ]
+  in
+  let generation = oneof [ return 0; int_range 1 5; map abs any_int ] in
+  family >>= fun family ->
+  quad any_int any_int any_int any_int >>= fun (n, topo_seed, c, t) ->
+  array_size (0 -- 40) any_int >>= fun inputs ->
+  triple caaf protocol failures >>= fun (caaf, protocol, failures) ->
+  pair any_int generation >>= fun (seed, generation) ->
+  string_size ~gen:char (0 -- 6) >>= fun tenant ->
+  return
+    {
+      Job.tenant;
+      family;
+      n;
+      topo_seed;
+      inputs;
+      c;
+      t;
+      caaf;
+      protocol;
+      failures;
+      seed;
+      generation;
+      deadline = None;
+      priority = Job.Normal;
+    }
+
+let qcheck_tests =
+  [
+    QCheck.Test.make ~name:"job: digest and cache key match the reference construction"
+      ~count:1000 (QCheck.make spec_gen) (fun spec ->
+        let digest = Job.digest spec in
+        digest = reference_digest spec
+        && Job.cache_key spec = reference_cache_key spec
+        && Job.key_of_digest spec digest = Job.cache_key spec);
+  ]
+
 (* --- the shared store as an L2 behind the LRU --- *)
 
 let store_dir_counter = ref 0
@@ -782,3 +926,4 @@ let suite =
     Alcotest.test_case "campaign via service: cancellation" `Quick
       test_campaign_via_service_cancellation;
   ]
+  @ List.map QCheck_alcotest.to_alcotest qcheck_tests

@@ -161,6 +161,17 @@ let qcheck_tests =
         v < 1 lsl (max w 1));
   ]
 
+(* The published FNV-1a 64 vectors: the hash behind every job digest,
+   derived seed, membership key and ring placement. *)
+let test_fnv_vectors () =
+  List.iter
+    (fun (s, expect) ->
+      Alcotest.(check string)
+        (Printf.sprintf "fnv1a64 %S" s)
+        expect
+        (Printf.sprintf "%016Lx" (Ftagg_util.Fnv.hash s)))
+    [ ("", "cbf29ce484222325"); ("a", "af63dc4c8601ec8c"); ("foobar", "85944171f73967e8") ]
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -184,5 +195,6 @@ let suite =
       ("stats: empty raises", test_stats_empty_raises);
       ("table: render", test_table_render);
       ("table: row arity", test_table_mismatched_row);
+      ("fnv: published FNV-1a 64 vectors", test_fnv_vectors);
     ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_tests
