@@ -190,4 +190,3 @@ let write_text path text =
 
 let write_jsonl ~path obs = write_text path (jsonl obs)
 let write_chrome_trace ~path obs = Bench_io.write_file ~path (chrome_trace obs)
-let write_prometheus ~path registry = write_text path (prometheus registry)

@@ -26,7 +26,3 @@ val prometheus : Registry.t -> string
 val write_jsonl : path:string -> Obs.t -> unit
 val write_chrome_trace : path:string -> Obs.t -> unit
 (** Write the Chrome trace (indented, Perfetto-loadable) to [path]. *)
-
-val write_prometheus : path:string -> Registry.t -> unit
-(** Write {!prometheus} to [path] — what [ftagg serve --prom] and the
-    chaos campaign's [campaign.prom] use. *)

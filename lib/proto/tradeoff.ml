@@ -220,5 +220,3 @@ let root_how node =
   match node.output with
   | Some (_, how) -> how
   | None -> invalid_arg "Tradeoff.root_how: execution not finished"
-
-let selected_intervals node = node.starts

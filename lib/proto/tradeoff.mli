@@ -90,6 +90,3 @@ val root_done : node -> bool
 
 val root_result : node -> int
 val root_how : node -> how
-val selected_intervals : node -> int list
-(** Root only: the plan's start tags (Algorithm 1: the sampled distinct
-    interval indices), ascending. *)

@@ -201,5 +201,3 @@ let root_verdict node =
   match node.verdict with
   | Some v -> v
   | None -> invalid_arg "Veri.root_verdict: execution not finished"
-
-let overflowed node = node.overflow

@@ -45,5 +45,3 @@ val wake : node -> round:int -> int
 
 val root_verdict : node -> bool
 (** The root's output; meaningful once [rr = duration] has executed. *)
-
-val overflowed : node -> bool

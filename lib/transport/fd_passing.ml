@@ -4,7 +4,6 @@
    (the same representation the stdlib's own unix stubs rely on). *)
 
 external sendmsg_fd : Unix.file_descr -> Unix.file_descr -> int = "ftagg_sendmsg_fd"
-external recvmsg_fd : Unix.file_descr -> int = "ftagg_recvmsg_fd"
 external recvmsg_buf : Unix.file_descr -> Bytes.t -> int -> int ref -> int = "ftagg_recvmsg_buf"
 
 let available = true
@@ -23,12 +22,6 @@ let send_fd ~sock ~fd =
   match sendmsg_fd sock fd with
   | 0 -> Ok ()
   | neg -> Error (Printf.sprintf "sendmsg(SCM_RIGHTS): %s" (errno_name (-neg)))
-
-let recv_fd ~sock =
-  let r = recvmsg_fd sock in
-  if r >= 0 then Ok (Obj.magic (r : int) : Unix.file_descr)
-  else if -r = 11 then Error "EAGAIN"
-  else Error (Printf.sprintf "recvmsg(SCM_RIGHTS): %s" (errno_name (-r)))
 
 let recv_with_fd ~sock buf =
   let fdref = ref (-1) in

@@ -18,10 +18,6 @@ val send_fd : sock:Unix.file_descr -> fd:Unix.file_descr -> (unit, string) resul
 (** Send [fd] (with one sentinel payload byte) over [sock].  The caller
     keeps its own copy of [fd]; the receiver gets an independent dup. *)
 
-val recv_fd : sock:Unix.file_descr -> (Unix.file_descr, string) result
-(** Receive one descriptor from [sock].  [Error "EAGAIN"] when [sock] is
-    nonblocking and nothing has arrived yet. *)
-
 val recv_with_fd : sock:Unix.file_descr -> Bytes.t -> (int * Unix.file_descr option, string) result
 (** Read up to [Bytes.length buf] payload bytes into [buf], capturing a
     descriptor if one is attached to any of them; [Ok (0, _)] is EOF.

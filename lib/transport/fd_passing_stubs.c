@@ -4,7 +4,7 @@
  * ancillary data, so the two syscalls the live-handoff path needs are
  * provided here as minimal stubs.  Error handling crosses the FFI as a
  * negative errno (the OCaml wrapper turns it into a result); success is
- * 0 for send and the received descriptor for recv.  On every supported
+ * 0 for send and the payload byte count for recv.  On every supported
  * platform Unix.file_descr is an immediate int, which is what Int_val /
  * Val_int rely on below.
  */
@@ -46,38 +46,6 @@ CAMLprim value ftagg_sendmsg_fd(value vsock, value vfd)
     r = sendmsg(Int_val(vsock), &msg, 0);
   } while (r < 0 && errno == EINTR);
   return Val_int(r < 0 ? -errno : 0);
-}
-
-CAMLprim value ftagg_recvmsg_fd(value vsock)
-{
-  struct msghdr msg;
-  struct iovec iov;
-  char byte = 0;
-  char cbuf[CMSG_SPACE(sizeof(int))];
-  struct cmsghdr *cmsg;
-  ssize_t r;
-
-  memset(&msg, 0, sizeof msg);
-  iov.iov_base = &byte;
-  iov.iov_len = 1;
-  msg.msg_iov = &iov;
-  msg.msg_iovlen = 1;
-  msg.msg_control = cbuf;
-  msg.msg_controllen = sizeof cbuf;
-
-  do {
-    r = recvmsg(Int_val(vsock), &msg, 0);
-  } while (r < 0 && errno == EINTR);
-  if (r < 0) return Val_int(-errno);
-  if (r == 0) return Val_int(-ECONNRESET); /* peer closed before the fd */
-  for (cmsg = CMSG_FIRSTHDR(&msg); cmsg != NULL; cmsg = CMSG_NXTHDR(&msg, cmsg)) {
-    if (cmsg->cmsg_level == SOL_SOCKET && cmsg->cmsg_type == SCM_RIGHTS) {
-      int fd;
-      memcpy(&fd, CMSG_DATA(cmsg), sizeof(int));
-      return Val_int(fd);
-    }
-  }
-  return Val_int(-EBADMSG); /* a data byte arrived without its fd */
 }
 
 /* Read up to [vlen] payload bytes WITH a control buffer, storing a

@@ -10,10 +10,6 @@ let sum_upper_bound ~n ~f ~b =
   let fb = float_of_int f /. float_of_int b in
   ((fb *. ln) +. ln) *. Float.min (float_of_int b) (Float.min (float_of_int f) ln)
 
-let sum_upper_bound_simple ~n ~f ~b =
-  let ln = logn n in
-  (float_of_int f /. float_of_int b *. ln *. ln) +. (ln *. ln)
-
 let sum_lower_bound ~n ~f ~b =
   let f = max f 1 in
   let lb = log2 (float_of_int (max 2 b)) in

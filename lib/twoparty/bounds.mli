@@ -8,9 +8,6 @@ val sum_upper_bound : n:int -> f:int -> b:int -> float
 (** Theorem 1: [(f/b·log N + log N) · min(b, f, log N)] bits.  [f] is
     clamped to [>= 1] (the theorem's stated range). *)
 
-val sum_upper_bound_simple : n:int -> f:int -> b:int -> float
-(** The simplified form [f/b·log²N + log²N]. *)
-
 val sum_lower_bound : n:int -> f:int -> b:int -> float
 (** Theorem 2: [f/(b·log b) + log N / log b] bits ([b >= 2]). *)
 

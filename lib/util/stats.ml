@@ -46,8 +46,6 @@ let summarize xs =
       p90 = percentile 90.0 xs;
     }
 
-let summarize_ints xs = summarize (List.map float_of_int xs)
-
 let max_int_list = function
   | [] -> invalid_arg "Stats.max_int_list: empty sample"
   | x :: xs -> List.fold_left max x xs

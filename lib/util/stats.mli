@@ -13,8 +13,6 @@ type summary = {
 val summarize : float list -> summary
 (** Summary of a non-empty sample. *)
 
-val summarize_ints : int list -> summary
-
 val mean : float list -> float
 val max_int_list : int list -> int
 val percentile : float -> float list -> float
