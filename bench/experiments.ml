@@ -852,11 +852,12 @@ let e16 () =
   let params = Params.make ~c:2 ~t:3 ~graph:g ~inputs:(Array.init n (fun i -> i + 1)) () in
   let truth = n * (n + 1) / 2 in
   let run_pair ~loss ~seed =
-    let states, _ =
-      Engine.run ~loss ~graph:g ~failures:(Failure.none ~n)
-        ~max_rounds:(Pair.duration params) ~seed (Pair.protocol params)
+    let r =
+      Engine.run_chaos ~faults:{ Engine.no_faults with loss } ~graph:g
+        ~failures:(Failure.none ~n) ~max_rounds:(Pair.duration params) ~seed
+        (Pair.protocol params)
     in
-    Pair.root_verdict states.(Graph.root)
+    Pair.root_verdict r.Engine.c_states.(Graph.root)
   in
   let trials = 10 in
   let table =

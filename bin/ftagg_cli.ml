@@ -907,14 +907,19 @@ let service_settings_term =
   in
   Term.(const build $ checkpoint $ queue $ cache $ every $ batch $ domains $ b $ f)
 
-let export_telemetry ~prom ~jsonl obs =
+let export_telemetry ~prom ~jsonl t =
+  let obs = Service.Server.obs t in
   (match prom with
   | Some path ->
     let oc = open_out path in
     output_string oc (Export.prometheus (Obs.registry obs));
     close_out oc
   | None -> ());
-  match jsonl with Some path -> Export.write_jsonl ~path obs | None -> ()
+  match jsonl with
+  | Some path ->
+    Service.Scheduler.export_completions (Service.Server.scheduler t);
+    Export.write_jsonl ~path obs
+  | None -> ()
 
 let serve_cmd =
   let prom =
@@ -1037,22 +1042,21 @@ let serve_cmd =
           (List.length (Transport.Auth.tenants table))
     in
     let mk_server checkpoint_path =
-      let obs = Obs.create ~name:"ftagg-serve" () in
       let config = { Service.Server.settings; checkpoint_path; store_dir; name = "ftagg-serve" } in
-      let t = Service.Server.create ~obs config in
+      let t = Service.Server.create config in
       (match Service.Server.store_error t with
       | Some e -> Printf.eprintf "serve: WARNING: %s; running without the shared store\n%!" e
       | None -> ());
-      (obs, t)
+      t
     in
-    let serve_listener obs t ?adopted_fd lcfg =
+    let serve_listener t ?adopted_fd lcfg =
       match Transport.Listener.create ?adopted_fd lcfg t with
       | Error e -> Error e
       | Ok listener ->
         Ok
           (fun () ->
             let code = Transport.Listener.run listener in
-            export_telemetry ~prom ~jsonl obs;
+            export_telemetry ~prom ~jsonl t;
             code)
     in
     match takeover with
@@ -1075,7 +1079,7 @@ let serve_cmd =
             | Some _ -> checkpoint_path
             | None -> outcome.Transport.Handoff.Takeover.checkpoint_path
           in
-          let obs, t = mk_server checkpoint_path in
+          let t = mk_server checkpoint_path in
           (match Service.Server.restore_error t with
           | Some e ->
             (* Adopting the traffic while silently dropping the state the
@@ -1088,7 +1092,7 @@ let serve_cmd =
             Transport.Listener.config ~auth ~max_line ~idle_timeout ~max_conns
               ~ctl:(Option.value ctl ~default:ctl_path) address
           in
-          match serve_listener obs t ?adopted_fd:outcome.Transport.Handoff.Takeover.fd lcfg with
+          match serve_listener t ?adopted_fd:outcome.Transport.Handoff.Takeover.fd lcfg with
           | Error e -> abort_with e
           | Ok go ->
             Transport.Handoff.Takeover.confirm tk;
@@ -1098,7 +1102,7 @@ let serve_cmd =
               (Service.Server.restored_backlog t) (auth_banner auth);
             go ())))
     | None -> (
-      let obs, t = mk_server checkpoint_path in
+      let t = mk_server checkpoint_path in
       (match Service.Server.restore_error t with
       | Some e -> Printf.eprintf "serve: WARNING: %s; starting empty\n%!" e
       | None -> ());
@@ -1108,7 +1112,7 @@ let serve_cmd =
       match listen with
       | None ->
         let code = Service.Server.serve t stdin stdout in
-        export_telemetry ~prom ~jsonl obs;
+        export_telemetry ~prom ~jsonl t;
         code
       | Some addr -> (
         match Transport.Listener.address_of_string addr with
@@ -1118,7 +1122,7 @@ let serve_cmd =
           let lcfg =
             Transport.Listener.config ~auth ~max_line ~idle_timeout ~max_conns ?ctl address
           in
-          match serve_listener obs t lcfg with
+          match serve_listener t lcfg with
           | Error e -> fail e
           | Ok go ->
             Printf.eprintf "serve: listening on %s (%s%s)\n%!"

@@ -71,8 +71,8 @@ type pair_report = {
 (* The pair row's outcome, read back into the typed report: its evidence
    carries the verdict's [veri_ok] (absent when the watchdog halted the
    run) and the ground truth's [lfc] and [edge_failures] (always). *)
-let run_pair ?online ?obs sc =
-  let (r : report) = exec ?online ?obs sc in
+let run_pair ?online sc =
+  let (r : report) = exec ?online sc in
   let o = r.outcome in
   let evidence k = List.assoc_opt k o.Backend.evidence in
   let truth k =

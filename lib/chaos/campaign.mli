@@ -52,8 +52,7 @@ type pair_report = {
   rounds : int;
 }
 
-val run_pair :
-  ?online:Ftagg_sim.Engine.online -> ?obs:Ftagg_obs.Obs.t -> Incident.scenario -> pair_report
+val run_pair : ?online:Ftagg_sim.Engine.online -> Incident.scenario -> pair_report
 (** {!exec} of a pair scenario, read back into the pair's typed fields.
     Raises [Invalid_argument] if the scenario names another row. *)
 

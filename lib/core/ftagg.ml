@@ -175,20 +175,20 @@ module Network = struct
 
   (** Fault-tolerant aggregation via Algorithm 1 under a TC budget of [b]
       flooding rounds and at most [f] edge failures. *)
-  let aggregate ?caaf ?failures ?loss t ~inputs ~b ~f =
+  let aggregate ?caaf ?failures t ~inputs ~b ~f =
     let params = params ?caaf t ~inputs in
     let failures = Option.value failures ~default:(no_failures t) in
-    let o = Run.tradeoff ?loss ~graph:t.graph ~failures ~params ~b ~f ~seed:t.seed () in
+    let o = Run.tradeoff ~graph:t.graph ~failures ~params ~b ~f ~seed:t.seed () in
     report_of o.Run.common o.Run.result
 
   (** SUM with default settings. *)
-  let sum ?failures ?loss t ~inputs ~b ~f = aggregate ?failures ?loss t ~inputs ~b ~f
+  let sum ?failures t ~inputs ~b ~f = aggregate ?failures t ~inputs ~b ~f
 
   (** Aggregation when [f] is unknown: the doubling-trick protocol. *)
-  let aggregate_unknown_f ?caaf ?failures ?loss t ~inputs =
+  let aggregate_unknown_f ?caaf ?failures t ~inputs =
     let params = params ?caaf t ~inputs in
     let failures = Option.value failures ~default:(no_failures t) in
-    let o = Run.unknown_f ?loss ~graph:t.graph ~failures ~params ~seed:t.seed () in
+    let o = Run.unknown_f ~graph:t.graph ~failures ~params ~seed:t.seed () in
     report_of o.Run.common o.Run.result
 
   (** The [k]-th smallest input, [1]-based. *)

@@ -140,8 +140,8 @@ module Network : sig
 
   (** What a run tells you, in one record: the root's answer plus the
       cost and correctness accounting.  [result] is [Agg.Aborted] when
-      the protocol gave up (the facade's protocols never do under the
-      paper's model, but ablations and lossy runs can). *)
+      the protocol gave up (the facade's protocols never do: both fall
+      back to brute force rather than abort). *)
   type report = {
     result : Agg.result;  (** the root's answer; [Aborted] if it gave up *)
     correct : bool;  (** checked against the ground-truth interval *)
@@ -165,18 +165,15 @@ module Network : sig
   val params : ?caaf:Caaf.t -> t -> inputs:int array -> Params.t
 
   val aggregate :
-    ?caaf:Caaf.t -> ?failures:Failure.t -> ?loss:float -> t -> inputs:int array -> b:int -> f:int -> report
+    ?caaf:Caaf.t -> ?failures:Failure.t -> t -> inputs:int array -> b:int -> f:int -> report
   (** Fault-tolerant aggregation via Algorithm 1 under a TC budget of [b]
-      flooding rounds and at most [f] edge failures.  [loss] (default
-      [0.]) is a per-edge delivery loss probability forwarded to the
-      engine — non-zero loss leaves the paper's model. *)
+      flooding rounds and at most [f] edge failures. *)
 
-  val sum :
-    ?failures:Failure.t -> ?loss:float -> t -> inputs:int array -> b:int -> f:int -> report
+  val sum : ?failures:Failure.t -> t -> inputs:int array -> b:int -> f:int -> report
   (** SUM with default settings. *)
 
   val aggregate_unknown_f :
-    ?caaf:Caaf.t -> ?failures:Failure.t -> ?loss:float -> t -> inputs:int array -> report
+    ?caaf:Caaf.t -> ?failures:Failure.t -> t -> inputs:int array -> report
   (** Aggregation when [f] is unknown: the doubling-trick protocol. *)
 
   val select :

@@ -11,5 +11,3 @@ let map ?domains ~into f xs =
   in
   List.iter (fun (_, reg) -> Registry.merge_into ~into reg) jobs;
   List.map fst jobs
-
-let map_seeds ?domains ~into ~seeds f = map ?domains ~into f seeds

@@ -17,7 +17,3 @@ val map :
 (** [map ~into f xs] — like [Sweep.map], but each [f] call receives the
     job's private registry; all registries are merged into [into] after
     the pool drains.  Results come back in input order. *)
-
-val map_seeds :
-  ?domains:int -> into:Registry.t -> seeds:int list -> (Registry.t -> int -> 'a) -> 'a list
-(** Per-seed convenience wrapper over {!map}. *)

@@ -114,12 +114,11 @@ let make (type s m) ~name ?(exact = true) ~guarantee ?(watch = cap_watch) ~proto
     let watch = watch
   end)
 
-let exec ?loss ?obs ~backend ~graph ~failures ~params ~b ~f ~seed () =
+let exec ?obs ~backend ~graph ~failures ~params ~b ~f ~seed () =
   let module B = (val backend : S) in
   let proto = B.protocol ~graph ~params ~b ~f in
   let states, metrics =
-    Engine.run ?obs ?loss ~graph ~failures ~max_rounds:(B.max_rounds ~params ~b ~f) ~seed
-      proto
+    Engine.run ?obs ~graph ~failures ~max_rounds:(B.max_rounds ~params ~b ~f) ~seed proto
   in
   B.finish ~graph ~failures ~params ~b ~f ~states ~metrics
 

@@ -161,7 +161,6 @@ val make :
     to [true] and [watch] to {!cap_watch}. *)
 
 val exec :
-  ?loss:float ->
   ?obs:Ftagg_obs.Obs.t ->
   backend:t ->
   graph:Ftagg_graph.Graph.t ->

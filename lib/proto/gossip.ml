@@ -68,9 +68,9 @@ let package ~graph ~failures ~params ~states ~metrics =
       ];
   }
 
-let run ?loss ?obs ~graph ~failures ~params ~rounds ~seed () =
+let run ~graph ~failures ~params ~rounds ~seed () =
   let states, metrics =
-    Engine.run ?obs ?loss ~graph ~failures ~max_rounds:rounds ~seed
+    Engine.run ~graph ~failures ~max_rounds:rounds ~seed
       (push_sum_protocol ~graph ~inputs:params.Params.inputs)
   in
   package ~graph ~failures ~params ~states ~metrics

@@ -23,8 +23,6 @@ val value_bits : int
 (** Fixed-point width per transmitted mass value (32). *)
 
 val run :
-  ?loss:float ->
-  ?obs:Ftagg_obs.Obs.t ->
   graph:Ftagg_graph.Graph.t ->
   failures:Ftagg_sim.Failure.t ->
   params:Params.t ->

@@ -38,10 +38,9 @@ let finish_pair ~graph ~failures ~params ~states ~metrics =
   in
   (truth, mk_common ~params ~metrics ~correct:truth.Checker.correct)
 
-let pair ?ablation ?loss ?obs ~graph ~failures ~params ~seed () =
+let pair ~graph ~failures ~params ~seed () =
   let states, metrics =
-    Engine.run ?obs ?loss ~graph ~failures ~max_rounds:(Pair.duration params) ~seed
-      (Pair.protocol ?ablation params)
+    Engine.run ~graph ~failures ~max_rounds:(Pair.duration params) ~seed (Pair.protocol params)
   in
   let truth, common = finish_pair ~graph ~failures ~params ~states ~metrics in
   (* [Engine.run] always runs the pair's full duration, so the verdict
@@ -72,9 +71,9 @@ let finish_agg ~graph ~failures ~params ~states ~metrics =
   in
   { result; trace; common = mk_common ~params ~metrics ~correct }
 
-let agg ?ablation ?loss ?obs ~graph ~failures ~params ~seed () =
+let agg ?ablation ~graph ~failures ~params ~seed () =
   let states, metrics =
-    Engine.run ?obs ?loss ~graph ~failures ~max_rounds:(Agg.duration params) ~seed
+    Engine.run ~graph ~failures ~max_rounds:(Agg.duration params) ~seed
       (Agg.protocol ?ablation params)
   in
   finish_agg ~graph ~failures ~params ~states ~metrics
@@ -89,9 +88,9 @@ let finish_brute_force ~graph ~failures ~params ~states ~metrics =
   let correct = check_value ~graph ~failures ~params ~metrics v in
   { result = Agg.Value v; common = mk_common ~params ~metrics ~correct }
 
-let brute_force ?loss ?obs ~graph ~failures ~params ~seed () =
+let brute_force ~graph ~failures ~params ~seed () =
   let states, metrics =
-    Engine.run ?obs ?loss ~graph ~failures ~max_rounds:(Brute_force.duration params) ~seed
+    Engine.run ~graph ~failures ~max_rounds:(Brute_force.duration params) ~seed
       (Brute_force.protocol params)
   in
   finish_brute_force ~graph ~failures ~params ~states ~metrics
@@ -114,9 +113,9 @@ let finish_folklore ~graph ~failures ~params ~states ~metrics =
   let common = mk_common ~params ~metrics ~correct in
   { result; f_result; epochs = Folklore.epochs_used root; common }
 
-let folklore ?loss ?obs ~graph ~failures ~params ~mode ~seed () =
+let folklore ~graph ~failures ~params ~mode ~seed () =
   let states, metrics =
-    Engine.run ?obs ?loss ~graph ~failures ~max_rounds:(Folklore.duration params mode) ~seed
+    Engine.run ~graph ~failures ~max_rounds:(Folklore.duration params mode) ~seed
       (Folklore.protocol params ~mode)
   in
   finish_folklore ~graph ~failures ~params ~states ~metrics
@@ -129,8 +128,8 @@ let finish_intervals ~graph ~failures ~params ~states ~metrics =
   let correct = check_value ~graph ~failures ~params ~metrics v in
   (root, Agg.Value v, mk_common ~params ~metrics ~correct)
 
-let run_intervals ?loss ?obs ~graph ~failures ~params ~seed ~max_rounds proto =
-  let states, metrics = Engine.run ?obs ?loss ~graph ~failures ~max_rounds ~seed proto in
+let run_intervals ?obs ~graph ~failures ~params ~seed ~max_rounds proto =
+  let states, metrics = Engine.run ?obs ~graph ~failures ~max_rounds ~seed proto in
   finish_intervals ~graph ~failures ~params ~states ~metrics
 
 type tradeoff_outcome = {
@@ -139,9 +138,9 @@ type tradeoff_outcome = {
   common : common;
 }
 
-let tradeoff ?loss ?obs ?strategy ~graph ~failures ~params ~b ~f ~seed () =
+let tradeoff ?obs ?strategy ~graph ~failures ~params ~b ~f ~seed () =
   let root, result, common =
-    run_intervals ?loss ?obs ~graph ~failures ~params ~seed
+    run_intervals ?obs ~graph ~failures ~params ~seed
       ~max_rounds:(Tradeoff.max_rounds params ~b)
       (Tradeoff.protocol ?strategy params ~b ~f)
   in
@@ -153,9 +152,9 @@ type unknown_f_outcome = {
   common : common;
 }
 
-let unknown_f ?loss ?obs ~graph ~failures ~params ~seed () =
+let unknown_f ~graph ~failures ~params ~seed () =
   let root, result, common =
-    run_intervals ?loss ?obs ~graph ~failures ~params ~seed
+    run_intervals ~graph ~failures ~params ~seed
       ~max_rounds:(Unknown_f.max_rounds params) (Unknown_f.protocol params)
   in
   { result; how = Unknown_f.root_how root; common }

@@ -13,17 +13,7 @@
     {!backends} (its [--backend], the chaos campaign, the churn matrix
     and bench E20).  {!Backend.exec} / {!Backend.exec_chaos} run any
     row; the CLI's run/trace/stats and the service's tradeoff, brute and
-    unknown-f jobs dispatch that way.
-
-    All entry points accept [?loss] (default [0.]): the per-edge delivery
-    loss probability forwarded to {!Ftagg_sim.Engine.run}.  Non-zero loss
-    leaves the paper's model — see the engine's documentation.
-
-    All entry points also accept [?obs]: a telemetry sink
-    ({!Ftagg_obs.Obs}) forwarded to the engine.  Instrumented runs see
-    per-phase bit attribution (AGG/VERI/Tradeoff annotate their phases)
-    at identical protocol behaviour — telemetry never touches the PRNG
-    streams. *)
+    unknown-f jobs dispatch that way. *)
 
 module Metrics = Ftagg_sim.Metrics
 module Backend = Backend
@@ -57,9 +47,6 @@ type pair_outcome = {
 }
 
 val pair :
-  ?ablation:Agg.ablation ->
-  ?loss:float ->
-  ?obs:Ftagg_obs.Obs.t ->
   graph:Ftagg_graph.Graph.t ->
   failures:Ftagg_sim.Failure.t ->
   params:Params.t ->
@@ -79,8 +66,6 @@ type agg_outcome = {
 
 val agg :
   ?ablation:Agg.ablation ->
-  ?loss:float ->
-  ?obs:Ftagg_obs.Obs.t ->
   graph:Ftagg_graph.Graph.t ->
   failures:Ftagg_sim.Failure.t ->
   params:Params.t ->
@@ -96,8 +81,6 @@ type value_outcome = {
 }
 
 val brute_force :
-  ?loss:float ->
-  ?obs:Ftagg_obs.Obs.t ->
   graph:Ftagg_graph.Graph.t ->
   failures:Ftagg_sim.Failure.t ->
   params:Params.t ->
@@ -113,8 +96,6 @@ type folklore_outcome = {
 }
 
 val folklore :
-  ?loss:float ->
-  ?obs:Ftagg_obs.Obs.t ->
   graph:Ftagg_graph.Graph.t ->
   failures:Ftagg_sim.Failure.t ->
   params:Params.t ->
@@ -133,7 +114,6 @@ type tradeoff_outcome = {
 }
 
 val tradeoff :
-  ?loss:float ->
   ?obs:Ftagg_obs.Obs.t ->
   ?strategy:Tradeoff.strategy ->
   graph:Ftagg_graph.Graph.t ->
@@ -146,7 +126,9 @@ val tradeoff :
   tradeoff_outcome
 (** Algorithm 1 ({!Tradeoff.protocol}).  [strategy] defaults to the
     paper's [Sampled] intervals; [Sequential] is the derandomized
-    ablation of bench E15. *)
+    ablation of bench E15.  [obs] is the engine's telemetry sink
+    ({!Ftagg_sim.Engine.run}): the AGG, VERI and interval phases
+    annotate it with their bits, at identical protocol behaviour. *)
 
 type unknown_f_outcome = {
   result : Agg.result;  (** always [Value] *)
@@ -155,8 +137,6 @@ type unknown_f_outcome = {
 }
 
 val unknown_f :
-  ?loss:float ->
-  ?obs:Ftagg_obs.Obs.t ->
   graph:Ftagg_graph.Graph.t ->
   failures:Ftagg_sim.Failure.t ->
   params:Params.t ->

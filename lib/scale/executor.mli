@@ -21,10 +21,10 @@
     only dispatches each round's node ranges to the domains and waits at
     the barrier.  [run] takes the graph as numbered; [Scale_run.agg]
     hands it a {!Layout} of the caller's graph, whose run is the
-    isomorphic image of this one.  Message loss is the one [Engine.run]
-    feature {e not} offered: per-edge loss draws consume a shared PRNG
-    stream in global node order, which no partitioning can reproduce;
-    the paper's model is lossless anyway.
+    isomorphic image of this one.  There are no chaos faults here, as
+    in [Engine.run]: per-edge loss, duplication and delay draws
+    ([Engine.run_chaos]) consume a shared PRNG stream in global node
+    order, which no partitioning can reproduce.
 
     Failure schedules apply as in [Engine.run] (crash = stop, not message
     loss).  Torn barriers abort cleanly: an exception in any partition is

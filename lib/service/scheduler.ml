@@ -32,6 +32,7 @@ type t = {
   cache : Job.executed Cache.t;
   results : (string, completion) Hashtbl.t;
   mutable completed_order : string list;  (* reverse completion order *)
+  mutable restored : int;  (* completions a checkpoint seeded: [completed_order]'s tail *)
   mutable next_id : int;
   mutable tick_count : int;
   mutable since_checkpoint : int;
@@ -65,6 +66,7 @@ let create ?obs ?checkpoint_path ?store ~settings () =
     cache = Cache.create ~registry ~capacity:settings.Reconfig.cache_capacity ();
     results = Hashtbl.create 64;
     completed_order = [];
+    restored = 0;
     next_id = 1;
     tick_count = 0;
     since_checkpoint = 0;
@@ -140,23 +142,34 @@ let record_completion t completion =
   t.completed_order <- completion.id :: t.completed_order;
   t.since_checkpoint <- t.since_checkpoint + 1;
   count t ~labels:[ ("tenant", completion.tenant) ] "service_jobs_completed_total" 1;
-  (match completion.outcome with
+  match completion.outcome with
   | Ok o -> Registry.observe t.registry "service_job_rounds" (float_of_int o.Job.rounds)
-  | Error _ -> count t "service_jobs_failed_total" 1);
+  | Error _ -> count t "service_jobs_failed_total" 1
+
+(* A server that kept an event per completion would grow with every job
+   served, so the records are built here, at export, from the results
+   table.  All but the [restored] oldest ids of [completed_order] are
+   this process's. *)
+let export_completions t =
   match t.obs with
   | None -> ()
   | Some obs ->
-    Obs.event obs ~kind:"job_completed"
-      [
-        ("id", Bench_io.String completion.id);
-        ("tenant", Bench_io.String completion.tenant);
-        ("digest", Bench_io.String completion.digest);
-        ("cached", Bench_io.Bool completion.cached);
-        ( "outcome",
-          match completion.outcome with
-          | Ok o -> Job.outcome_to_json o
-          | Error e -> Bench_io.String e );
-      ]
+    let rec own k acc = function
+      | id :: older when k > 0 -> own (k - 1) (Hashtbl.find t.results id :: acc) older
+      | _ -> acc
+    in
+    List.iter
+      (fun c ->
+        Obs.event obs ~kind:"job_completed"
+          [
+            ("id", Bench_io.String c.id);
+            ("tenant", Bench_io.String c.tenant);
+            ("digest", Bench_io.String c.digest);
+            ("cached", Bench_io.Bool c.cached);
+            ( "outcome",
+              match c.outcome with Ok o -> Job.outcome_to_json o | Error e -> Bench_io.String e );
+          ])
+      (own (List.length t.completed_order - t.restored) [] t.completed_order)
 
 (* ---- checkpointing ---- *)
 
@@ -216,6 +229,7 @@ let restore ?obs ?checkpoint_path ?store ~settings (state : Checkpoint.state) =
       in
       Hashtbl.replace t.results completion.id completion;
       t.completed_order <- completion.id :: t.completed_order;
+      t.restored <- t.restored + 1;
       match d.Checkpoint.d_outcome with
       | Ok o -> (
         let executed = { Job.outcome = o; violation = None } in

@@ -40,9 +40,10 @@ val create :
 (** [obs] supplies the telemetry sink: its registry receives the
     service metrics ([service_queue_depth] gauge, [service_job_rounds]
     histogram, [service_jobs_*_total] and [service_cache_*_total]
-    counters) and its event stream one [job_completed] event per
-    completion.  [checkpoint_path] enables auto-checkpointing every
-    [settings.checkpoint_every] completions and {!checkpoint_now}.
+    counters) and its event stream the [reconfig] events; the per-job
+    records wait for {!export_completions}.  [checkpoint_path] enables
+    auto-checkpointing every [settings.checkpoint_every] completions and
+    {!checkpoint_now}.
     [store] plugs in the shared on-disk outcome store as an L2 behind
     the LRU cache: a cache miss consults it (and promotes a hit into the
     LRU, completing as [cached = true]) and every fresh execution is
@@ -101,6 +102,15 @@ val reconfig : t -> Reconfig.patch -> Reconfig.settings
 (** Apply a live patch at a job boundary: queue and cache capacities
     resize immediately, defaults affect future admissions.  Returns the
     new settings. *)
+
+val export_completions : t -> unit
+(** Append to the [obs] sink one [job_completed] event per completion
+    this process recorded, oldest first, built from the results table:
+    [id], [tenant], [digest], [cached], and [outcome] (the outcome
+    object, or the error string).  Completions seeded by {!restore} are
+    left out.  [ftagg serve --jsonl] calls it once, at exit, so the
+    records follow the stream's other events; a second call appends
+    them again.  No-op without a sink. *)
 
 val snapshot : t -> Checkpoint.state
 

@@ -21,14 +21,15 @@ type ('state, 'msg) protocol = {
 
 let every_round _ ~round = round + 1
 
-(* The original list-based engine, kept verbatim as the executable
+(* The original list-based engine, kept as the executable
    specification: [run] must be observationally identical to it (same
-   final states, same metrics, same PRNG stream), which
-   test_engine_perf.ml checks differentially and bench `perf` uses as
-   the speedup baseline.  It visits and steps every live node every
-   round and never consults [wake]. *)
-let run_reference ?observer ?(loss = 0.0) ~graph ~failures ~max_rounds ~seed proto =
-  if loss < 0.0 || loss >= 1.0 then invalid_arg "Engine.run: loss must be in [0, 1)";
+   final states, same metrics, same PRNG stream), and so must
+   [run_chaos] with only [loss] set, which test_engine_perf.ml checks
+   differentially and bench `perf` uses as the speedup baseline.  It
+   visits and steps every live node every round and never consults
+   [wake]. *)
+let run_reference ?(loss = 0.0) ~graph ~failures ~max_rounds ~seed proto =
+  if loss < 0.0 || loss >= 1.0 then invalid_arg "Engine.run_reference: loss must be in [0, 1)";
   let n = Graph.n graph in
   let rng = Prng.create seed in
   let loss_rng = Prng.split rng in
@@ -59,7 +60,6 @@ let run_reference ?observer ?(loss = 0.0) ~graph ~failures ~max_rounds ~seed pro
         let state', out = proto.step ~round:r ~me:u ~state:states.(u) ~inbox in
         states.(u) <- state';
         next_flight.(u) <- out;
-        (match observer with Some f -> f ~round:r ~node:u out | None -> ());
         let bits = List.fold_left (fun acc m -> acc + proto.msg_bits m) 0 out in
         Metrics.charge metrics ~node:u ~bits
       end
@@ -566,12 +566,10 @@ let loop ~parts ~dispatch ?observer ?obs ~chaos ~graph ~failures ~max_rounds ~se
 let whole n = [| (0, n) |]
 let one_part _round step = step 0
 
-let run ?observer ?obs ?(loss = 0.0) ~graph ~failures ~max_rounds ~seed proto =
-  if loss < 0.0 || loss >= 1.0 then invalid_arg "Engine.run: loss must be in [0, 1)";
+let run ?observer ?obs ~graph ~failures ~max_rounds ~seed proto =
   let states, metrics, _, _ =
-    loop ~parts:(whole (Graph.n graph)) ~dispatch:one_part ?observer ?obs
-      ~chaos:{ no_chaos with faults = { no_faults with loss } }
-      ~graph ~failures ~max_rounds ~seed proto
+    loop ~parts:(whole (Graph.n graph)) ~dispatch:one_part ?observer ?obs ~chaos:no_chaos ~graph
+      ~failures ~max_rounds ~seed proto
   in
   (states, metrics)
 

@@ -3,7 +3,11 @@
     Implements the paper's model (§2): protocols proceed in rounds; in each
     round a node first receives everything its neighbours broadcast in the
     previous round, computes locally, and may broadcast a single message,
-    delivered to all live neighbours next round.
+    delivered to all live neighbours next round.  {!run} is exactly that
+    model: reliable local broadcast, crash-stop failures.  Message loss,
+    duplication and delay leave it, so they are {!run_chaos} faults, and
+    {!run_reference}[ ~loss] is the specification lossy runs are checked
+    against.
 
     A protocol is a per-node automaton over an abstract payload type.  The
     automaton may emit several logical payloads in one round; the engine
@@ -59,7 +63,6 @@ val every_round : 'state -> round:int -> int
 val run :
   ?observer:(round:int -> node:int -> 'msg list -> unit) ->
   ?obs:Ftagg_obs.Obs.t ->
-  ?loss:float ->
   graph:Ftagg_graph.Graph.t ->
   failures:Failure.t ->
   max_rounds:int ->
@@ -82,12 +85,6 @@ val run :
     [Ftagg_obs.Span].  Telemetry never touches the PRNG streams: with
     [obs] present or absent, enabled or disabled, the run's states and
     metrics are identical (checked in [test/test_obs.ml]).
-
-    [loss] (default 0) drops each per-edge delivery independently with the
-    given probability.  {b This leaves the paper's model}: every guarantee
-    in the library assumes reliable local broadcast; the knob exists so
-    the bench harness can demonstrate (E16) that the crash-only guarantees
-    do not survive lossy links.
 
     The delivery loop reads the graph's rows in place (a
     {!Ftagg_graph.Graph.t} is the flat {!Ftagg_graph.Csr} adjacency, so
@@ -114,7 +111,9 @@ val run :
     differentially in [test/test_chaos.ml]). *)
 
 type faults = {
-  loss : float;  (** per-edge delivery drop probability, as {!run}'s [loss] *)
+  loss : float;
+      (** probability a per-edge delivery is dropped, drawn as
+          {!run_reference}'s [loss] is *)
   dup : float;  (** probability a delivered per-edge message is duplicated *)
   delay : float;
       (** probability a delivered per-edge message arrives one round late
@@ -124,7 +123,8 @@ type faults = {
 (** Per-edge, per-round fault probabilities, each drawn independently in
     [\[0, 1\]].  {b Everything here leaves the paper's model} — the
     guarantees assume reliable local broadcast; these knobs exist to map
-    where the guarantees break (bench E16/E17). *)
+    where the guarantees break (bench E16/E17).  {!run_chaos} rejects
+    a probability outside [\[0, 1\]] with [Invalid_argument]. *)
 
 val no_faults : faults
 (** All probabilities zero: the paper's reliable local broadcast. *)
@@ -228,12 +228,11 @@ val run_ranges :
     once a barrier separates rounds — this is how [Scale.Executor]
     parallelises a round.  A partition's round costs its share of the
     traffic plus a scan of the last round's broadcaster bitmaps of every
-    partition.  No loss, no observer and no telemetry: those share one
+    partition.  No faults, no observer and no telemetry: those share one
     PRNG stream or sink in global node order.  With one partition it is
     exactly {!run}, and every split visits and steps the same nodes. *)
 
 val run_reference :
-  ?observer:(round:int -> node:int -> 'msg list -> unit) ->
   ?loss:float ->
   graph:Ftagg_graph.Graph.t ->
   failures:Failure.t ->
@@ -242,8 +241,13 @@ val run_reference :
   ('state, 'msg) protocol ->
   'state array * Metrics.t
 (** The original list-based engine, kept as the executable specification
-    of {!run}: same final states, same metrics, same per-node and loss
-    PRNG streams.  It ignores [wake] and steps every live node every
-    round, so comparing it with {!run} checks a protocol's [wake] too.
-    Used by the differential equivalence tests and as the baseline of the
-    [perf] benchmark; {b not} a hot path. *)
+    of {!run}: same final states, same metrics, same per-node PRNG
+    streams.  It ignores [wake] and steps every live node every round,
+    so comparing it with {!run} checks a protocol's [wake] too.
+
+    [loss] (default 0; outside [\[0, 1)] it raises [Invalid_argument])
+    drops each per-edge delivery independently with that probability: the
+    specification of {!run_chaos} with only [faults.loss] set, which
+    draws the same loss PRNG stream.  Used by the differential
+    equivalence tests and as the baseline of the [perf] benchmark;
+    {b not} a hot path. *)

@@ -14,10 +14,14 @@ let agg_project st = (Agg.level st, Agg.parent st, Agg.psum st, Agg.max_level st
 
 (* With no faults, no online adversary and no watchdog, run_chaos must be
    observationally identical to the hot path: same metrics, same states,
-   same PRNG streams.  Also with only [loss] set, it must match
-   [Engine.run ?loss] draw for draw. *)
+   same PRNG streams.  Also with only [loss] set, it must match the
+   specification [Engine.run_reference ~loss] draw for draw. *)
 let both ?faults ?loss ~graph ~failures ~max_rounds ~seed proto =
-  let s_run, m_run = Engine.run ?loss ~graph ~failures ~max_rounds ~seed proto in
+  let s_run, m_run =
+    match loss with
+    | None -> Engine.run ~graph ~failures ~max_rounds ~seed proto
+    | Some loss -> Engine.run_reference ~loss ~graph ~failures ~max_rounds ~seed proto
+  in
   let r = Engine.run_chaos ?faults ~graph ~failures ~max_rounds ~seed proto in
   let s_chaos = r.Engine.c_states and m_chaos = r.Engine.c_metrics in
   check_int "rounds" (Metrics.rounds m_run) (Metrics.rounds m_chaos);
@@ -721,7 +725,7 @@ let suite =
   [
     Alcotest.test_case "chaos-off ≡ hot path (3 families x 3 seeds)" `Quick
       test_chaos_off_differential;
-    Alcotest.test_case "loss-only ≡ hot path with ?loss" `Quick test_loss_only_differential;
+    Alcotest.test_case "loss-only ≡ run_reference ~loss" `Quick test_loss_only_differential;
     Alcotest.test_case "fault semantics: dup/delay/loss at p=1" `Quick test_fault_semantics;
     Alcotest.test_case "delayed delivery survives sender crash" `Quick
       test_delay_survives_sender_crash;

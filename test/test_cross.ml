@@ -60,12 +60,33 @@ let test_engine_loss_validation () =
       wake = Engine.every_round;
     }
   in
-  Alcotest.check_raises "loss >= 1 rejected"
-    (Invalid_argument "Engine.run: loss must be in [0, 1)") (fun () ->
-      ignore (Engine.run ~loss:1.0 ~graph:g ~failures:(Failure.none ~n:3) ~max_rounds:1 ~seed:0 proto))
+  let failures = Failure.none ~n:3 in
+  Alcotest.check_raises "reference: loss >= 1 rejected"
+    (Invalid_argument "Engine.run_reference: loss must be in [0, 1)") (fun () ->
+      ignore (Engine.run_reference ~loss:1.0 ~graph:g ~failures ~max_rounds:1 ~seed:0 proto));
+  (* run_chaos takes each fault probability in [0, 1], ends included. *)
+  let chaos faults =
+    ignore (Engine.run_chaos ~faults ~graph:g ~failures ~max_rounds:1 ~seed:0 proto)
+  in
+  List.iter
+    (fun (name, set) ->
+      List.iter
+        (fun p ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s %g rejected" name p)
+            (Invalid_argument (Printf.sprintf "Engine.run_chaos: %s must be in [0, 1]" name))
+            (fun () -> chaos (set p)))
+        [ -0.1; 1.5 ];
+      List.iter (fun p -> chaos (set p)) [ 0.0; 1.0 ])
+    [
+      ("loss", fun p -> { Engine.no_faults with loss = p });
+      ("dup", fun p -> { Engine.no_faults with dup = p });
+      ("delay", fun p -> { Engine.no_faults with delay = p });
+    ]
 
 let test_engine_loss_zero_identical () =
-  (* loss = 0 must leave runs bit-for-bit identical to the default *)
+  (* zero fault probabilities must leave runs bit-for-bit identical to
+     the model's engine *)
   let n = 25 in
   let g = Gen.grid n in
   let params = params_of ~t:2 g ~inputs:(default_inputs n) in
@@ -74,8 +95,10 @@ let test_engine_loss_zero_identical () =
   let _, m0 =
     Engine.run ~graph:g ~failures:(Failure.none ~n) ~max_rounds:dur ~seed:1 proto
   in
-  let _, m1 =
-    Engine.run ~loss:0.0 ~graph:g ~failures:(Failure.none ~n) ~max_rounds:dur ~seed:1 proto
+  let m1 =
+    (Engine.run_chaos ~faults:Engine.no_faults ~graph:g ~failures:(Failure.none ~n)
+       ~max_rounds:dur ~seed:1 proto)
+      .Engine.c_metrics
   in
   for u = 0 to n - 1 do
     check_int "identical bits" (Metrics.bits_sent m0 u) (Metrics.bits_sent m1 u)

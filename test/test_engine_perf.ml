@@ -9,10 +9,20 @@ open Helpers
 
 (* Drive the same protocol through both engines and insist on identical
    metrics (per-node bits AND messages) and identical final states under
-   a projection chosen per protocol. *)
+   a projection chosen per protocol.  With [loss], the hot path is
+   [run_chaos] with only that fault set. *)
 let both ?loss ~graph ~failures ~max_rounds ~seed ~project proto =
   let s_ref, m_ref = Engine.run_reference ?loss ~graph ~failures ~max_rounds ~seed proto in
-  let s_new, m_new = Engine.run ?loss ~graph ~failures ~max_rounds ~seed proto in
+  let s_new, m_new =
+    match loss with
+    | None -> Engine.run ~graph ~failures ~max_rounds ~seed proto
+    | Some loss ->
+      let c =
+        Engine.run_chaos ~faults:{ Engine.no_faults with loss } ~graph ~failures ~max_rounds
+          ~seed proto
+      in
+      (c.Engine.c_states, c.Engine.c_metrics)
+  in
   check_int "rounds" (Metrics.rounds m_ref) (Metrics.rounds m_new);
   check_int "cc" (Metrics.cc m_ref) (Metrics.cc m_new);
   Array.iteri
@@ -91,8 +101,9 @@ let test_pair_equivalence () =
         proto)
     seeds
 
-(* Under message loss both engines must consume the loss PRNG stream in
-   the same order, so states and metrics stay identical draw for draw. *)
+(* Under message loss the chaos loop and the reference must consume the
+   loss PRNG stream in the same order, so states and metrics stay
+   identical draw for draw. *)
 let test_lossy_equivalence () =
   let g = Gen.grid 25 in
   let params = params_of g ~inputs:(default_inputs 25) in
@@ -324,16 +335,19 @@ let same_accounting n a b =
          && Metrics.msgs_sent a u = Metrics.msgs_sent b u)
        (List.init n Fun.id)
 
-(* [run] with an observer that fails the test if a (round, node) pair
-   is observed twice. *)
-let run_observed ?loss ~graph ~failures ~max_rounds ~seed proto =
+(* [run_chaos] with only [loss] set and an observer that fails the test
+   if a (round, node) pair is observed twice. *)
+let run_observed ~loss ~graph ~failures ~max_rounds ~seed proto =
   let seen = Hashtbl.create 64 and once = ref true in
   let observer ~round ~node _ =
     if Hashtbl.mem seen (round, node) then once := false;
     Hashtbl.replace seen (round, node) ()
   in
-  let states, m = Engine.run ~observer ?loss ~graph ~failures ~max_rounds ~seed proto in
-  (states, m, !once)
+  let c =
+    Engine.run_chaos ~observer ~faults:{ Engine.no_faults with loss } ~graph ~failures
+      ~max_rounds ~seed proto
+  in
+  (c.Engine.c_states, c.Engine.c_metrics, !once)
 
 let sparse_visits =
   QCheck.Test.make ~name:"engine: sparse visits = every node, on random alarms" ~count:60

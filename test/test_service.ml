@@ -537,6 +537,71 @@ let test_server_obs_off_identity () =
   let without_obs = Fun.protect ~finally:(fun () -> Registry.set_enabled true) run_script in
   Alcotest.(check (list string)) "responses byte-identical with telemetry off" with_obs without_obs
 
+(* [serve --jsonl]'s job records: the sink holds none while the server
+   runs; the export builds one per completion this process recorded,
+   with what its drain response carried, after the other events. *)
+let test_server_jsonl_completions () =
+  let path = Filename.temp_file "ftagg-service" ".ckpt.json" in
+  Sys.remove path;
+  let start () =
+    let t = server ~checkpoint_path:path ~st:(settings ~batch:1 ()) () in
+    (Server.obs t, t)
+  in
+  let submit ?(tenant = "default") ?(extra = "") seed =
+    Printf.sprintf {|{"op":"submit","job":{"family":"grid","n":16,"seed":%d,"tenant":"%s"%s}}|} seed
+      tenant extra
+  in
+  (* A drain's completions as the records the export must yield: a
+     failed job's error rides in [outcome]. *)
+  let drained t =
+    match Bench_io.of_string (Server.handle t {|{"op":"drain"}|}) with
+    | Ok json -> (
+      match Bench_io.member "completed" json with
+      | Some (Bench_io.List cs) ->
+        List.map
+          (function
+            | Bench_io.Obj fields ->
+              List.map (function "failed", e -> ("outcome", e) | kv -> kv) fields
+            | _ -> Alcotest.fail "a completion is an object")
+          cs
+      | _ -> Alcotest.fail "drain lists its completions")
+    | Error e -> Alcotest.fail e
+  in
+  let kinds obs = List.map (fun e -> e.Obs.ev_kind) (Obs.events obs) in
+  let export obs t =
+    Scheduler.export_completions (Server.scheduler t);
+    List.filter_map
+      (fun e -> if e.Obs.ev_kind = "job_completed" then Some e.Obs.ev_fields else None)
+      (Obs.events obs)
+  in
+  let obs, t = start () in
+  List.iter
+    (fun line -> ignore (Server.handle t line))
+    [ submit 7; submit ~tenant:"b" 7; submit ~extra:{|,"deadline":0|} 9;
+      {|{"op":"reconfig","set":{"cache_capacity":4}}|} ];
+  let first = drained t in
+  check_int "executed, cache hit and expired" 3 (List.length first);
+  check_true "one was a cache hit"
+    (List.exists (fun c -> List.assoc "cached" c = Bench_io.Bool true) first);
+  check_true "one expired"
+    (List.exists
+       (fun c -> match List.assoc "outcome" c with Bench_io.String _ -> true | _ -> false)
+       first);
+  ignore (Server.handle t {|{"op":"checkpoint"}|});
+  Alcotest.(check (list string)) "no job record before export" [ "reconfig" ] (kinds obs);
+  check_true "one record per completion, as drained" (export obs t = first);
+  Alcotest.(check (list string)) "records follow the other events"
+    [ "reconfig"; "job_completed"; "job_completed"; "job_completed" ] (kinds obs);
+  (* A restarted server exports only what it recorded itself. *)
+  let obs', t' = start () in
+  check_int "three completions restored" 3 (Scheduler.completed_count (Server.scheduler t'));
+  ignore (Server.handle t' (submit ~tenant:"c" 7));
+  ignore (Server.handle t' (submit 11));
+  let second = drained t' in
+  check_int "a restored hit and a fresh job" 2 (List.length second);
+  check_true "only its own completions" (export obs' t' = second);
+  Sys.remove path
+
 (* --- sweep: the non-abandoning variant --- *)
 
 let test_map_results () =
@@ -919,6 +984,7 @@ let suite =
     Alcotest.test_case "server: protocol surface" `Quick test_server_protocol;
     Alcotest.test_case "server: backpressure response" `Quick test_server_backpressure_response;
     Alcotest.test_case "server: obs-off byte identity" `Quick test_server_obs_off_identity;
+    Alcotest.test_case "server: JSONL job records at export" `Quick test_server_jsonl_completions;
     Alcotest.test_case "sweep: map_results never abandons" `Quick test_map_results;
     Alcotest.test_case "campaign via service" `Quick test_campaign_via_service;
     Alcotest.test_case "campaign via service: backpressure" `Quick
