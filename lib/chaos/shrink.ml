@@ -1,15 +1,14 @@
 module Engine = Ftagg_sim.Engine
 
-type budget = {
-  mutable tries : int;
-  max_tries : int;
-}
+type budget = { mutable tries : int }
+
+let max_tries = 300
 
 (* One oracle probe, under the try budget.  A scenario that raises (e.g.
    a family rejecting a shrunken [n]) simply does not reproduce the
    violation. *)
 let still_fails budget ~oracle ~matches sc =
-  if budget.tries >= budget.max_tries then false
+  if budget.tries >= max_tries then false
   else begin
     budget.tries <- budget.tries + 1;
     match oracle sc with
@@ -106,8 +105,8 @@ let shrink_n ?(note = ignore) fails sc0 =
   done;
   !sc
 
-let minimize ?(max_tries = 300) ?on_progress ~oracle ~matches ~max_round sc0 =
-  let budget = { tries = 0; max_tries } in
+let minimize ?on_progress ~oracle ~matches ~max_round sc0 =
+  let budget = { tries = 0 } in
   let fails = still_fails budget ~oracle ~matches in
   (* [note] fires on every accepted (still-failing, smaller) candidate —
      the shrink-progress feed for telemetry sinks. *)

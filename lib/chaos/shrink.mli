@@ -13,12 +13,11 @@
       so every remaining early round is load-bearing.
 
     The result is 1-minimal-ish, not globally minimal: each pass is
-    greedy and the whole search is capped at [max_tries] oracle runs.
+    greedy and the whole search is capped at 300 oracle runs.
     Scenarios that raise (a family rejecting a tiny [n]) count as
     non-reproducing. *)
 
 val minimize :
-  ?max_tries:int ->
   ?on_progress:(tries:int -> Incident.scenario -> unit) ->
   oracle:(Incident.scenario -> Ftagg_sim.Engine.violation option) ->
   matches:(Ftagg_sim.Engine.violation -> bool) ->
@@ -29,8 +28,8 @@ val minimize :
     scenario and the search statistics.  [matches] decides whether an
     oracle violation is "the same" (typically: same invariant name);
     [max_round] bounds how late a crash may be delayed (pass the run
-    duration).  [max_tries] defaults to 300.  If [sc] does not reproduce
-    under the oracle, it is returned unchanged.
+    duration).  If [sc] does not reproduce under the oracle, it is
+    returned unchanged.
 
     [on_progress] fires on every {e accepted} candidate — a smaller
     scenario that still reproduces — with the oracle-run count so far;

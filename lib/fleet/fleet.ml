@@ -204,11 +204,12 @@ let drive ?token ?tenant ~retry ?pump endpoint jobs =
 
 (* ---- the fan-out ---- *)
 
-let run ?(vnodes = 64) ?(ring_seed = 1) ?token ?tenant ?(retry = Client.retry ()) ?pump
-    ?(max_rounds = 4) ~endpoints ~jobs () =
+let max_rounds = 4
+
+let run ?token ?tenant ?(retry = Client.retry ()) ?pump ~endpoints ~jobs () =
   if endpoints = [] then Error "fleet: no endpoints"
   else begin
-    let ring = Ring.create ~vnodes ~seed:ring_seed endpoints in
+    let ring = Ring.create endpoints in
     let router = Router.create ring in
     let n_jobs = List.length jobs in
     let results : (int, Bench_io.json) Hashtbl.t = Hashtbl.create (max 16 n_jobs) in

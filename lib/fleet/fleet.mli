@@ -26,23 +26,20 @@ type report = {
 val report_to_json : report -> Ftagg_runner.Bench_io.json
 
 val run :
-  ?vnodes:int ->
-  ?ring_seed:int ->
   ?token:string ->
   ?tenant:string ->
   ?retry:Ftagg_transport.Client.retry ->
   ?pump:(unit -> unit) ->
-  ?max_rounds:int ->
   endpoints:string list ->
   jobs:Ftagg_runner.Bench_io.json list ->
   unit ->
   (report, string) result
 (** Fan [jobs] (job JSON objects, as in the [submit] op) out over
     [endpoints] (address strings, ["unix:PATH"] or ["tcp:HOST:PORT"]).
-    Placement is by {!Ring} on the client-computed content digest, so
-    every fleet member routes identically.  Endpoints whose session
-    exhausts its retries are marked down and their unanswered jobs
-    re-routed to ring successors, up to [max_rounds] rounds.  With
-    [pump] the endpoints are driven sequentially on the calling thread
-    (deterministic, for in-process listeners); without it each endpoint
-    gets its own domain. *)
+    Placement is by {!Ring} (its default vnodes and seed) on the
+    client-computed content digest, so every fleet member routes
+    identically.  Endpoints whose session exhausts its retries are
+    marked down and their unanswered jobs re-routed to ring successors,
+    up to 4 rounds.  With [pump] the endpoints are driven sequentially
+    on the calling thread (deterministic, for in-process listeners);
+    without it each endpoint gets its own domain. *)

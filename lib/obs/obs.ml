@@ -14,9 +14,8 @@ type t = {
   mutable rev_events : event list;
 }
 
-let create ?(name = "run") ?registry () =
-  let registry = match registry with Some r -> r | None -> Registry.create () in
-  { obs_name = name; obs_registry = registry; obs_spans = Span.create (); rev_events = [] }
+let create ?(name = "run") () =
+  { obs_name = name; obs_registry = Registry.create (); obs_spans = Span.create (); rev_events = [] }
 
 let name t = t.obs_name
 let registry t = t.obs_registry

@@ -15,10 +15,8 @@
     disabled ([Registry.set_enabled false]).
 
     One sink is normally one run (round numbers restart per run, and the
-    Chrome export assumes a single timeline), but sharing a registry
-    across runs — e.g. one fresh [Obs.t] per seed over a common registry,
-    or [Sweep_obs.map]'s per-job registries — is the intended way to
-    aggregate. *)
+    Chrome export assumes a single timeline); runs aggregate by merging
+    registries ([Registry.merge_into], as [Sweep_obs.map] does). *)
 
 type event = {
   ev_kind : string;
@@ -29,9 +27,9 @@ type event = {
 
 type t
 
-val create : ?name:string -> ?registry:Registry.t -> unit -> t
-(** Fresh sink.  [name] (default ["run"]) labels the exports;
-    [registry] lets several sinks share one registry for aggregation. *)
+val create : ?name:string -> unit -> t
+(** Fresh sink with its own registry.  [name] (default ["run"]) labels
+    the exports. *)
 
 val name : t -> string
 val registry : t -> Registry.t

@@ -155,8 +155,8 @@ let counter t ?(labels = []) name =
   | Some (C_counter { c }) -> c
   | Some _ | None -> 0
 
-let gauge t ?(labels = []) name =
-  match Hashtbl.find_opt t.tbl (name, canon labels) with
+let gauge t name =
+  match Hashtbl.find_opt t.tbl (name, []) with
   | Some (C_gauge { g }) -> Some g
   | Some _ | None -> None
 

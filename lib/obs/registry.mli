@@ -85,9 +85,9 @@ val histogram : t -> ?labels:(string * string) list -> string -> hist option
     {!percentile} for the latency/bandwidth curves the scenario runner
     reports. *)
 
-val gauge : t -> ?labels:(string * string) list -> string -> float option
-(** Gauge value; [None] when the series does not exist (or is not a
-    gauge). *)
+val gauge : t -> string -> float option
+(** The unlabelled gauge's value; [None] when the series does not exist
+    (or is not a gauge). *)
 
 val series : t -> (string * (string * string) list * value) list
 (** Every series, sorted by (name, labels): the deterministic dump the

@@ -51,10 +51,10 @@ let make ?(c = 2) ?(t = 0) ?(caaf = Ftagg_caaf.Instances.sum) ~graph ~inputs () 
   in
   fill ~n ~d ~c ~t ~caaf ~inputs
 
-let of_diameter ?(c = 2) ?(t = 0) ?(caaf = Ftagg_caaf.Instances.sum) ~d ~inputs () =
+let of_diameter ?(t = 0) ~d ~inputs () =
   let n = Array.length inputs in
-  check ~who:"Params.of_diameter" ~n ~c ~t inputs;
-  fill ~n ~d ~c ~t ~caaf ~inputs
+  check ~who:"Params.of_diameter" ~n ~c:2 ~t inputs;
+  fill ~n ~d ~c:2 ~t ~caaf:Ftagg_caaf.Instances.sum ~inputs
 
 let with_t p t =
   if t < 0 then invalid_arg "Params.with_t: t must be >= 0";

@@ -34,10 +34,10 @@ val make :
     the largest input, at least 1.  Raises if the graph is disconnected
     or [inputs] has the wrong length or a negative entry. *)
 
-val of_diameter :
-  ?c:int -> ?t:int -> ?caaf:Ftagg_caaf.Caaf.t -> d:int -> inputs:int array -> unit -> t
-(** As {!make}, for a caller that knows [d] (or a sound bound on it)
-    without a {!Ftagg_graph.Graph.t}: [n] is the length of [inputs]. *)
+val of_diameter : ?t:int -> d:int -> inputs:int array -> unit -> t
+(** As {!make} with [c = 2] and [caaf = Instances.sum], for a caller
+    that knows [d] (or a sound bound on it) without a
+    {!Ftagg_graph.Graph.t}: [n] is the length of [inputs]. *)
 
 val with_t : t -> int -> t
 (** The same parameters at another tolerance [t]. *)

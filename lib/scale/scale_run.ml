@@ -14,10 +14,10 @@ type outcome = {
   caller_id : int -> int;
 }
 
-let params ?(c = 2) ?(t = 1) ~graph ~inputs () =
+let params ?(t = 1) ~graph ~inputs () =
   let n = Bigraph.n graph in
   if Array.length inputs <> n then invalid_arg "Scale_run.params: inputs length mismatch";
-  Params.of_diameter ~c ~t ~d:(Bigraph.pseudo_diameter graph) ~inputs ()
+  Params.of_diameter ~t ~d:(Bigraph.pseudo_diameter graph) ~inputs ()
 
 let protocol p = Agg.protocol p
 

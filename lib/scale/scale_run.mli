@@ -24,8 +24,8 @@ type outcome = {
 }
 
 val params :
-  ?c:int -> ?t:int -> graph:Bigraph.t -> inputs:int array -> unit -> Ftagg_proto.Params.t
-(** Defaults: [c = 2], [t = 1].  [d] is the pseudo-diameter;
+  ?t:int -> graph:Bigraph.t -> inputs:int array -> unit -> Ftagg_proto.Params.t
+(** [c = 2], and [t] defaults to 1.  [d] is the pseudo-diameter;
     [max_input] is the max input (at least 1); [caaf] is SUM.  Raises on
     an input-length mismatch or a negative input. *)
 

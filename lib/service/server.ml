@@ -31,8 +31,8 @@ let restore_error t = t.restore_error
 let store_error t = t.store_error
 let store t = Scheduler.store t.scheduler
 
-let create ?obs config =
-  let obs = match obs with Some o -> o | None -> Obs.create ~name:config.name () in
+let create config =
+  let obs = Obs.create ~name:config.name () in
   let restored_state, restore_error =
     match config.checkpoint_path with
     | Some path when Sys.file_exists path -> (

@@ -44,7 +44,7 @@ val default_config : config
 
 type t
 
-val create : ?obs:Ftagg_obs.Obs.t -> config -> t
+val create : config -> t
 (** Build the server; when [config.checkpoint_path] names an existing,
     readable checkpoint, the scheduler resumes from it (a corrupt file is
     ignored rather than fatal). *)

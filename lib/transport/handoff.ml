@@ -245,7 +245,8 @@ module Takeover = struct
     | None -> ());
     close_ctl t
 
-  let run ?mode ?(timeout = 30.) ?(sleep = Unix.sleepf) ~ctl () =
+  let run ?mode ?(sleep = Unix.sleepf) ~ctl () =
+    let timeout = 30. in
     match start ?mode ~ctl () with
     | Error e -> Error e
     | Ok t ->

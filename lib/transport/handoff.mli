@@ -94,9 +94,9 @@ module Takeover : sig
       resumes.  Safe at any point; used on successor-side failure. *)
 
   val run :
-    ?mode:mode -> ?timeout:float -> ?sleep:(float -> unit) -> ctl:string -> unit ->
+    ?mode:mode -> ?sleep:(float -> unit) -> ctl:string -> unit ->
     (t * outcome, string) result
   (** Blocking convenience for the CLI: {!start} then {!step} until
       ready, sleeping [sleep] (default [Unix.sleepf 0.01]) between
-      polls, giving up after [timeout] seconds (default 30). *)
+      polls, giving up after 30 seconds. *)
 end

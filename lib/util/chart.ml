@@ -24,8 +24,8 @@ let render_bars ~width ~title ~transform series =
 let bars ?(width = 50) ?title series =
   render_bars ~width ~title ~transform:Fun.id series
 
-let log_bars ?(width = 50) ?title series =
-  render_bars ~width ~title
+let log_bars ?(width = 50) series =
+  render_bars ~width ~title:None
     ~transform:(fun v -> if v <= 1.0 then 0.0 else log v /. log 2.0)
     series
 

@@ -15,11 +15,7 @@ val spark : float list -> string
 (** A one-line sparkline using eight block glyphs; empty input gives
     the empty string. *)
 
-val log_bars :
-  ?width:int ->
-  ?title:string ->
-  (string * float) list ->
-  string
-(** Like {!bars} but on a log₂ scale — appropriate when the series spans
+val log_bars : ?width:int -> (string * float) list -> string
+(** Like {!bars}, untitled and on a log₂ scale — appropriate when the series spans
     orders of magnitude (e.g. brute force vs Algorithm 1 CC).  Values
     [<= 1] render as empty bars. *)
